@@ -42,6 +42,8 @@ TYPED_PREFIXES = (
     "src/repro/runner/",
     "src/repro/service/",
     "src/repro/faults/",
+    "src/repro/verify/",
+    "src/repro/regalloc/",
 )
 
 

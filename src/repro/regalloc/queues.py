@@ -24,9 +24,13 @@ full read order match too (tested against the simulator in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .lifetimes import Lifetime, Location, LocationKind, required_positions
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.machine.cluster import ClusteredMachine
+    from repro.sched.schedule import ModuloSchedule
 
 
 def q_compatible(a: Lifetime, b: Lifetime, ii: int) -> bool:
@@ -141,20 +145,38 @@ def allocate_queues(lifetimes: Iterable[Lifetime], ii: int, *,
     opens a new queue.  Zero-length lifetimes (same-cycle bypass) still
     take a queue slot assignment (the datum flows through the queue's
     bypass path) but never occupy a position.
+
+    Each queue keeps a bitmask of the ``start mod II`` residues of its
+    members.  Theorem 1.1 rejects every same-residue pair (``delta ==
+    0``), so a queue whose mask holds the incoming residue is skipped
+    without any pairwise test: first-fit picks the same queue as the
+    plain scan (DESIGN.md §5.2).
     """
+    if ii < 1:
+        raise ValueError("II must be >= 1")
     loc = location or Location(LocationKind.PRIVATE, 0)
     alloc = QueueAllocation(ii=ii, location=loc)
+    queues = alloc.queues
+    residues: list[int] = []   # per queue: bit r set <=> a member has r
     ordered = sorted(
         lifetimes,
         key=lambda lt: (lt.start, lt.length, lt.producer, lt.consumer,
                         lt.edge_key))
     for lt in ordered:
-        for q in alloc.queues:
-            if all(q_compatible(lt, other, ii) for other in q):
+        bit = 1 << (lt.start % ii)
+        for i, q in enumerate(queues):
+            if residues[i] & bit:
+                continue
+            for other in q:
+                if not q_compatible(lt, other, ii):
+                    break
+            else:  # compatible with every member: join this queue
                 q.append(lt)
+                residues[i] |= bit
                 break
         else:
-            alloc.queues.append([lt])
+            queues.append([lt])
+            residues.append(bit)
     return alloc
 
 
@@ -203,7 +225,9 @@ class ScheduleQueueUsage:
             alloc.verify()
 
 
-def allocate_for_schedule(sched, machine=None) -> ScheduleQueueUsage:
+def allocate_for_schedule(sched: "ModuloSchedule",
+                          machine: Optional["ClusteredMachine"] = None
+                          ) -> ScheduleQueueUsage:
     """Allocate queues for every location of a schedule.
 
     *machine* is the :class:`~repro.machine.cluster.ClusteredMachine` for

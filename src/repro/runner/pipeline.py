@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.analysis.metrics import LoopOutcome
@@ -30,14 +30,14 @@ from repro.machine.cluster import ClusteredMachine
 from repro.machine.machine import Machine
 from repro.obs.trace import (job_capture, span, trace_count,
                              tracing_enabled)
-from repro.regalloc.queues import allocate_for_schedule
+from repro.regalloc.queues import ScheduleQueueUsage, allocate_for_schedule
 from repro.sched.iisearch import DEFAULT_II_SEARCH, check_ii_search
 from repro.sched.mii import mii_report
 from repro.sched.partition import (PartitionConfig, partitioned_schedule,
                                    schedule_with_moves)
 from repro.sched.partitioners import (DEFAULT_PARTITIONER,
                                       check_partitioner)
-from repro.sched.schedule import SchedulingError
+from repro.sched.schedule import ModuloSchedule, SchedulingError
 from repro.sched.strategies import (DEFAULT_SCHEDULER, check_scheduler,
                                     get_scheduler)
 from repro.verify import VerificationError, verify_schedule
@@ -88,8 +88,8 @@ class CompiledLoop:
     """Pipeline artefacts for one (loop, machine) pair."""
 
     outcome: LoopOutcome
-    schedule: object = None
-    usage: object = None
+    schedule: Optional[ModuloSchedule] = None
+    usage: Optional[ScheduleQueueUsage] = None
     work: Optional[Ddg] = None
 
 
@@ -128,6 +128,13 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
     check_scheduler(scheduler)
     check_partitioner(partitioner)
     check_ii_search(ii_search)
+
+    def schedule_at(factor: int) -> CompiledLoop:
+        return _schedule(ddg, machine, factor, copies=copies,
+                         copy_strategy=copy_strategy,
+                         partitioner=partitioner, use_moves=use_moves,
+                         scheduler=scheduler, ii_search=ii_search)
+
     factor = 1
     if unroll_factor is not None:
         factor = unroll_factor
@@ -136,36 +143,29 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
             ddg, _fu_counts(machine), max_factor=UNROLL_MAX_FACTOR,
             max_ops=UNROLL_MAX_OPS).factor
         if factor > 1:
-            # a production compiler keeps whichever version wins: compile
+            # a production compiler keeps whichever version wins: schedule
             # both and fall back to the rolled loop when the unrolled
-            # schedule's per-iteration II is no better (the estimate is a
-            # bound, not a guarantee)
-            rolled = compile_loop(
-                ddg, machine, copies=copies, copy_strategy=copy_strategy,
-                allocate=False, partitioner=partitioner,
-                use_moves=use_moves, scheduler=scheduler,
-                ii_search=ii_search, verify=verify)
-            unrolled = compile_loop(
-                ddg, machine, unroll_factor=factor, copies=copies,
-                copy_strategy=copy_strategy, allocate=allocate,
-                partitioner=partitioner,
-                use_moves=use_moves, scheduler=scheduler,
-                ii_search=ii_search, verify=verify)
-            if (unrolled.outcome.failed
-                    or rolled.outcome.failed
-                    or unrolled.outcome.ii_per_iteration
-                    <= rolled.outcome.ii_per_iteration + 1e-9):
-                if not unrolled.outcome.failed:
-                    return unrolled
-            if allocate and not rolled.outcome.failed:
-                rolled = compile_loop(
-                    ddg, machine, unroll_factor=1, copies=copies,
-                    copy_strategy=copy_strategy, allocate=True,
-                    partitioner=partitioner,
-                    use_moves=use_moves, scheduler=scheduler,
-                    ii_search=ii_search, verify=verify)
-            return rolled
-        factor = 1
+            # schedule's per-iteration II is worse (the estimate is a
+            # bound, not a guarantee); only the kept one is allocated and
+            # verified
+            rolled = schedule_at(1)
+            unrolled = schedule_at(factor)
+            keep_unrolled = not unrolled.outcome.failed and (
+                rolled.outcome.failed
+                or unrolled.outcome.ii_per_iteration
+                <= rolled.outcome.ii_per_iteration + 1e-9)
+            return _finish(unrolled if keep_unrolled else rolled, machine,
+                           allocate=allocate, verify=verify)
+    return _finish(schedule_at(factor), machine,
+                   allocate=allocate, verify=verify)
+
+
+def _schedule(ddg: Ddg, machine: "Machine | ClusteredMachine",
+              factor: int, *, copies: bool, copy_strategy: str,
+              partitioner: str, use_moves: bool, scheduler: str,
+              ii_search: str) -> CompiledLoop:
+    """(unroll ->) (copy-insert ->) schedule at a fixed unroll *factor*;
+    the outcome carries no queue figures yet (see :func:`_finish`)."""
     with span("pipeline.frontend"):
         work, n_copies = _frontend(ddg, factor, copies, copy_strategy)
 
@@ -196,33 +196,40 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
             ii=0, mii=report.mii, res_mii=report.res, rec_mii=report.rec,
             stage_count=0, trip_count=ddg.trip_count, failed=True))
 
-    usage = None
-    total_queues = max_depth = None
-    if allocate:
-        with span("pipeline.allocate"):
-            usage = allocate_for_schedule(
-                sched, machine if clustered else None)
-        total_queues = usage.total_queues
-        max_depth = usage.max_depth
-
-    if verify:
-        with span("pipeline.verify"):
-            verdict = verify_schedule(sched, machine)
-        if not verdict.ok:
-            raise VerificationError(verdict)
-
-    # MII of the *scheduled* ddg can exceed the pre-move report; recompute
-    # cheaply off the schedule's ddg only when moves were added
+    # the bounds are those of *work*: moves the scheduler adds can raise
+    # the scheduled ddg's MII above them
     outcome = LoopOutcome(
         loop=ddg.name, machine=machine.name,
         n_source_ops=ddg.n_ops, n_body_ops=sched.n_ops,
         unroll_factor=factor, n_copies=n_copies,
         ii=sched.ii, mii=report.mii, res_mii=report.res,
         rec_mii=report.rec, stage_count=sched.stage_count,
-        trip_count=ddg.trip_count,
-        total_queues=total_queues, max_queue_depth=max_depth)
-    return CompiledLoop(outcome=outcome, schedule=sched, usage=usage,
-                        work=work)
+        trip_count=ddg.trip_count)
+    return CompiledLoop(outcome=outcome, schedule=sched, work=work)
+
+
+def _finish(compiled: CompiledLoop, machine: "Machine | ClusteredMachine",
+            *, allocate: bool, verify: bool) -> CompiledLoop:
+    """Allocate queues for and verify the schedule a compile returns."""
+    sched = compiled.schedule
+    if sched is None:
+        return compiled
+    if allocate:
+        with span("pipeline.allocate"):
+            usage = allocate_for_schedule(
+                sched,
+                machine if isinstance(machine, ClusteredMachine) else None)
+        compiled.usage = usage
+        compiled.outcome = replace(compiled.outcome,
+                                   total_queues=usage.total_queues,
+                                   max_queue_depth=usage.max_depth)
+
+    if verify:
+        with span("pipeline.verify"):
+            verdict = verify_schedule(sched, machine)
+        if not verdict.ok:
+            raise VerificationError(verdict)
+    return compiled
 
 
 def _fu_counts(machine: "Machine | ClusteredMachine") -> dict:

@@ -316,18 +316,29 @@ def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
               "ring_ccw": budget.ring_out_ccw}
     passed = 0
     for (kind, cl), lifetimes in sorted(per_loc.items()):
-        # deterministic greedy first-fit, as the hardware allocator packs
+        # deterministic greedy first-fit, as the hardware allocator packs;
+        # a queue already holding the incoming start residue is skipped
+        # untested (delta == 0 is never Q-compatible)
         lifetimes.sort(key=lambda lt: (lt[0], lt[1], lt[3].src,
                                        lt[3].dst, lt[3].key))
         queues: list[list[tuple[int, int, int, DepEdge]]] = []
+        residues: list[int] = []
         for lt in lifetimes:
-            for q in queues:
-                if all(_q_compatible(lt[0], lt[1], other[0], other[1], ii)
-                       for other in q):
+            bit = 1 << (lt[0] % ii)
+            for i, q in enumerate(queues):
+                if residues[i] & bit:
+                    continue
+                for other in q:
+                    if not _q_compatible(lt[0], lt[1], other[0], other[1],
+                                         ii):
+                        break
+                else:  # compatible with every member: join this queue
                     q.append(lt)
+                    residues[i] |= bit
                     break
             else:
                 queues.append([lt])
+                residues.append(bit)
         for qi, q in enumerate(queues):
             # FIFO-sharing proof: pairwise Q-compatibility of the packing
             bad = False

@@ -82,3 +82,43 @@ def test_allocation_deterministic(case):
     a2 = allocate_queues(list(reversed(lts)), ii)
     # input order must not matter (allocator sorts internally)
     assert [len(q) for q in a1.queues] == [len(q) for q in a2.queues]
+
+
+def _first_fit_reference(lifetimes, ii):
+    """The plain first-fit scan: every queue, every member, no residue
+    index."""
+    queues = []
+    for lt in sorted(lifetimes, key=lambda lt: (lt.start, lt.length,
+                                                lt.producer, lt.consumer,
+                                                lt.edge_key)):
+        for q in queues:
+            if all(q_compatible(lt, other, ii) for other in q):
+                q.append(lt)
+                break
+        else:
+            queues.append([lt])
+    return queues
+
+
+@st.composite
+def crowded_lifetime_sets(draw):
+    """Many lifetimes over few start residues, so most queues already
+    hold the incoming residue (II = 1 puts every start on one)."""
+    ii = draw(st.integers(min_value=1, max_value=12))
+    residues = draw(st.lists(st.integers(min_value=0, max_value=ii - 1),
+                             min_size=1, max_size=3))
+    n = draw(st.integers(min_value=1, max_value=40))
+    lts = []
+    for i in range(n):
+        r = draw(st.sampled_from(residues))
+        s = r + ii * draw(st.integers(min_value=0, max_value=4))
+        l = draw(st.integers(min_value=0, max_value=3 * ii))
+        lts.append(Lifetime(2 * i, 2 * i + 1, 0, s, l))
+    return lts, ii
+
+
+@given(st.one_of(crowded_lifetime_sets(), lifetime_sets()))
+@settings(max_examples=300, deadline=None)
+def test_residue_indexed_first_fit_matches_plain_scan(case):
+    lts, ii = case
+    assert allocate_queues(lts, ii).queues == _first_fit_reference(lts, ii)

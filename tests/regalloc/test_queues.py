@@ -44,6 +44,14 @@ class TestAllocateQueues:
         assert alloc.assignment() == {(0, 1, 0): 0}
         assert alloc.queue_of(a) == 0
 
+    @pytest.mark.parametrize("ii", [0, -3])
+    def test_rejects_non_positive_ii(self, ii):
+        # even one lifetime, which needs no pairwise test, is refused
+        with pytest.raises(ValueError, match="II must be >= 1"):
+            allocate_queues([Lifetime(0, 1, 0, 0, 2)], ii)
+        with pytest.raises(ValueError, match="II must be >= 1"):
+            allocate_queues([], ii)
+
     def test_queue_of_missing(self):
         alloc = allocate_queues([], 4)
         with pytest.raises(KeyError):

@@ -1,0 +1,35 @@
+"""The verifier's queue packing and the allocator's agree.
+
+Both pack lifetimes with their own first-fit under Theorem 1.1; neither
+imports the other.  On every schedule, each queue the verifier builds is
+either proved (fits its positions) or reported as a ``QUEUE_DEPTH``
+violation, so the two counts together must equal the allocator's
+``total_queues``.
+"""
+
+import pytest
+
+from repro.machine.presets import (paper_clustered_machines,
+                                   paper_qrf_machines)
+from repro.runner.pipeline import compile_loop
+from repro.verify import ViolationKind, verify_schedule
+from repro.workloads.kernels import all_kernels
+
+MACHINES = paper_qrf_machines() + paper_clustered_machines()
+
+
+@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+def test_verifier_and_allocator_pack_the_same_queue_count(machine):
+    checked = 0
+    for ddg in all_kernels():
+        compiled = compile_loop(ddg, machine)
+        if compiled.outcome.failed:
+            continue
+        verdict = verify_schedule(compiled.schedule, machine)
+        depth_violations = sum(v.kind is ViolationKind.QUEUE_DEPTH
+                               for v in verdict.violations)
+        assert ViolationKind.QUEUE_ORDER not in verdict.kinds()
+        assert (verdict.proved["queues"] + depth_violations
+                == compiled.usage.total_queues), ddg.name
+        checked += 1
+    assert checked > 0
