@@ -3,7 +3,6 @@
 from .conventional import (RegisterFileReport, port_requirement,
                            register_requirement)
 from .lifetimes import (Lifetime, Location, LocationKind, extract_lifetimes,
-                        required_positions,
                         location_of_edge, max_live, merged_value_lifetimes,
                         steady_state_occupancy)
 from .rotating import (MveReport, mve_register_requirement,
@@ -18,7 +17,6 @@ __all__ = [
     "RegisterFileReport", "port_requirement", "register_requirement",
     "Lifetime", "Location", "LocationKind", "extract_lifetimes",
     "location_of_edge", "max_live", "merged_value_lifetimes",
-    "required_positions",
     "steady_state_occupancy",
     "MveReport", "mve_register_requirement", "mve_unroll_factor",
     "rotating_register_requirement",

@@ -59,7 +59,8 @@ class Lifetime:
     length: int
     #: loop-carried distance of the underlying edge: the queue is preloaded
     #: with this many initial values before the loop starts, which occupy
-    #: positions during the prologue.
+    #: positions during the prologue (never more than the steady state
+    #: needs; see :func:`max_live`).
     distance: int = 0
     location: Location = Location(LocationKind.PRIVATE, 0)
 
@@ -149,79 +150,60 @@ def steady_state_occupancy(lifetimes: list[Lifetime], ii: int) -> list[int]:
 
         sum over lifetimes of |{k : S+k*II <= t < S+L+k*II}|
 
-    which is periodic in t with period II.
+    which is periodic in t with period II.  Counted in closed form, in
+    O(n + II): a lifetime is live in ``L // II`` instances at every
+    phase, plus one more on the ``L % II`` phases from ``S mod II`` on
+    (so a zero-length bypass never occupies a slot).
     """
     if ii < 1:
         raise ValueError("II must be >= 1")
-    if not lifetimes:
-        return [0] * ii
-    # deep in steady state, aligned so index i is phase (t mod ii) == i
-    base = (max(lt.end for lt in lifetimes) // ii + 1) * ii
+    every = 0
+    diff = [0] * (ii + 1)   # +1/-1 at the edges of each partial run
+    for lt in lifetimes:
+        full, rest = divmod(lt.length, ii)
+        every += full
+        if rest:
+            first = lt.start % ii
+            last = first + rest
+            diff[first] += 1
+            if last <= ii:
+                diff[last] -= 1
+            else:           # the run wraps past phase ii-1
+                diff[0] += 1
+                diff[last - ii] -= 1
     occ = []
     for phase in range(ii):
-        t = base + phase
-        total = 0
-        for lt in lifetimes:
-            if lt.length == 0:
-                continue  # same-cycle bypass never occupies a slot
-            k_max = (t - lt.start) // ii
-            k_min = -(-(t - lt.start - lt.length + 1) // ii)  # ceil
-            if k_max >= k_min:
-                total += k_max - k_min + 1
-        occ.append(total)
+        every += diff[phase]
+        occ.append(every)
     return occ
 
 
 def max_live(lifetimes: list[Lifetime], ii: int) -> int:
-    """Peak steady-state occupancy (MaxLive)."""
-    return max(steady_state_occupancy(lifetimes, ii), default=0)
+    """Peak steady-state occupancy (MaxLive).
 
-
-def required_positions(lifetimes: list[Lifetime], ii: int) -> int:
-    """Queue positions needed over a whole execution, prologue included.
-
-    Differs from steady-state MaxLive when loop-carried lifetimes are
-    preloaded: the initial values of a distance-d lifetime sit in the queue
-    from cycle 0 until their reads, so the prologue can hold more values
-    than the steady state (even for zero-length / bypass lifetimes).
-    Occupancy is end-of-cycle: an instance written at *s* and read at *e*
-    occupies [s, e).
+    Also the queue positions these lifetimes need over a whole
+    execution, prologue included.  Occupancy is end-of-cycle: an
+    instance written at *s* and read at *e* occupies [s, e).  The
+    instances an execution holds are those with ``k >= -d`` (the
+    ``d`` preloaded values of a distance-d lifetime plus one per
+    iteration); a preload whose virtual write slot is negative exists
+    from "cycle -1", the others are injected by the prologue at their
+    slot (see :mod:`repro.sim.vliwsim`).  Either way each instance
+    occupies a sub-interval of its steady-state interval, so at every
+    cycle ``t >= -1`` the execution holds a subset of the steady-state
+    instances live at ``t`` -- never more than MaxLive -- and once the
+    preloads are read it holds all of them, reaching MaxLive.  Prologue
+    preloads therefore never need extra positions; only the epilogue
+    drain can (:func:`finite_required_positions`).
     """
-    if ii < 1:
-        raise ValueError("II must be >= 1")
-    if not lifetimes:
-        return 0
-    horizon = max(lt.end for lt in lifetimes) + 2 * ii
-    events: list[tuple[int, int]] = []
-    for lt in lifetimes:
-        k = -lt.distance
-        while True:
-            s, e = lt.start + k * ii, lt.end + k * ii
-            if s > horizon:
-                break
-            # pre-loop instances (k < 0) whose virtual write slot is
-            # negative exist from before the loop's first cycle (they
-            # hold a position at "cycle -1" even when read in cycle 0);
-            # those whose slot falls inside the loop are injected by the
-            # prologue at exactly that cycle (see repro.sim.vliwsim)
-            s_clamped = max(s, -1) if k < 0 else s
-            if e > s_clamped:
-                events.append((s_clamped, +1))
-                events.append((e, -1))
-            k += 1
-    events.sort()
-    peak = cur = 0
-    for _t, delta in events:
-        cur += delta
-        peak = max(peak, cur)
-    return peak
+    return max(steady_state_occupancy(lifetimes, ii), default=0)
 
 
 def finite_required_positions(lifetimes: list[Lifetime], ii: int,
                               iterations: int) -> int:
     """Queue positions for a *finite* N-iteration execution.
 
-    Adds what :func:`required_positions` cannot see: at the end of the
+    Adds what :func:`max_live` cannot see: at the end of the
     loop, the last ``distance`` values of every carried lifetime have been
     written but never read (they are the loop's live-out state) and sit in
     the queue until the epilogue drains them.

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .lifetimes import Lifetime, Location, LocationKind, required_positions
+from .lifetimes import Lifetime, Location, LocationKind, max_live
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import ClusteredMachine
@@ -87,8 +87,9 @@ def fifo_order_consistent(a: Lifetime, b: Lifetime, ii: int, *,
 
 def queue_depth(lifetimes: list[Lifetime], ii: int) -> int:
     """Positions one queue must have for these lifetimes over a full
-    execution (prologue preloads included)."""
-    return required_positions(lifetimes, ii)
+    execution (prologue preloads included): their steady-state
+    MaxLive, see :func:`~repro.regalloc.lifetimes.max_live`."""
+    return max_live(lifetimes, ii)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from repro.ir.operations import Opcode
 
-from .lifetimes import Lifetime, Location, LocationKind, required_positions
+from .lifetimes import Lifetime, Location, LocationKind, max_live
 from .queues import q_compatible
 
 
@@ -74,12 +74,12 @@ def allocate_with_budget(lifetimes: Iterable[Lifetime], ii: int, *,
         placed = False
         for q in report.queues:
             if all(q_compatible(lt, other, ii) for other in q) and \
-                    required_positions(q + [lt], ii) <= max_positions:
+                    max_live(q + [lt], ii) <= max_positions:
                 q.append(lt)
                 placed = True
                 break
         if not placed and len(report.queues) < max_queues:
-            if required_positions([lt], ii) <= max_positions:
+            if max_live([lt], ii) <= max_positions:
                 report.queues.append([lt])
                 placed = True
         if not placed:

@@ -113,10 +113,16 @@ class JobResult:
     wall_s: float = field(default=0.0, compare=False)
 
     def to_record(self) -> dict:
-        """JSON-shaped cache record."""
+        """JSON-shaped cache record (also the wire record's base).
+
+        ``outcome`` is a shallow copy of the outcome's fields, in
+        declaration order: every :class:`LoopOutcome` field is a scalar,
+        so it equals ``dataclasses.asdict`` without that call's
+        recursive deep-copy walk.
+        """
         return {
             "key": self.key,
-            "outcome": dataclasses.asdict(self.outcome),
+            "outcome": dict(vars(self.outcome)),
             "extras": self.extras,
             "wall_s": round(self.wall_s, 6),
         }

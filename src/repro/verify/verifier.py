@@ -260,29 +260,29 @@ def _q_compatible(sa: int, la: int, sb: int, lb: int, ii: int) -> bool:
 def _queue_positions(queue: list[tuple[int, int, int, DepEdge]],
                      ii: int) -> int:
     """Peak occupancy of one queue over a whole execution, prologue
-    preloads included (mirrors the semantics of
-    ``repro.regalloc.lifetimes.required_positions``)."""
-    if not queue:
-        return 0
-    horizon = max(s + ln for s, ln, _d, _e in queue) + 2 * ii
-    events: list[tuple[int, int]] = []
-    for start, length, distance, _e in queue:
-        k = -distance
-        while True:
-            s, e = start + k * ii, start + length + k * ii
-            if s > horizon:
-                break
-            s_clamped = max(s, -1) if k < 0 else s
-            if e > s_clamped:
-                events.append((s_clamped, +1))
-                events.append((e, -1))
-            k += 1
-    events.sort()
-    peak = cur = 0
-    for _t, delta in events:
-        cur += delta
-        peak = max(peak, cur)
-    return peak
+    preloads included (the semantics of
+    ``repro.regalloc.queues.queue_depth``, re-derived).
+
+    Every instance an execution holds -- preloads too -- lives within its
+    steady-state interval, and after the preloads drain all of them are
+    live, so the peak is the steady-state one: per phase, each lifetime
+    of length L counts ``L // II`` instances, plus one on the
+    ``L % II`` phases from its write phase on.  The partial runs are
+    laid out unwrapped over two periods, then folded onto one.
+    """
+    every = 0
+    edges = [0] * (2 * ii + 1)
+    for start, length, _d, _e in queue:
+        full, rest = divmod(length, ii)
+        every += full
+        edges[start % ii] += 1
+        edges[start % ii + rest] -= 1
+    folded = [0] * ii
+    run = 0
+    for t in range(2 * ii):
+        run += edges[t]
+        folded[t % ii] += run
+    return every + max(folded)
 
 
 def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],

@@ -1,0 +1,117 @@
+"""Property test: queue depth in closed form equals the execution sweep.
+
+``queue_depth`` (the allocator's) and the verifier's local
+``_queue_positions`` both count steady-state MaxLive per phase.  The
+reference below is the per-instance event sweep they replaced: it walks
+every instance an execution holds -- the ``distance`` preloads included
+-- and takes the peak.  Equality is the claim that prologue preloads
+never need more positions than the steady state.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ir.ddg import DepEdge, DepKind
+from repro.regalloc.lifetimes import (Lifetime, max_live,
+                                      steady_state_occupancy)
+from repro.regalloc.queues import queue_depth
+from repro.verify.verifier import _queue_positions
+
+
+def _event_sweep(lifetimes, ii):
+    """Peak occupancy over a whole execution, instance by instance.
+
+    Instances run from ``k = -distance`` (the preloads) on; a preload
+    whose virtual write slot is negative exists from cycle -1, the rest
+    are written at their slot.  Occupancy is end-of-cycle: an instance
+    written at *s* and read at *e* occupies [s, e).
+    """
+    if not lifetimes:
+        return 0
+    horizon = max(lt.end for lt in lifetimes) + 2 * ii
+    events = []
+    for lt in lifetimes:
+        k = -lt.distance
+        while True:
+            s, e = lt.start + k * ii, lt.end + k * ii
+            if s > horizon:
+                break
+            s_clamped = max(s, -1) if k < 0 else s
+            if e > s_clamped:
+                events.append((s_clamped, +1))
+                events.append((e, -1))
+            k += 1
+    events.sort()
+    peak = cur = 0
+    for _t, delta in events:
+        cur += delta
+        peak = max(peak, cur)
+    return peak
+
+
+def _phase_scan(lifetimes, ii):
+    """Steady-state occupancy per phase by counting instances at one
+    absolute cycle of each phase, far past every write."""
+    base = (max((lt.end for lt in lifetimes), default=0) // ii + 1) * ii
+    occ = []
+    for phase in range(ii):
+        t = base + phase
+        occ.append(sum(len(range(-(-(t - lt.end + 1) // ii),
+                                 (t - lt.start) // ii + 1))
+                       for lt in lifetimes if lt.length))
+    return occ
+
+
+@st.composite
+def queue_sets(draw):
+    """Lifetimes with carried distances, zero lengths and II = 1."""
+    ii = draw(st.integers(min_value=1, max_value=10))
+    n = draw(st.integers(min_value=0, max_value=12))
+    lts = []
+    for i in range(n):
+        start = draw(st.integers(min_value=0, max_value=3 * ii))
+        length = draw(st.one_of(st.just(0),
+                                st.integers(min_value=0, max_value=4 * ii)))
+        distance = draw(st.integers(min_value=0, max_value=4))
+        lts.append(Lifetime(2 * i, 2 * i + 1, i, start, length, distance))
+    return lts, ii
+
+
+def _verifier_queue(lts):
+    return [(lt.start, lt.length, lt.distance,
+             DepEdge(lt.producer, lt.consumer, 1, lt.distance,
+                     DepKind.DATA, lt.edge_key))
+            for lt in lts]
+
+
+@given(queue_sets())
+@settings(max_examples=600, deadline=None)
+def test_queue_depth_matches_event_sweep(case):
+    lts, ii = case
+    assert queue_depth(lts, ii) == _event_sweep(lts, ii)
+
+
+@given(queue_sets())
+@settings(max_examples=600, deadline=None)
+def test_verifier_positions_match_event_sweep(case):
+    lts, ii = case
+    assert _queue_positions(_verifier_queue(lts), ii) == \
+        _event_sweep(lts, ii)
+
+
+@given(queue_sets())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_occupancy_matches_phase_scan(case):
+    lts, ii = case
+    assert steady_state_occupancy(lts, ii) == _phase_scan(lts, ii)
+    assert max_live(lts, ii) == max(_phase_scan(lts, ii))
+
+
+def test_fixed_corner_cases():
+    # II = 1: every lifetime of length L holds L positions at once
+    assert queue_depth([Lifetime(0, 1, 0, 3, 5, 2)], 1) == 5
+    # a zero-length carried lifetime is a bypass at any distance
+    assert queue_depth([Lifetime(0, 1, 0, 0, 0, 3)], 4) == 0
+    # a partial run wrapping past the last phase
+    assert steady_state_occupancy([Lifetime(0, 1, 0, 3, 6, 0)], 4) == \
+        [2, 1, 1, 2]

@@ -8,8 +8,8 @@ from repro.machine.presets import qrf_machine
 from repro.regalloc.lifetimes import (Lifetime, Location, LocationKind,
                                       extract_lifetimes, location_of_edge,
                                       max_live, merged_value_lifetimes,
-                                      required_positions,
                                       steady_state_occupancy)
+from repro.regalloc.queues import queue_depth
 from repro.sched.ims import modulo_schedule
 from repro.sched.partition import partitioned_schedule
 from repro.workloads.kernels import daxpy, dot_product
@@ -97,7 +97,7 @@ class TestOccupancy:
 class TestRequiredPositions:
     def test_matches_steady_state_without_carries(self):
         lts = [lt(0, 3), lt(1, 2)]
-        assert required_positions(lts, 4) == max_live(lts, 4)
+        assert queue_depth(lts, 4) == max_live(lts, 4)
 
     def test_injected_bypass_needs_no_position(self):
         # zero-length carried lifetime: the initial value's virtual write
@@ -105,24 +105,24 @@ class TestRequiredPositions:
         # (combinational bypass) -- no queue position needed
         carried = lt(6, 0, distance=1)
         assert max_live([carried], 6) == 0
-        assert required_positions([carried], 6) == 0
+        assert queue_depth([carried], 6) == 0
 
     def test_preloaded_value_needs_a_position(self):
         # virtual write slot of the k=-1 instance is 2 - 6 < 0: the value
         # exists before the loop starts and occupies a position until its
         # read at cycle end - ii = 1
         carried = lt(2, 5, distance=1)
-        assert required_positions([carried], 6) >= 1
+        assert queue_depth([carried], 6) >= 1
 
     def test_distance_two_needs_two_positions(self):
         # both pre-loop instances have negative slots (2-8, 2-4) and are
         # alive simultaneously at cycle -1
         carried = lt(2, 9, distance=2)
-        assert required_positions([carried], 4) >= 2
+        assert queue_depth([carried], 4) >= 2
 
     def test_bad_ii(self):
         with pytest.raises(ValueError):
-            required_positions([lt(0, 1)], 0)
+            queue_depth([lt(0, 1)], 0)
 
 
 class TestMergedValueLifetimes:

@@ -1,14 +1,21 @@
 """JSON job specs: parsing, validation, memoisation, fingerprints."""
 
+import threading
+import time
+
 import pytest
 
 from repro.machine.cluster import ClusteredMachine
 from repro.machine.machine import RfKind
 from repro.runner import CompileJob, PipelineOptions
+from repro.runner import job as job_mod
+from repro.runner.fingerprint import ddg_signature
 from repro.service import (JobSpecError, kernel_job_spec, parse_job,
                            parse_jobs, parse_loop, parse_machine,
                            parse_options)
+from repro.service import jobspec
 from repro.workloads.kernels import kernel
+from repro.workloads.synth import SynthConfig, generate_corpus
 
 
 def test_kernel_spec_matches_library_fingerprint(qrf4):
@@ -61,6 +68,28 @@ def test_options_round_trip():
     {"loop": {"kernel": "daxpy", "typo": 1}},
     {"loop": {"synth": {"seed": 1, "index": -1}}},
     {"loop": {"synth": {"bogus_field": 3}}},
+    {"loop": {"synth": {"index": 1258}}},            # default corpus size
+    {"loop": {"synth": {"index": 100_000_000}}},
+    {"loop": {"synth": {"n_loops": 10, "index": 10}}},
+    {"loop": {"synth": {"n_loops": jobspec.MAX_SYNTH_LOOPS + 1}}},
+    {"loop": {"synth": {"n_loops": 0}}},
+    {"loop": {"synth": {"n_loops": True}}},
+    {"loop": {"synth": {"min_ops": 4.5, "max_ops": 4.5}}},   # float count
+    {"loop": {"synth": {"size_mu": 1000}}},                  # exp overflow
+    {"loop": {"synth": {"recent_bias": 10 ** 400}}},
+    {"loop": {"synth": {"recent_bias": 10 ** 9, "n_loops": 1}}},
+    {"loop": {"synth": {"size_mu": float("nan")}}},
+    {"loop": {"synth": {"n_loops": 1, "min_ops": 200_000,
+                        "max_ops": 200_000}}},
+    {"loop": {"synth": {"max_ops": jobspec.MAX_SYNTH_OPS + 1}}},
+    {"loop": {"synth": {"min_ops": 10, "max_ops": 5}}},
+    {"loop": {"synth": {"min_ops": 0}}},
+    {"loop": {"synth": {"load_fraction": 1e9}}},
+    {"loop": {"synth": {"seed": "abc"}}},
+    {"loop": {"synth": {"arith_mix": []}}},
+    {"loop": {"synth": {"max_distance": 1, "p_long_distance": 1.0,
+                        "p_recurrence": 1.0, "n_loops": 50,
+                        "index": 49}}},
     {"loop": {"kernel": "daxpy"}, "machine": {"kind": "tpu"}},
     {"loop": {"kernel": "daxpy"}, "machine": {"kind": "qrf", "n_fus": 0}},
     {"loop": {"kernel": "daxpy"},
@@ -107,3 +136,137 @@ def test_engine_name_typos_are_spec_errors(field, expect):
         parse_job({"loop": {"kernel": "daxpy"},
                    "options": {field: "bogus"}})
     assert expect in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# job-spec memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty job, loop and synth-stream memos for one test."""
+    monkeypatch.setattr(jobspec, "_JOB_MEMO", {})
+    monkeypatch.setattr(jobspec, "_LOOP_MEMO", {})
+    monkeypatch.setattr(jobspec, "_SYNTH_STREAMS", {})
+
+
+def test_reordered_spec_shares_job_and_key(fresh_memos):
+    a = parse_job({"loop": {"kernel": "daxpy"},
+                   "machine": {"kind": "clustered", "n_clusters": 4},
+                   "options": {"verify": True, "scheduler": "sms"}})
+    b = parse_job({"options": {"scheduler": "sms", "verify": True},
+                   "machine": {"n_clusters": 4, "kind": "clustered"},
+                   "loop": {"kernel": "daxpy"}})
+    assert a is b
+    assert a.key == b.key
+
+
+def test_job_key_runs_once_per_distinct_spec(fresh_memos, monkeypatch):
+    calls = []
+    real = job_mod.job_key
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(job_mod, "job_key", counted)
+    specs = [{"loop": {"kernel": name},
+              "machine": {"kind": "qrf", "n_fus": n}}
+             for name in ("daxpy", "dot") for n in (4, 8)]
+    keys = [parse_job(dict(spec)).key for _ in range(5) for spec in specs]
+    assert len(calls) == len(specs)
+    assert keys == [parse_job(spec).key for spec in specs] * 5
+    fresh = CompileJob(kernel("dot"), parse_machine({"n_fus": 8}))
+    assert fresh.key == keys[3]
+
+
+def test_malformed_spec_raises_on_every_repeat(fresh_memos):
+    bad = {"loop": {"kernel": "no-such-kernel"}}
+    messages = []
+    for _ in range(3):
+        with pytest.raises(JobSpecError) as exc:
+            parse_job(bad)
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+    assert jobspec._JOB_MEMO == {} and jobspec._LOOP_MEMO == {}
+
+
+def test_job_memo_is_bounded(fresh_memos, monkeypatch):
+    monkeypatch.setattr(jobspec, "MAX_MEMO_SPECS", 3)
+    for n in range(1, 8):
+        parse_job({"loop": {"kernel": "daxpy"},
+                   "machine": {"kind": "qrf", "n_fus": n}})
+        assert len(jobspec._JOB_MEMO) <= 3
+
+
+# ---------------------------------------------------------------------------
+# resumable synth stream
+# ---------------------------------------------------------------------------
+
+SMALL = SynthConfig(n_loops=200, seed=5)
+OTHER = SynthConfig(n_loops=150, seed=8)
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    return {cfg: [ddg_signature(d) for d in generate_corpus(cfg)]
+            for cfg in (SMALL, OTHER)}
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1, 2, 63, 64, 65, 127, 128, 199],            # ascending
+    [199, 150, 128, 127, 64, 63, 1, 0],              # descending
+    [70, 70, 5, 5, 199, 199, 70],                    # repeated
+])
+def test_synth_stream_matches_corpus(fresh_memos, corpora, order):
+    for i in order:
+        assert ddg_signature(jobspec._synth_loop(SMALL, i)) == \
+            corpora[SMALL][i]
+
+
+def test_synth_streams_interleave_per_config(fresh_memos, corpora):
+    for i, j in [(10, 140), (130, 3), (64, 64), (199, 149), (0, 65)]:
+        assert ddg_signature(jobspec._synth_loop(SMALL, i)) == \
+            corpora[SMALL][i]
+        assert ddg_signature(jobspec._synth_loop(OTHER, j)) == \
+            corpora[OTHER][j]
+
+
+def test_synth_stream_from_two_threads(fresh_memos, corpora):
+    plans = [(SMALL, [150, 3, 99, 64, 199, 0]),
+             (SMALL, [7, 180, 63, 128, 1]),
+             (OTHER, [149, 2, 77, 64])]
+    failures = []
+
+    def run(cfg, order):
+        for i in order:
+            if ddg_signature(jobspec._synth_loop(cfg, i)) != \
+                    corpora[cfg][i]:
+                failures.append((cfg.seed, i))
+
+    threads = [threading.Thread(target=run, args=plan) for plan in plans]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert failures == []
+
+
+def test_synth_spec_matches_fresh_replay(fresh_memos):
+    import random
+    from repro.workloads.synth import generate_loop
+
+    cfg = SynthConfig(seed=11)
+    rng = random.Random(cfg.seed)
+    fresh = [generate_loop(rng, cfg, i) for i in range(131)]
+    for i in (130, 4, 65, 64):
+        got = parse_loop({"synth": {"seed": 11, "index": i}})
+        assert ddg_signature(got) == ddg_signature(fresh[i])
+
+
+def test_out_of_range_synth_index_is_rejected_fast(fresh_memos):
+    t0 = time.perf_counter()
+    with pytest.raises(JobSpecError, match="outside"):
+        parse_job({"loop": {"synth": {"index": 100_000_000}}})
+    assert time.perf_counter() - t0 < 1.0
+    assert jobspec._SYNTH_STREAMS == {}

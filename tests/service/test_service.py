@@ -226,6 +226,31 @@ def test_http_error_paths(server):
         conn.close()
 
 
+@pytest.mark.parametrize("synth,expect", [
+    ({"index": 100_000_000}, "outside"),
+    ({"n_loops": 1, "min_ops": 200_000, "max_ops": 200_000}, "max_ops"),
+    ({"min_ops": 4.5, "max_ops": 4.5}, "must be an int"),
+    ({"size_mu": 1000}, "bad synth config"),
+])
+def test_http_costly_synth_spec_is_a_fast_400(server, synth, expect):
+    """Loop i of a synth corpus is reached by replaying loops 0..i-1 on
+    the event loop, so a spec past the corpus or body-size caps -- or
+    one the generator cannot follow -- must be refused before any
+    replay, not after hours of it, and never drop the connection."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+    try:
+        conn.request("POST", "/jobs", json.dumps(
+            {"loop": {"synth": synth}}),
+            {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 400
+        assert expect in json.loads(response.read())["error"]
+    finally:
+        conn.close()
+    status, health = _request(server, "GET", "/healthz")
+    assert status == 200 and health["status"] == "ok"
+
+
 def test_graceful_stop_flushes_cache(tmp_path):
     cache = ShardedResultCache(tmp_path / "flush-cache")
     handle = start_in_thread(SweepService(cache, n_workers=1))
