@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.ir.ddg import DepEdge
 
@@ -43,15 +43,11 @@ class Location:
         return f"{self.kind.value}[{self.cluster}]"
 
 
-@dataclass(frozen=True)
-class Lifetime:
-    """One scheduled DATA edge as a queue lifetime.
+#: the default location: single-cluster machines have only this one
+_PRIVATE_0 = Location(LocationKind.PRIVATE, 0)
 
-    ``start``: write cycle (iteration 0); ``length``: cycles until the
-    destructive read; ``end = start + length`` is the read cycle.  A
-    zero-length lifetime is a same-cycle write+read (bypass).
-    """
 
+class _LifetimeFields(NamedTuple):
     producer: int
     consumer: int
     edge_key: int
@@ -62,13 +58,32 @@ class Lifetime:
     #: positions during the prologue (never more than the steady state
     #: needs; see :func:`max_live`).
     distance: int = 0
-    location: Location = Location(LocationKind.PRIVATE, 0)
+    location: Location = _PRIVATE_0
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+
+class Lifetime(_LifetimeFields):
+    """One scheduled DATA edge as a queue lifetime.
+
+    ``start``: write cycle (iteration 0); ``length``: cycles until the
+    destructive read; ``end = start + length`` is the read cycle.  A
+    zero-length lifetime is a same-cycle write+read (bypass).
+
+    An immutable named tuple rather than a frozen dataclass: every
+    compile builds one per DATA edge, and a tuple is several times
+    cheaper to construct.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, producer: int, consumer: int, edge_key: int,
+                start: int, length: int, distance: int = 0,
+                location: Location = _PRIVATE_0) -> "Lifetime":
+        if length < 0:
             raise ValueError(
-                f"negative lifetime {self.producer}->{self.consumer}: "
+                f"negative lifetime {producer}->{consumer}: "
                 f"dependence violated")
+        return super().__new__(cls, producer, consumer, edge_key, start,
+                               length, distance, location)
 
     @property
     def end(self) -> int:
@@ -79,12 +94,27 @@ class Lifetime:
                 f"[{self.start}, {self.end}) @ {self.location.describe()}")
 
 
-def _edge_lifetime(sched: "ModuloSchedule", e: DepEdge,
-                   location: Location) -> Lifetime:
-    start = sched.sigma[e.src] + e.latency
-    end = sched.sigma[e.dst] + e.distance * sched.ii
-    return Lifetime(e.src, e.dst, e.key, start, end - start, e.distance,
-                    location)
+#: :class:`LocationKind` by the slot :func:`extract_lifetimes` classifies
+#: an edge into (same cluster, clockwise, counter-clockwise neighbour).
+_SLOT_KINDS = (LocationKind.PRIVATE, LocationKind.RING_CW,
+               LocationKind.RING_CCW)
+
+
+def _slot(ca: int, cb: int, machine: Optional["ClusteredMachine"],
+          e: DepEdge) -> int:
+    """Index into :data:`_SLOT_KINDS` of an edge from cluster *ca* to
+    *cb*: same cluster, clockwise or counter-clockwise neighbour."""
+    if ca == cb:
+        return 0
+    if machine is None:
+        raise ValueError("clustered edge without a machine topology")
+    n = machine.n_clusters
+    if (ca + 1) % n == cb:
+        return 1
+    if (ca - 1) % n == cb:
+        return 2
+    raise ValueError(
+        f"edge {e.src}->{e.dst} spans non-adjacent clusters {ca},{cb}")
 
 
 def location_of_edge(sched: "ModuloSchedule", e: DepEdge,
@@ -92,18 +122,8 @@ def location_of_edge(sched: "ModuloSchedule", e: DepEdge,
                      ) -> Location:
     """Classify the queue set a DATA edge uses."""
     ca = sched.cluster_of.get(e.src, 0)
-    cb = sched.cluster_of.get(e.dst, 0)
-    if ca == cb:
-        return Location(LocationKind.PRIVATE, ca)
-    if machine is None:
-        raise ValueError("clustered edge without a machine topology")
-    n = machine.n_clusters
-    if (ca + 1) % n == cb:
-        return Location(LocationKind.RING_CW, ca)
-    if (ca - 1) % n == cb:
-        return Location(LocationKind.RING_CCW, ca)
-    raise ValueError(
-        f"edge {e.src}->{e.dst} spans non-adjacent clusters {ca},{cb}")
+    slot = _slot(ca, sched.cluster_of.get(e.dst, 0), machine, e)
+    return Location(_SLOT_KINDS[slot], ca)
 
 
 def extract_lifetimes(sched: "ModuloSchedule",
@@ -115,11 +135,29 @@ def extract_lifetimes(sched: "ModuloSchedule",
     ``private[0]``; clustered schedules need *machine* for the ring
     topology.  Raises if any dependence is violated (negative length) --
     the schedule should have been validated first.
+
+    Edges are classified by the rule of :func:`location_of_edge`, and
+    all lifetimes of one location share one :class:`Location` object,
+    so callers may group them by identity instead of hashing a fresh
+    dataclass per edge.
     """
+    sigma = sched.sigma
+    cluster_of = sched.cluster_of
+    ii = sched.ii
+    shared: dict[tuple[int, int], Location] = {}
     out: list[Lifetime] = []
     for e in sched.ddg.data_edges():
-        loc = location_of_edge(sched, e, machine)
-        out.append(_edge_lifetime(sched, e, loc))
+        src, dst = e.src, e.dst
+        ca = cluster_of.get(src, 0)
+        cb = cluster_of.get(dst, 0)
+        slot = 0 if ca == cb else _slot(ca, cb, machine, e)
+        loc = shared.get((slot, ca))
+        if loc is None:
+            loc = shared[(slot, ca)] = Location(_SLOT_KINDS[slot], ca)
+        start = sigma[src] + e.latency
+        out.append(Lifetime(src, dst, e.key, start,
+                            sigma[dst] + e.distance * ii - start,
+                            e.distance, loc))
     return out
 
 
@@ -195,7 +233,15 @@ def max_live(lifetimes: list[Lifetime], ii: int) -> int:
     preloads are read it holds all of them, reaching MaxLive.  Prologue
     preloads therefore never need extra positions; only the epilogue
     drain can (:func:`finite_required_positions`).
+
+    A lone lifetime of length L holds ``L // II`` instances at every
+    phase and one more on ``L % II`` of them: ⌈L/II⌉, answered without
+    building the per-phase table (most queues hold one lifetime).
     """
+    if ii < 1:
+        raise ValueError("II must be >= 1")
+    if len(lifetimes) == 1:
+        return -(-lifetimes[0].length // ii)
     return max(steady_state_occupancy(lifetimes, ii), default=0)
 
 

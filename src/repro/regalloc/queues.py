@@ -24,6 +24,7 @@ full read order match too (tested against the simulator in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .lifetimes import Lifetime, Location, LocationKind, max_live
@@ -137,15 +138,13 @@ class QueueAllocation:
                             f"{a.describe()} / {b.describe()}")
 
 
-def allocate_queues(lifetimes: Iterable[Lifetime], ii: int, *,
-                    location: Optional[Location] = None) -> QueueAllocation:
-    """Greedy first-fit allocation of lifetimes to queues.
+#: Allocation order of lifetimes: (start, length, producer, consumer,
+#: edge key) -- total, so first-fit is deterministic.
+_ORDER = attrgetter("start", "length", "producer", "consumer", "edge_key")
 
-    Lifetimes are processed by (start, length, producer, consumer); each
-    goes to the first queue whose members are all Q-compatible with it, or
-    opens a new queue.  Zero-length lifetimes (same-cycle bypass) still
-    take a queue slot assignment (the datum flows through the queue's
-    bypass path) but never occupy a position.
+
+def _first_fit(ordered: list[Lifetime], ii: int) -> list[list[Lifetime]]:
+    """Queues of first-fit packing *ordered* (already in :data:`_ORDER`).
 
     Each queue keeps a bitmask of the ``start mod II`` residues of its
     members.  Theorem 1.1 rejects every same-residue pair (``delta ==
@@ -155,14 +154,8 @@ def allocate_queues(lifetimes: Iterable[Lifetime], ii: int, *,
     """
     if ii < 1:
         raise ValueError("II must be >= 1")
-    loc = location or Location(LocationKind.PRIVATE, 0)
-    alloc = QueueAllocation(ii=ii, location=loc)
-    queues = alloc.queues
+    queues: list[list[Lifetime]] = []
     residues: list[int] = []   # per queue: bit r set <=> a member has r
-    ordered = sorted(
-        lifetimes,
-        key=lambda lt: (lt.start, lt.length, lt.producer, lt.consumer,
-                        lt.edge_key))
     for lt in ordered:
         bit = 1 << (lt.start % ii)
         for i, q in enumerate(queues):
@@ -178,7 +171,22 @@ def allocate_queues(lifetimes: Iterable[Lifetime], ii: int, *,
         else:
             queues.append([lt])
             residues.append(bit)
-    return alloc
+    return queues
+
+
+def allocate_queues(lifetimes: Iterable[Lifetime], ii: int, *,
+                    location: Optional[Location] = None) -> QueueAllocation:
+    """Greedy first-fit allocation of lifetimes to queues.
+
+    Lifetimes are processed by (start, length, producer, consumer); each
+    goes to the first queue whose members are all Q-compatible with it, or
+    opens a new queue.  Zero-length lifetimes (same-cycle bypass) still
+    take a queue slot assignment (the datum flows through the queue's
+    bypass path) but never occupy a position.
+    """
+    return QueueAllocation(
+        ii=ii, location=location or Location(LocationKind.PRIVATE, 0),
+        queues=_first_fit(sorted(lifetimes, key=_ORDER), ii))
 
 
 @dataclass
@@ -236,14 +244,20 @@ def allocate_for_schedule(sched: "ModuloSchedule",
     """
     from .lifetimes import extract_lifetimes
 
-    per_loc: dict[Location, list[Lifetime]] = {}
-    for lt in extract_lifetimes(sched, machine):
-        per_loc.setdefault(lt.location, []).append(lt)
-    return ScheduleQueueUsage(
-        ii=sched.ii,
-        by_location={
-            loc: allocate_queues(lts, sched.ii, location=loc)
-            for loc, lts in sorted(
-                per_loc.items(),
-                key=lambda kv: (kv[0].cluster, kv[0].kind.value))
-        })
+    # one sort for every location, then group: lifetimes of a location
+    # share its Location object, so they are grouped by identity rather
+    # than by hashing the frozen dataclass per lifetime
+    groups: dict[int, list[Lifetime]] = {}
+    for lt in sorted(extract_lifetimes(sched, machine), key=_ORDER):
+        group = groups.get(id(lt.location))
+        if group is None:
+            groups[id(lt.location)] = [lt]
+        else:
+            group.append(lt)
+    ii = sched.ii
+    by_location: dict[Location, QueueAllocation] = {}
+    for g in sorted(groups.values(), key=lambda g: (
+            g[0].location.cluster, g[0].location.kind.value)):
+        loc = g[0].location
+        by_location[loc] = QueueAllocation(ii, loc, _first_fit(g, ii))
+    return ScheduleQueueUsage(ii=ii, by_location=by_location)

@@ -33,6 +33,7 @@ import pathlib
 import sys
 import threading
 import time
+import weakref
 import zlib
 from typing import Iterable, Optional
 
@@ -105,30 +106,140 @@ def _ends_with_newline(path: pathlib.Path) -> bool:
         return True
 
 
-class _FileLock:
-    """Advisory per-file lock (``flock`` on a ``.lock`` sibling).
+def _open_in_dir(path: str, flags: int) -> int:
+    """``os.open`` that re-creates a missing parent directory once."""
+    try:
+        return os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return os.open(path, flags, 0o666)
 
-    Guards shard appends and compactions across *processes*; within a
-    process the cache's own mutex serialises callers.  Degrades to a
-    no-op where ``fcntl`` is unavailable -- exactly the platforms where
-    the historical cache already ran unlocked.
+
+def _identity(st: os.stat_result) -> tuple[int, int]:
+    return st.st_dev, st.st_ino
+
+
+class _ShardHandles:
+    """The held handles of one shard: a lock fd and an ``O_APPEND`` data fd.
+
+    Used as ``with handles:`` -- entering takes the shard's ``flock``
+    (exclusive across processes; a no-op where ``fcntl`` is missing) and
+    stats the data file, so a store is flock + stat + pread + write.
+    Both fds stay open for the life of the process, and are re-opened
+
+    * in a forked child: an inherited lock fd shares the parent's open
+      file description, so its flock would not exclude the parent;
+    * (the data fd) when the shard path no longer names the held inode
+      -- another writer compacted it (``tmp.replace``) or ``clear()``
+      unlinked it.
+
+    Lock files are never unlinked, so every process locks one inode per
+    shard; if the directory itself vanished, the lock is re-taken on the
+    re-created file.
     """
 
-    def __init__(self, path: pathlib.Path) -> None:
-        self.path = path.with_name(path.name + ".lock")
-        self._fh = None
+    __slots__ = ("path", "lock_path", "pid", "lock_fd", "data_fd",
+                 "data_id", "size")
 
-    def __enter__(self) -> "_FileLock":
-        if fcntl is not None:
-            self._fh = self.path.open("a")
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
+    def __init__(self, path: pathlib.Path) -> None:
+        self.path = str(path)
+        self.lock_path = self.path + ".lock"
+        self.pid = -1
+        self.lock_fd = -1
+        self.data_fd = -1
+        #: (st_dev, st_ino) the data fd was opened on
+        self.data_id: Optional[tuple[int, int]] = None
+        #: size of the data file as last seen under the lock
+        self.size = 0
+
+    def __enter__(self) -> "_ShardHandles":
+        if self.pid != os.getpid():
+            self.close()    # our copies of a parent's fds
+            self.pid = os.getpid()
+        if self.lock_fd < 0:
+            self.lock_fd = _open_in_dir(self.lock_path,
+                                        os.O_RDWR | os.O_CREAT)
+        self._lock()
+        try:
+            self._sync()
+        except BaseException:
+            self._unlock()
+            raise
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self._fh is not None:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-            self._fh.close()
-            self._fh = None
+        self._unlock()
+
+    def _lock(self) -> None:
+        if fcntl is not None:
+            fcntl.flock(self.lock_fd, fcntl.LOCK_EX)
+
+    def _unlock(self) -> None:
+        if fcntl is not None and self.lock_fd >= 0:
+            fcntl.flock(self.lock_fd, fcntl.LOCK_UN)
+
+    def _sync(self) -> None:
+        """Drop the data fd unless the path still names its inode."""
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            self._close_data()
+            self._relock_if_stale()
+            return
+        if _identity(st) != self.data_id:
+            self._close_data()
+        self.size = st.st_size
+
+    def _relock_if_stale(self) -> None:
+        """Re-take the lock on the current lock file if ours was
+        removed with its directory (nothing else unlinks it)."""
+        try:
+            current: Optional[tuple[int, int]] = \
+                _identity(os.stat(self.lock_path))
+        except FileNotFoundError:
+            current = None
+        if current != _identity(os.fstat(self.lock_fd)):
+            self._unlock()
+            os.close(self.lock_fd)
+            self.lock_fd = -1
+            self.lock_fd = _open_in_dir(self.lock_path,
+                                        os.O_RDWR | os.O_CREAT)
+            self._lock()
+
+    def append(self, payload: bytes) -> None:
+        """Append *payload* (under the lock).  A tail left torn by a
+        crashed writer gets a newline first, so the new records never
+        merge into it."""
+        if self.data_fd < 0:
+            self.data_fd = _open_in_dir(
+                self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT)
+            st = os.fstat(self.data_fd)
+            self.data_id = _identity(st)
+            self.size = st.st_size
+        if self.size > 0 and \
+                os.pread(self.data_fd, 1, self.size - 1) != b"\n":
+            payload = b"\n" + payload
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(self.data_fd, view):]
+        self.size += len(payload)
+
+    def _close_data(self) -> None:
+        if self.data_fd >= 0:
+            os.close(self.data_fd)
+        self.data_fd = -1
+        self.data_id = None
+
+    def close(self) -> None:
+        self._close_data()
+        if self.lock_fd >= 0:
+            os.close(self.lock_fd)
+        self.lock_fd = -1
+
+
+def _close_handles(handles: dict[int, _ShardHandles]) -> None:
+    for h in handles.values():
+        h.close()
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +475,9 @@ class ShardedResultCache:
         #: cumulative lookup/store wall time, for /metrics latency rates
         self.get_s = 0.0
         self.put_s = 0.0
+        #: per-shard held fds, closed when the cache is collected
+        self._handles: dict[int, _ShardHandles] = {}
+        weakref.finalize(self, _close_handles, self._handles)
 
     # ------------------------------------------------------------- layout
 
@@ -378,8 +492,13 @@ class ShardedResultCache:
     def _shard_path(self, shard: int) -> pathlib.Path:
         return self.shard_dir / f"shard-{shard:02x}.jsonl"
 
-    def _shard_lock(self, shard: int) -> _FileLock:
-        return _FileLock(self._shard_path(shard))
+    def _shard_lock(self, shard: int) -> _ShardHandles:
+        """The shard's held handles; ``with`` them to hold its lock."""
+        handles = self._handles.get(shard)
+        if handles is None:
+            handles = self._handles[shard] = _ShardHandles(
+                self._shard_path(shard))
+        return handles
 
     # ------------------------------------------------------------- loading
 
@@ -489,7 +608,6 @@ class ShardedResultCache:
                 self.stores += 1
             if not self._unwritable:
                 try:
-                    self.shard_dir.mkdir(parents=True, exist_ok=True)
                     for shard, lines in sorted(by_shard.items()):
                         self._append_shard(shard, lines,
                                            fault_token=shard_token[shard])
@@ -504,18 +622,14 @@ class ShardedResultCache:
 
     def _append_shard(self, shard: int, lines: list[str], *,
                       fault_token: Optional[str] = None) -> None:
-        path = self._shard_path(shard)
         payload = "\n".join(lines) + "\n"
         if fault_token is not None:
             # torn-write injection is keyed by the first stored key, not
             # the payload (wall_s differs run to run): the same seed
             # tears the same shards regardless of timing
             payload = torn_payload("cache.put", fault_token, payload)
-        with self._shard_lock(shard):
-            if not _ends_with_newline(path):
-                payload = "\n" + payload
-            with path.open("a") as fh:
-                fh.write(payload)
+        with self._shard_lock(shard) as handles:
+            handles.append(payload.encode("utf-8"))
 
     # ----------------------------------------------------- gc / eviction
 
@@ -640,7 +754,6 @@ class ShardedResultCache:
                 self._in_shards.add(key)
                 moved += 1
             try:
-                self.shard_dir.mkdir(parents=True, exist_ok=True)
                 for shard, lines in sorted(by_shard.items()):
                     self._append_shard(shard, lines)
                 self.legacy_path.unlink(missing_ok=True)
@@ -652,12 +765,17 @@ class ShardedResultCache:
     # ------------------------------------------------------------- misc
 
     def clear(self) -> None:
-        """Drop the on-disk store (both layouts) and the in-memory index."""
+        """Drop the on-disk store (both layouts) and the in-memory index.
+
+        Shard data is unlinked under each shard's lock; the lock files
+        stay, so a writer holding (or about to take) one still excludes
+        every other writer.
+        """
         with self._mutex:
-            for shard in range(self.n_shards):
-                path = self._shard_path(shard)
-                path.unlink(missing_ok=True)
-                _FileLock(path).path.unlink(missing_ok=True)
+            if self.shard_dir.is_dir():
+                for shard in range(self.n_shards):
+                    with self._shard_lock(shard):
+                        self._shard_path(shard).unlink(missing_ok=True)
             self.legacy_path.unlink(missing_ok=True)
             self._entries = None
             self._shard_of_key = {}

@@ -34,9 +34,10 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.ir.ddg import Ddg, DepEdge, DepKind
+from repro.ir.operations import FuType, Opcode, Operation
 from repro.machine.cluster import ClusteredMachine
 from repro.machine.machine import Machine, QueueBudget
-from repro.machine.resources import pool_for
+from repro.machine.resources import FuSet, pool_for
 from repro.sched.schedule import ModuloSchedule
 
 from .verdict import Verdict, Violation, ViolationKind
@@ -64,9 +65,11 @@ def verify_schedule(sched: ModuloSchedule, machine: AnyMachine, *,
     proved: dict[str, int] = {}
     checked = ["structure", "dependence", "resource"]
 
-    ok_ops = _check_structure(sched, ddg, n_clusters, violations, proved)
+    ok_ops, rows = _check_structure(sched, ddg, n_clusters, violations,
+                                    proved)
     _check_dependences(sched, ddg, ok_ops, xlat, violations, proved)
-    _check_resources(sched, ddg, ok_ops, cluster_fus, violations, proved)
+    _check_resources(sched, ddg, ok_ops, rows, cluster_fus, violations,
+                     proved)
     if clustered:
         checked.append("topology")
         _check_topology(sched, ddg, ok_ops, n_clusters, violations,
@@ -79,7 +82,7 @@ def verify_schedule(sched: ModuloSchedule, machine: AnyMachine, *,
 
     return Verdict(
         loop=ddg.name,
-        machine=getattr(machine, "name", str(machine)),
+        machine=machine.name,
         ii=sched.ii, n_ops=ddg.n_ops,
         checked=tuple(checked), violations=tuple(violations),
         proved=proved)
@@ -89,53 +92,83 @@ def verify_schedule(sched: ModuloSchedule, machine: AnyMachine, *,
 # 1. structure
 # ---------------------------------------------------------------------------
 
+#: FU pools in report order (by name); a resource row is (cluster,
+#: pool, modulo row)
+_POOL_TYPES = tuple(sorted({pool_for(t) for t in FuType},
+                           key=lambda t: t.value))
+_POOLS = tuple(t.value for t in _POOL_TYPES)
+
+
+#: index into :data:`_POOLS` of the pool serving each opcode, keyed by
+#: mnemonic (a str key hashes in C, an enum member in Python)
+_POOL_INDEX = {code.mnemonic: _POOLS.index(pool_for(code.fu_type).value)
+               for code in Opcode}
+
+
+def _pool_index(op: Operation) -> int:
+    return _POOL_INDEX[op.opcode.mnemonic]
+
+
+def _row_code(cl: int, pool: int, row: int, ii: int) -> int:
+    """One int per (cluster, pool index, modulo row), ordered as the
+    triple: the rows are counted without a tuple or list per row."""
+    return (cl * len(_POOLS) + pool) * ii + row
+
+
 def _check_structure(sched: ModuloSchedule, ddg: Ddg, n_clusters: int,
-                     out: list[Violation],
-                     proved: dict[str, int]) -> set[int]:
+                     out: list[Violation], proved: dict[str, int]
+                     ) -> tuple[set[int], dict[int, int]]:
     """Every op scheduled once, at t >= 0, on a real cluster.
 
-    Returns the set of ops whose placement is sound; downstream checks
+    Returns the set of ops whose placement is sound -- downstream checks
     only reason about those (a missing op is reported once, not once
-    per incident edge).
+    per incident edge) -- and, from the same walk over
+    ``ddg.operations``, how many sound ops occupy each resource row
+    (:func:`_row_code`), for :func:`_check_resources`.
     """
+    sigma = sched.sigma
+    cluster_of = sched.cluster_of
+    ii = sched.ii
     ok: set[int] = set()
-    passed = 0
-    known = set(ddg.op_ids)
-    for op_id in ddg.op_ids:
-        t = sched.sigma.get(op_id)
-        name = ddg.op(op_id).name
+    rows: dict[int, int] = {}
+    for op in ddg.operations:
+        op_id = op.op_id
+        t = sigma.get(op_id)
         if t is None:
             out.append(Violation(
                 ViolationKind.UNSCHEDULED,
-                f"op {name} (id {op_id}) has no issue time",
+                f"op {op.name} (id {op_id}) has no issue time",
                 ops=(op_id,)))
             continue
         if t < 0:
             out.append(Violation(
                 ViolationKind.NEGATIVE_TIME,
-                f"op {name} issues at cycle {t}",
+                f"op {op.name} issues at cycle {t}",
                 inequality=f"sigma({op_id}) = {t} >= 0",
                 ops=(op_id,)))
             continue
-        cl = sched.cluster_of.get(op_id, 0)
+        cl = cluster_of.get(op_id, 0)
         if not 0 <= cl < n_clusters:
             out.append(Violation(
                 ViolationKind.CLUSTER_RANGE,
-                f"op {name} assigned to cluster {cl} of a "
+                f"op {op.name} assigned to cluster {cl} of a "
                 f"{n_clusters}-cluster machine",
                 inequality=f"0 <= {cl} < {n_clusters}",
                 ops=(op_id,)))
             continue
         ok.add(op_id)
-        passed += 1
-    for extra in sched.sigma:
-        if extra not in known:
-            out.append(Violation(
-                ViolationKind.UNKNOWN_OP,
-                f"sigma schedules op {extra}, which the DDG does not "
-                f"contain", ops=(extra,)))
-    proved["structure"] = passed
-    return ok
+        code = _row_code(cl, _pool_index(op), t % ii, ii)
+        rows[code] = rows.get(code, 0) + 1
+    if len(sigma) != len(ok):
+        known = set(ddg.op_ids)
+        for extra in sigma:
+            if extra not in known:
+                out.append(Violation(
+                    ViolationKind.UNKNOWN_OP,
+                    f"sigma schedules op {extra}, which the DDG does not "
+                    f"contain", ops=(extra,)))
+    proved["structure"] = len(ok)
+    return ok, rows
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +220,31 @@ def _check_dependences(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
 # ---------------------------------------------------------------------------
 
 def _check_resources(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
-                     cluster_fus: object, out: list[Violation],
-                     proved: dict[str, int]) -> None:
+                     rows: dict[int, int], cluster_fus: FuSet,
+                     out: list[Violation], proved: dict[str, int]) -> None:
     ii = sched.ii
-    usage: dict[tuple[int, str, int], list[int]] = {}
-    for op_id in sorted(ok_ops):
-        op = ddg.op(op_id)
-        pool = pool_for(op.fu_type)
-        key = (sched.cluster_of.get(op_id, 0), pool.value,
-               sched.sigma[op_id] % ii)
-        usage.setdefault(key, []).append(op_id)
+    # each pool's capacity, looked up once per call
+    caps = [cluster_fus.capacity(t) for t in _POOL_TYPES]
     passed = 0
-    for (cl, pool_name, row), ops in sorted(usage.items()):
-        cap = cluster_fus.capacity(ddg.op(ops[0]).fu_type)  # type: ignore[attr-defined]
-        if len(ops) > cap:
-            out.append(Violation(
-                ViolationKind.RESOURCE,
-                f"cluster {cl}: {len(ops)} ops need the {pool_name} "
-                f"pool on modulo row {row} "
-                f"({', '.join(ddg.op(o).name for o in ops)})",
-                inequality=f"{len(ops)} <= capacity {cap}",
-                ops=tuple(ops)))
-        else:
+    for code in sorted(rows):
+        n = rows[code]
+        rest, row = divmod(code, ii)
+        cl, pool = divmod(rest, len(_POOLS))
+        if n <= caps[pool]:
             passed += 1
+            continue
+        ops = [op for op in ddg.operations
+               if op.op_id in ok_ops
+               and _row_code(sched.cluster_of.get(op.op_id, 0),
+                             _pool_index(op),
+                             sched.sigma[op.op_id] % ii, ii) == code]
+        out.append(Violation(
+            ViolationKind.RESOURCE,
+            f"cluster {cl}: {n} ops need the {_POOLS[pool]} "
+            f"pool on modulo row {row} "
+            f"({', '.join(op.name for op in ops)})",
+            inequality=f"{n} <= capacity {caps[pool]}",
+            ops=tuple(op.op_id for op in ops)))
     proved["resource"] = passed
 
 
@@ -225,13 +260,14 @@ def _ring_hops(a: int, b: int, n: int) -> int:
 def _check_topology(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
                     n_clusters: int, out: list[Violation],
                     proved: dict[str, int]) -> None:
+    cluster_of = sched.cluster_of
     passed = 0
     for e in ddg.data_edges():
         if e.src not in ok_ops or e.dst not in ok_ops:
             continue
-        ca = sched.cluster_of.get(e.src, 0)
-        cb = sched.cluster_of.get(e.dst, 0)
-        hops = _ring_hops(ca, cb, n_clusters)
+        ca = cluster_of.get(e.src, 0)
+        cb = cluster_of.get(e.dst, 0)
+        hops = 0 if ca == cb else _ring_hops(ca, cb, n_clusters)
         if hops > 1:
             out.append(Violation(
                 ViolationKind.ADJACENCY,
@@ -257,26 +293,34 @@ def _q_compatible(sa: int, la: int, sb: int, lb: int, ii: int) -> bool:
     return delta != 0 and lb - la < ii - delta
 
 
-def _queue_positions(queue: list[tuple[int, int, int, DepEdge]],
-                     ii: int) -> int:
+#: queue location kinds, in report order; a location is (kind, cluster)
+_KINDS = ("private", "ring_ccw", "ring_cw")
+
+
+def _queue_positions(queue: list[int], starts: list[int],
+                     lengths: list[int], ii: int) -> int:
     """Peak occupancy of one queue over a whole execution, prologue
     preloads included (the semantics of
-    ``repro.regalloc.queues.queue_depth``, re-derived).
+    ``repro.regalloc.queues.queue_depth``, re-derived).  *queue* holds
+    indices into *starts* / *lengths*.
 
     Every instance an execution holds -- preloads too -- lives within its
     steady-state interval, and after the preloads drain all of them are
     live, so the peak is the steady-state one: per phase, each lifetime
     of length L counts ``L // II`` instances, plus one on the
-    ``L % II`` phases from its write phase on.  The partial runs are
-    laid out unwrapped over two periods, then folded onto one.
+    ``L % II`` phases from its write phase on.  A lone lifetime
+    therefore peaks at ⌈L/II⌉.  Otherwise the partial runs are laid out
+    unwrapped over two periods, then folded onto one.
     """
+    if len(queue) == 1:
+        return -(-lengths[queue[0]] // ii)
     every = 0
     edges = [0] * (2 * ii + 1)
-    for start, length, _d, _e in queue:
-        full, rest = divmod(length, ii)
+    for i in queue:
+        full, rest = divmod(lengths[i], ii)
         every += full
-        edges[start % ii] += 1
-        edges[start % ii + rest] -= 1
+        edges[starts[i] % ii] += 1
+        edges[starts[i] % ii + rest] -= 1
     folded = [0] * ii
     run = 0
     for t in range(2 * ii):
@@ -285,91 +329,121 @@ def _queue_positions(queue: list[tuple[int, int, int, DepEdge]],
     return every + max(folded)
 
 
+def _fifo_proved(q: list[int], edges: list[DepEdge], starts: list[int],
+                 lengths: list[int], ii: int, where: str,
+                 out: list[Violation]) -> bool:
+    """Whether every pair sharing queue *q* is Q-compatible; reports
+    each pair that is not."""
+    ok = True
+    for n, i in enumerate(q):
+        for j in q[n + 1:]:
+            if not _q_compatible(starts[i], lengths[i], starts[j],
+                                 lengths[j], ii):
+                a, b = edges[i], edges[j]
+                out.append(Violation(
+                    ViolationKind.QUEUE_ORDER,
+                    f"{where}: lifetimes {a.src}->{a.dst} and "
+                    f"{b.src}->{b.dst} cannot share a FIFO at II={ii}",
+                    ops=(a.src, a.dst, b.src, b.dst)))
+                ok = False
+    return ok
+
+
 def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
                   n_clusters: int, budget: QueueBudget,
                   enforce_budget: bool, out: list[Violation],
                   proved: dict[str, int]) -> None:
     ii = sched.ii
     sigma = sched.sigma
-    # location key: ("private"|"ring_cw"|"ring_ccw", producer cluster)
-    per_loc: dict[tuple[str, int], list[tuple[int, int, int, DepEdge]]] = {}
+    cluster_of = sched.cluster_of
+    # lifetime i: DATA edge edges[i], written at starts[i] and read
+    # lengths[i] cycles later -- flat lists, not an object per lifetime
+    edges: list[DepEdge] = []
+    starts: list[int] = []
+    lengths: list[int] = []
+    # location code -> its lifetimes; the code is kind index *
+    # n_clusters + producer cluster, so codes sort in report order
+    per_loc: dict[int, list[int]] = {}
     for e in ddg.data_edges():
-        if e.src not in ok_ops or e.dst not in ok_ops:
+        src, dst = e.src, e.dst
+        if src not in ok_ops or dst not in ok_ops:
             continue
-        start = sigma[e.src] + e.latency
-        length = sigma[e.dst] + e.distance * ii - start
+        start = sigma[src] + e.latency
+        length = sigma[dst] + e.distance * ii - start
         if length < 0:
             continue  # already reported as a dependence violation
-        ca = sched.cluster_of.get(e.src, 0)
-        cb = sched.cluster_of.get(e.dst, 0)
+        ca = cluster_of.get(src, 0)
+        cb = cluster_of.get(dst, 0)
         if ca == cb:
-            loc = ("private", ca)
+            code = ca
         elif (ca + 1) % n_clusters == cb:
-            loc = ("ring_cw", ca)
+            code = 2 * n_clusters + ca
         elif (ca - 1) % n_clusters == cb:
-            loc = ("ring_ccw", ca)
+            code = n_clusters + ca
         else:
             continue  # already reported as an adjacency violation
-        per_loc.setdefault(loc, []).append((start, length, e.distance, e))
+        group = per_loc.get(code)
+        if group is None:
+            per_loc[code] = [len(edges)]
+        else:
+            group.append(len(edges))
+        edges.append(e)
+        starts.append(start)
+        lengths.append(length)
 
-    limits = {"private": budget.private, "ring_cw": budget.ring_out_cw,
-              "ring_ccw": budget.ring_out_ccw}
+    limits = (budget.private, budget.ring_out_ccw, budget.ring_out_cw)
     passed = 0
-    for (kind, cl), lifetimes in sorted(per_loc.items()):
+    for code in sorted(per_loc):
+        k, cl = divmod(code, n_clusters)
+        where = f"{_KINDS[k]}[{cl}]"
+        lifetimes = per_loc[code]
+        if len(lifetimes) > 1:
+            # the hardware allocator's order: (start, length, edge)
+            lifetimes.sort(key=lambda i: (starts[i], lengths[i],
+                                          edges[i].src, edges[i].dst,
+                                          edges[i].key))
         # deterministic greedy first-fit, as the hardware allocator packs;
         # a queue already holding the incoming start residue is skipped
         # untested (delta == 0 is never Q-compatible)
-        lifetimes.sort(key=lambda lt: (lt[0], lt[1], lt[3].src,
-                                       lt[3].dst, lt[3].key))
-        queues: list[list[tuple[int, int, int, DepEdge]]] = []
+        queues: list[list[int]] = []
         residues: list[int] = []
-        for lt in lifetimes:
-            bit = 1 << (lt[0] % ii)
-            for i, q in enumerate(queues):
-                if residues[i] & bit:
+        for i in lifetimes:
+            si, li = starts[i], lengths[i]
+            bit = 1 << (si % ii)
+            for qi, q in enumerate(queues):
+                if residues[qi] & bit:
                     continue
-                for other in q:
-                    if not _q_compatible(lt[0], lt[1], other[0], other[1],
-                                         ii):
+                for j in q:
+                    if not _q_compatible(si, li, starts[j], lengths[j], ii):
                         break
                 else:  # compatible with every member: join this queue
-                    q.append(lt)
-                    residues[i] |= bit
+                    q.append(i)
+                    residues[qi] |= bit
                     break
             else:
-                queues.append([lt])
+                queues.append([i])
                 residues.append(bit)
         for qi, q in enumerate(queues):
             # FIFO-sharing proof: pairwise Q-compatibility of the packing
-            bad = False
-            for i, a in enumerate(q):
-                for b in q[i + 1:]:
-                    if not _q_compatible(a[0], a[1], b[0], b[1], ii):
-                        out.append(Violation(
-                            ViolationKind.QUEUE_ORDER,
-                            f"{kind}[{cl}] queue {qi}: lifetimes "
-                            f"{a[3].src}->{a[3].dst} and "
-                            f"{b[3].src}->{b[3].dst} cannot share a "
-                            f"FIFO at II={ii}",
-                            ops=(a[3].src, a[3].dst, b[3].src, b[3].dst)))
-                        bad = True
-            if bad:
+            if len(q) > 1 and not _fifo_proved(q, edges, starts, lengths,
+                                               ii, f"{where} queue {qi}",
+                                               out):
                 continue
-            depth = _queue_positions(q, ii)
+            depth = _queue_positions(q, starts, lengths, ii)
             if depth > budget.positions:
                 out.append(Violation(
                     ViolationKind.QUEUE_DEPTH,
-                    f"{kind}[{cl}] queue {qi} peaks at {depth} live "
+                    f"{where} queue {qi} peaks at {depth} live "
                     f"values ({len(q)} lifetimes)",
                     inequality=(f"MaxLive {depth} <= positions "
                                 f"{budget.positions}"),
-                    ops=tuple(lt[3].src for lt in q)))
+                    ops=tuple(edges[i].src for i in q)))
             else:
                 passed += 1
-        if enforce_budget and len(queues) > limits[kind]:
+        if enforce_budget and len(queues) > limits[k]:
             out.append(Violation(
                 ViolationKind.QUEUE_COUNT,
-                f"{kind}[{cl}] needs {len(queues)} queues",
-                inequality=(f"{len(queues)} <= {kind} budget "
-                            f"{limits[kind]}")))
+                f"{where} needs {len(queues)} queues",
+                inequality=(f"{len(queues)} <= {_KINDS[k]} budget "
+                            f"{limits[k]}")))
     proved["queues"] = passed

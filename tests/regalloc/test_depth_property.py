@@ -1,7 +1,8 @@
 """Property test: queue depth in closed form equals the execution sweep.
 
 ``queue_depth`` (the allocator's) and the verifier's local
-``_queue_positions`` both count steady-state MaxLive per phase.  The
+``_queue_positions`` both count steady-state MaxLive per phase, and both
+answer a one-lifetime queue as ⌈L/II⌉ without the per-phase table.  The
 reference below is the per-instance event sweep they replaced: it walks
 every instance an execution holds -- the ``distance`` preloads included
 -- and takes the peak.  Equality is the claim that prologue preloads
@@ -11,7 +12,8 @@ never need more positions than the steady state.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir.ddg import DepEdge, DepKind
+import pytest
+
 from repro.regalloc.lifetimes import (Lifetime, max_live,
                                       steady_state_occupancy)
 from repro.regalloc.queues import queue_depth
@@ -77,11 +79,20 @@ def queue_sets(draw):
     return lts, ii
 
 
-def _verifier_queue(lts):
-    return [(lt.start, lt.length, lt.distance,
-             DepEdge(lt.producer, lt.consumer, 1, lt.distance,
-                     DepKind.DATA, lt.edge_key))
-            for lt in lts]
+@st.composite
+def single_lifetimes(draw):
+    """One lifetime -- the common queue, answered in closed form."""
+    ii = draw(st.integers(min_value=1, max_value=10))
+    lt = Lifetime(0, 1, 0, draw(st.integers(min_value=0, max_value=3 * ii)),
+                  draw(st.integers(min_value=0, max_value=6 * ii)),
+                  draw(st.integers(min_value=0, max_value=4)))
+    return [lt], ii
+
+
+def _verifier_positions(lts, ii):
+    return _queue_positions(list(range(len(lts))),
+                            [lt.start for lt in lts],
+                            [lt.length for lt in lts], ii)
 
 
 @given(queue_sets())
@@ -95,8 +106,25 @@ def test_queue_depth_matches_event_sweep(case):
 @settings(max_examples=600, deadline=None)
 def test_verifier_positions_match_event_sweep(case):
     lts, ii = case
-    assert _queue_positions(_verifier_queue(lts), ii) == \
+    assert _verifier_positions(lts, ii) == \
         _event_sweep(lts, ii)
+
+
+@given(single_lifetimes())
+@settings(max_examples=300, deadline=None)
+def test_one_lifetime_depth_matches_event_sweep(case):
+    lts, ii = case
+    want = _event_sweep(lts, ii)
+    assert max_live(lts, ii) == want
+    assert queue_depth(lts, ii) == want
+    assert _verifier_positions(lts, ii) == want
+    assert want == max(steady_state_occupancy(lts, ii))
+
+
+@pytest.mark.parametrize("ii", [0, -1])
+def test_one_lifetime_fast_path_keeps_the_ii_guard(ii):
+    with pytest.raises(ValueError):
+        max_live([Lifetime(0, 1, 0, 0, 3)], ii)
 
 
 @given(queue_sets())

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import multiprocessing
+import os
+import shutil
 
 import pytest
 
@@ -282,3 +284,157 @@ def test_cost_estimator_reads_sharded_cache(cache):
     cache.put(result)
     cost = cost_estimator(ShardedResultCache(cache.directory))
     assert cost(job) == pytest.approx(0.25)
+
+
+# ---------------------------------------------------------------------------
+# held shard handles
+# ---------------------------------------------------------------------------
+
+def _on_shard(tag: str, shard_of: JobResult) -> JobResult:
+    """A fake result forced onto the shard of *shard_of*."""
+    result = _fake_result(tag)
+    return JobResult(key=shard_of.key[:2] + result.key[2:],
+                     outcome=result.outcome)
+
+
+def _in_process(target, *args):
+    """Run *target* in a separate (forked) process and demand success."""
+    proc = multiprocessing.get_context("fork").Process(target=target,
+                                                       args=args)
+    proc.start()
+    proc.join(60)
+    assert proc.exitcode == 0
+
+
+def _clear_then_put(directory, tags):
+    cache = ShardedResultCache(directory)
+    cache.clear()
+    cache.put_many([_fake_result(t) for t in tags])
+
+
+def _put(directory, tags):
+    ShardedResultCache(directory).put_many([_fake_result(t) for t in tags])
+
+
+def _compact(directory):
+    ShardedResultCache(directory).gc()
+
+
+def test_clear_by_another_process_keeps_locks_and_later_records(tmp_path):
+    directory = tmp_path / "cache"
+    a = ShardedResultCache(directory)
+    a.put_many([_fake_result(f"a-before-{i}") for i in range(16)])
+    locks = [p.name for p in (directory / SHARD_DIR).glob("*.lock")]
+    _in_process(_clear_then_put, str(directory),
+                [f"b-after-{i}" for i in range(16)])
+    # the lock files survive clear(): every writer still locks one inode
+    assert set(locks) <= {p.name for p in
+                          (directory / SHARD_DIR).glob("*.lock")}
+    for shard, handles in a._handles.items():
+        assert os.fstat(handles.lock_fd).st_ino == \
+            os.stat(handles.lock_path).st_ino
+    a.put_many([_fake_result(f"a-after-{i}") for i in range(16)])
+    _in_process(_put, str(directory), [f"b-later-{i}" for i in range(16)])
+    a.put_many([_fake_result(f"a-last-{i}") for i in range(16)])
+
+    fresh = ShardedResultCache(directory)
+    assert fresh.n_corrupt == 0
+    for prefix in ("b-after", "a-after", "b-later", "a-last"):
+        for i in range(16):
+            assert fresh.peek(_fake_result(f"{prefix}-{i}").key), prefix
+    assert all(fresh.peek(_fake_result(f"a-before-{i}").key) is None
+               for i in range(16))
+
+
+def test_compaction_by_another_process_loses_no_append(tmp_path):
+    directory = tmp_path / "cache"
+    a = ShardedResultCache(directory)
+    anchor = _fake_result("anchor")
+    first = [anchor] + [_on_shard(f"first-{i}", anchor) for i in range(8)]
+    a.put_many(first)
+    a.put_many(first)             # superseded copies: gc must rewrite
+    shard_path = a._shard_path(a._shard(anchor.key))
+    inode = shard_path.stat().st_ino
+    _in_process(_compact, str(directory))
+    assert shard_path.stat().st_ino != inode   # replaced under a's fd
+    second = [_on_shard(f"second-{i}", anchor) for i in range(8)]
+    a.put_many(second)
+
+    fresh = ShardedResultCache(directory)
+    assert fresh.n_corrupt == 0
+    for result in first + second:
+        assert fresh.peek(result.key) is not None, result.outcome.loop
+
+
+def _forked_append(cache, tag, anchor):
+    cache.put(_on_shard(tag, anchor))
+    # re-opened for this process, not the parent's inherited fds
+    assert cache._shard_lock(cache._shard(anchor.key)).pid == os.getpid()
+
+
+def test_forked_child_appends_through_its_own_handles(tmp_path):
+    cache = ShardedResultCache(tmp_path / "cache")
+    anchor = _fake_result("fork-anchor")
+    cache.put(anchor)
+    handles = cache._shard_lock(cache._shard(anchor.key))
+    ctx = multiprocessing.get_context("fork")
+    with handles:                 # the parent holds the shard lock
+        child = ctx.Process(target=_forked_append,
+                            args=(cache, "from-child", anchor))
+        child.start()
+        child.join(0.5)
+        # an inherited lock fd would share the parent's flock and let
+        # the child through; its own fd makes it wait for the parent
+        assert child.is_alive()
+    child.join(60)
+    assert child.exitcode == 0
+    assert handles.pid == os.getpid()
+    cache.put(_on_shard("from-parent", anchor))
+
+    fresh = ShardedResultCache(tmp_path / "cache")
+    assert fresh.n_corrupt == 0
+    for tag in ("from-child", "from-parent"):
+        assert fresh.peek(_on_shard(tag, anchor).key) is not None
+
+
+def test_torn_tail_by_another_writer_is_healed_through_held_handle(cache):
+    result = _fake_result("held-torn")
+    cache.put(result)             # the shard's handles are now held
+    with cache._shard_path(cache._shard(result.key)).open("a") as fh:
+        fh.write('{"v": %d, "key": "dead' % SCHEMA_VERSION)
+    second = _on_shard("held-torn-2", result)
+    cache.put(second)
+    healed = ShardedResultCache(cache.directory)
+    assert healed.get(result.key) == result
+    assert healed.get(second.key).outcome == second.outcome
+    assert healed.n_corrupt == 1
+
+
+def test_removed_directory_is_recreated_and_relocked(tmp_path):
+    directory = tmp_path / "cache"
+    a = ShardedResultCache(directory)
+    anchor = _fake_result("rm-anchor")
+    a.put(anchor)
+    shutil.rmtree(directory)
+    _in_process(_put, str(directory), ["rm-other"])
+    a.put(_on_shard("rm-after", anchor))
+    # a re-took its lock on the re-created lock file, which the other
+    # writer locked too: they exclude each other again
+    handles = a._shard_lock(a._shard(anchor.key))
+    assert os.fstat(handles.lock_fd).st_ino == \
+        os.stat(handles.lock_path).st_ino
+    fresh = ShardedResultCache(directory)
+    assert fresh.peek(_on_shard("rm-after", anchor).key) is not None
+    assert fresh.peek(_fake_result("rm-other").key) is not None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_dropped_caches_close_their_handles(tmp_path):
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(300):
+        cache = ShardedResultCache(tmp_path / f"c{i}")
+        cache.put_many([_fake_result(f"fd-{i}-{j}") for j in range(3)])
+        assert cache._handles
+        del cache
+    assert len(os.listdir("/proc/self/fd")) == before

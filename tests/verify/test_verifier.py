@@ -146,3 +146,21 @@ def test_queue_count_budget_is_opt_in():
 def test_verifier_is_engine_agnostic(scheduler):
     sched, m = _qrf_schedule("fir4", scheduler=scheduler)
     assert verify_schedule(sched, m).ok
+
+
+def test_verifier_imports_no_allocator_or_engine():
+    """The verifier re-derives what it proves: it may use the schedule
+    and machine types, never the allocator or a scheduling engine."""
+    import ast
+    import pathlib
+
+    import repro.verify.verifier as verifier
+
+    tree = ast.parse(pathlib.Path(verifier.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(m.startswith("repro.regalloc") for m in imported)
+    assert {m for m in imported if m.startswith("repro.sched")} == \
+        {"repro.sched.schedule"}
