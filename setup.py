@@ -33,9 +33,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
-    install_requires=[
-        "networkx>=2.6",
-    ],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },

@@ -29,7 +29,7 @@ from typing import Literal, Optional
 
 from repro.kernels import active as _kernel_backend
 
-from .ddg import Ddg, DepKind
+from .ddg import DATA_CODE, Ddg, DepKind, Row
 from .operations import Opcode, Operation
 
 CopyStrategy = Literal["chain", "balanced", "slack"]
@@ -51,32 +51,16 @@ class CopyInsertionResult:
         return max(self.depth_by_edge.values(), default=0)
 
 
-# --------------------------------------------------------------------------
-# criticality = height of the consumer in the distance-0 DAG (long paths
-# below a consumer mean schedule pressure -> keep its copy path short).
-# --------------------------------------------------------------------------
-
-def _heights(ddg: Ddg) -> dict[int, int]:
-    """Longest downstream path per op over distance-0 edges (runs on the
-    active kernel backend; the distance-0 subgraph is acyclic for any
-    valid loop, so the relaxation always converges)."""
-    arr = ddg.arrays()
-    return dict(zip(arr.ids, _kernel_backend().zero_heights(arr)))
-
-
 # ----------------------------------------------------------- tree shaping
 
 class _Leaf:
     """A consumer edge to be served by the fan-out tree.
 
-    ``edge`` is the raw ``(dst, key, latency, distance)`` tuple of the
-    original DATA edge (see :meth:`Ddg._data_out_raw`); the producer is
-    implicit (one tree per producer)."""
+    ``edge`` is the edge-table row of the original DATA edge."""
 
     __slots__ = ("edge", "weight")
 
-    def __init__(self, edge: tuple[int, int, int, int],
-                 weight: float) -> None:
+    def __init__(self, edge: Row, weight: float) -> None:
         self.edge = edge
         self.weight = weight
 
@@ -141,11 +125,13 @@ def insert_copies(ddg: Ddg, *, strategy: CopyStrategy = "slack",
     edge; producer->copy and copy->copy edges have distance 0, so the
     rewrite never changes which iteration consumes a value.
 
-    MEM/SEQ edges and single-consumer values are untouched.
+    MEM/SEQ edges and single-consumer values are untouched.  Every new
+    edge leaves a fresh copy op or enters one, so it starts a new
+    ``(src, dst)`` group: keys count 0, 1 in emission order and never
+    meet a key of the input.
     """
     if strategy not in _BUILDERS:
         raise ValueError(f"unknown copy strategy {strategy!r}")
-    out = ddg.copy()
     arr = ddg.arrays()
     index = arr.index
     # criticality inputs, all in packed (op-index) form
@@ -157,21 +143,22 @@ def insert_copies(ddg: Ddg, *, strategy: CopyStrategy = "slack",
     has_self_cycle = {s for s, d in zip(arr.e_src, arr.e_dst) if s == d}
     n_copies = 0
     depth_by_edge: dict[tuple[int, int, int], int] = {}
-    # the rewrite is thousands of edge mutations per loop: run them on
-    # the bulk editor (same networkx semantics, one deferred cache
-    # invalidation) instead of the per-call public API
-    edit = out._bulk_edit()
-    next_id = out.fresh_id()
+    ops = ddg.operations
+    next_id = ddg.fresh_id()
+    copy_op = Operation(0, Opcode.COPY, latency=copy_latency)  # validates
 
-    # snapshot every producer's consumer list up front: rewriting one
-    # producer's fan-out never touches another producer's DATA out-edges
-    consumers_of = {oid: ddg._data_out_raw(oid) for oid in ddg.op_ids}
+    # every producer's DATA out-rows, in table order; rewriting one
+    # producer's fan-out never touches another producer's
+    consumers_of: dict[int, list[Row]] = {}
+    for row in ddg.edge_rows(DepKind.DATA):
+        consumers_of.setdefault(row[0], []).append(row)
+    rewritten: set[int] = set()   # producers whose DATA rows are replaced
+    new_rows: list[Row] = []
 
-    for oid in ddg.op_ids:
-        consumers = consumers_of[oid]
-        if len(consumers) <= 1:
-            for dst, key, _lat, _dist in consumers:
-                depth_by_edge[(oid, dst, key)] = 0
+    for oid, consumers in consumers_of.items():
+        if len(consumers) == 1:
+            _s, dst, key = consumers[0][:3]
+            depth_by_edge[(oid, dst, key)] = 0
             continue
 
         # weight: edges on a recurrence circuit dominate (every copy on
@@ -182,7 +169,7 @@ def insert_copies(ddg: Ddg, *, strategy: CopyStrategy = "slack",
         src_cyclic = scc_sizes[comp] > 1 or i_src in has_self_cycle
         leaves = []
         for cons in consumers:
-            dst, _key, _lat, dist = cons
+            dst, dist = cons[1], cons[4]
             if src_cyclic and scc[index[dst]] == comp:
                 # scale by 1/distance: tighter recurrences are more
                 # sensitive to added latency
@@ -191,38 +178,39 @@ def insert_copies(ddg: Ddg, *, strategy: CopyStrategy = "slack",
                 weight = float(heights[index[dst]] + 1)
             leaves.append(_Leaf(cons, weight))
         tree = _BUILDERS[strategy](leaves)
-
-        for dst, key, _lat, _dist in consumers:
-            edit.remove_edge(oid, dst, key)
+        rewritten.add(oid)
 
         producer = ddg.op(oid)
-        producer_lat = producer.latency
         cp_index = itertools.count()
 
         def materialise(node: "_Node | _Leaf", parent_id: int,
                         parent_lat: int, depth: int) -> None:
             nonlocal n_copies, next_id
             if isinstance(node, _Leaf):
-                dst, key, _lat, dist = node.edge
-                edit.add_edge(parent_id, dst, parent_lat, dist,
-                              DepKind.DATA)
+                _s, dst, key, _lat, dist, _k = node.edge
+                # two leaves of one copy may share a consumer (x * x)
+                pkey = 1 if new_rows[-1][:2] == (parent_id, dst) else 0
+                new_rows.append((parent_id, dst, pkey, parent_lat, dist,
+                                 DATA_CODE))
                 depth_by_edge[(oid, dst, key)] = depth
                 return
             cp_id = next_id
             next_id += 1
-            edit.add_op(Operation(
-                op_id=cp_id, opcode=Opcode.COPY,
-                name=f"{producer.name}.cp{next(cp_index)}",
-                latency=copy_latency, origin=oid,
-                unroll_index=producer.unroll_index))
+            ops.append(copy_op.with_id(
+                cp_id, origin=oid, unroll_index=producer.unroll_index,
+                name=f"{producer.name}.cp{next(cp_index)}"))
             n_copies += 1
-            edit.add_edge(parent_id, cp_id, parent_lat, 0, DepKind.DATA)
+            new_rows.append((parent_id, cp_id, 0, parent_lat, 0, DATA_CODE))
             materialise(node.left, cp_id, copy_latency, depth + 1)
             materialise(node.right, cp_id, copy_latency, depth + 1)
 
-        materialise(tree, oid, producer_lat, 0)
+        materialise(tree, oid, producer.latency, 0)
 
-    edit.done(next_id)
+    rows = [r for r in ddg.edge_rows()
+            if r[5] != DATA_CODE or r[0] not in rewritten]
+    rows += new_rows
+    rows.sort()
+    out = Ddg.from_table(ddg.name, ddg.trip_count, ops, rows, next_id)
     return CopyInsertionResult(out, n_copies, depth_by_edge)
 
 

@@ -9,20 +9,24 @@ body, with operations as nodes and dependences as edges.  Edges carry
 * ``kind``     -- :class:`DepKind`; only DATA edges move a value through a
   register/queue, MEM and SEQ edges merely order operations.
 
-The class wraps a :class:`networkx.MultiDiGraph` (multiple parallel edges are
-legal: an op may consume the same value twice, e.g. ``x * x``) but exposes a
-typed API so that the rest of the library never touches raw networkx
-attributes.
+The store is compact: operations by id, and one edge table of
+``(src, dst, key, latency, distance, kind)`` rows kept in
+``(src, dst, key)`` order (``kind`` as an index into :data:`KINDS`, so
+a row holds only ints and the cyclic GC stops tracking it).
+Parallel edges are legal -- an op may consume the same value twice, e.g.
+``x * x`` -- and are told apart by ``key``, assigned the way
+``networkx.MultiDiGraph.add_edge`` assigns it (the number of parallel
+edges, bumped past keys still in use).  Edge order and keys feed every
+schedule and every job key, so they are part of the contract.  The typed
+API below is all the rest of the library reads; the graph transforms
+(:mod:`.unroll`, :mod:`.copyins`) build their output tables in bulk.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
-import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .operations import FuType, LatencyModel, Opcode, Operation
 
@@ -45,15 +49,16 @@ class DepKind(enum.Enum):
     SEQ = "seq"
 
 
-@dataclass(frozen=True)
-class DepEdge:
-    """One dependence ``src -> dst``.
+#: Edge-table kind codes: ``KINDS[code]`` is the row's :class:`DepKind`.
+KINDS = tuple(DepKind)
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+DATA_CODE = KIND_CODE[DepKind.DATA]
 
-    ``latency`` defaults to the producer's latency for DATA edges and to 1
-    for MEM/SEQ edges (a store must complete before an aliasing load of the
-    next cycle).  ``key`` disambiguates parallel edges.
-    """
+#: One edge-table row: ``(src, dst, key, latency, distance, kind code)``.
+Row = tuple[int, int, int, int, int, int]
 
+
+class _DepEdgeFields(NamedTuple):
     src: int
     dst: int
     latency: int
@@ -61,11 +66,28 @@ class DepEdge:
     kind: DepKind
     key: int = 0
 
-    def __post_init__(self) -> None:
-        if self.distance < 0:
+
+class DepEdge(_DepEdgeFields):
+    """One dependence ``src -> dst``.
+
+    ``latency`` defaults to the producer's latency for DATA edges and to 1
+    for MEM/SEQ edges (a store must complete before an aliasing load of the
+    next cycle).  ``key`` disambiguates parallel edges.
+
+    An immutable named tuple rather than a frozen dataclass: a graph
+    hands out one per edge, and a tuple is several times cheaper to
+    build (rows already checked are built without re-validation).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src: int, dst: int, latency: int, distance: int,
+                kind: DepKind, key: int = 0) -> "DepEdge":
+        if distance < 0:
             raise ValueError("dependence distance must be >= 0")
-        if self.latency < 0:
+        if latency < 0:
             raise ValueError("dependence latency must be >= 0")
+        return super().__new__(cls, src, dst, latency, distance, kind, key)
 
     @property
     def is_loop_carried(self) -> bool:
@@ -76,99 +98,22 @@ class DepEdge:
         return self.kind is DepKind.DATA
 
 
-def _graph_copy(g: nx.MultiDiGraph) -> nx.MultiDiGraph:
-    """Structure-identical copy of *g* without per-edge ``add_edge``
-    machinery.
-
-    Produces the structure ``MultiDiGraph.copy()`` would -- same node
-    order, node attribute dicts copied (``replace_operation`` mutates
-    them in place), and each key dict shared between ``_succ[u][v]`` and
-    ``_pred[v][u]`` the way networkx builds them -- but several times
-    faster, which matters because the front-end transforms copy every
-    loop body they rewrite.  Edge attribute dicts are *shared* with the
-    source graph rather than copied: :class:`Ddg` exposes no edge-update
-    API (rewrites remove and re-add), so they are immutable in
-    practice."""
-    out = nx.MultiDiGraph()
-    out.graph.update(g.graph)
-    node, succ, pred = out._node, out._succ, out._pred
-    for nid, nd in g._node.items():
-        node[nid] = nd.copy()
-        succ[nid] = {}
-        pred[nid] = {}
-    for u, nbrs in g._succ.items():
-        su = succ[u]
-        for v, keydict in nbrs.items():
-            kd = dict(keydict)
-            su[v] = kd
-            pred[v][u] = kd
-    return out
-
-
-class _BulkEdit:
-    """Structural editor for the graph-rewriting front-end transforms.
-
-    ``add_operation`` / ``add_dependence`` / ``remove_edge`` pay for
-    validation, :class:`DepEdge` construction and a cache invalidation
-    *per call*; the copy inserter and the unroller perform thousands of
-    such calls per loop and dominated the sweep profiles.  This editor
-    applies the same mutations directly to the underlying dicts while
-    reproducing networkx's ``MultiDiGraph`` semantics exactly -- in
-    particular ``new_edge_key``'s key assignment, on which the
-    deterministic edge order (and therefore every golden schedule)
-    depends.  Callers own the invariants the public API would have
-    checked: endpoints exist, DATA sources produce values, op ids are
-    fresh.  ``done()`` performs one deferred cache invalidation."""
-
-    __slots__ = ("_ddg", "_node", "_succ", "_pred")
-
-    def __init__(self, ddg: "Ddg") -> None:
-        self._ddg = ddg
-        g = ddg._g
-        self._node = g._node
-        self._succ = g._succ
-        self._pred = g._pred
-
-    def add_op(self, op: "Operation") -> None:
-        """Insert a pre-built operation with a fresh, unused id."""
-        oid = op.op_id
-        self._node[oid] = {"op": op}
-        self._succ[oid] = {}
-        self._pred[oid] = {}
-
-    def add_edge(self, u: int, v: int, latency: int, distance: int,
-                 kind: DepKind) -> int:
-        """Add one edge; returns the key ``MultiDiGraph.add_edge`` would
-        have assigned (``new_edge_key`` semantics)."""
-        dd = {"latency": latency, "distance": distance, "kind": kind}
-        nbrs = self._succ[u]
-        kd = nbrs.get(v)
-        if kd is None:
-            nbrs[v] = self._pred[v][u] = {0: dd}
-            return 0
-        key = len(kd)
-        while key in kd:
+def keyed_rows(rows: list[Row]) -> list[Row]:
+    """Sort rows whose third field orders parallel edges by arrival, and
+    renumber it to the keys ``add_dependence`` would assign when adding
+    them in that order to a graph without them (0, 1, ... per
+    ``(src, dst)``).  *rows* is sorted in place."""
+    rows.sort()
+    out = []
+    prev_s = prev_d = -1
+    key = 0
+    for s, d, _seq, lat, dist, kind in rows:
+        if s == prev_s and d == prev_d:
             key += 1
-        kd[key] = dd
-        return key
-
-    def remove_edge(self, u: int, v: int, key: int) -> None:
-        """Remove the (u, v, key) edge, which must exist."""
-        succ = self._succ
-        kd = succ[u][v]
-        del kd[key]
-        if not kd:
-            del succ[u][v]
-            del self._pred[v][u]
-
-    def done(self, next_id: Optional[int] = None) -> None:
-        """Finish the edit: advance the id counter and invalidate the
-        graph's caches once for the whole batch."""
-        ddg = self._ddg
-        if next_id is not None and next_id > ddg._next_id:
-            ddg._next_id = next_id
-        nx._clear_cache(ddg._g)
-        ddg._bump()
+        else:
+            prev_s, prev_d, key = s, d, 0
+        out.append((s, d, key, lat, dist, kind))
+    return out
 
 
 class Ddg:
@@ -189,12 +134,26 @@ class Ddg:
             raise ValueError("trip_count must be >= 1")
         self.name = name
         self.trip_count = trip_count
-        self._g: nx.MultiDiGraph = nx.MultiDiGraph()
+        self._ops: dict[int, Operation] = {}
+        self._rows: list[Row] = []
         self._next_id = 0
-        # adjacency caches -- schedulers call in_edges/out_edges millions
-        # of times on an immutable graph; invalidated on any mutation
+        # derived-data caches -- schedulers call in_edges/out_edges
+        # millions of times on an immutable graph; invalidated on any
+        # mutation
         self._version = 0
         self._edge_cache: dict = {}
+
+    @classmethod
+    def from_table(cls, name: str, trip_count: int, ops: list[Operation],
+                   rows: list[Row], next_id: int = 0) -> "Ddg":
+        """A graph over *ops* (ascending ids) and *rows* (sorted, keys
+        final) -- the bulk constructor of the graph transforms, which own
+        the invariants :meth:`add_dependence` would check."""
+        out = cls(name, trip_count)
+        out._ops = {op.op_id: op for op in ops}
+        out._rows = rows
+        out._next_id = max(next_id, ops[-1].op_id + 1 if ops else 0)
+        return out
 
     def _bump(self) -> None:
         self._version += 1
@@ -211,70 +170,79 @@ class Ddg:
             op_id=self._next_id, opcode=opcode, name=name, latency=latency,
             unroll_index=unroll_index, origin=origin,
         )
-        self._g.add_node(op.op_id, op=op)
+        self._ops[op.op_id] = op
         self._next_id += 1
         self._bump()
         return op
 
     def insert_operation(self, op: Operation) -> Operation:
         """Insert a pre-built operation (id must be unused)."""
-        if op.op_id in self._g:
+        if op.op_id in self._ops:
             raise ValueError(f"op id {op.op_id} already present")
-        self._g.add_node(op.op_id, op=op)
+        self._ops[op.op_id] = op
         self._next_id = max(self._next_id, op.op_id + 1)
         self._bump()
         return op
 
     def remove_operation(self, op_id: int) -> None:
         """Remove an op and all incident edges."""
-        self._g.remove_node(op_id)
+        del self._ops[op_id]
+        self._rows = [r for r in self._rows
+                      if r[0] != op_id and r[1] != op_id]
         self._bump()
 
     def op(self, op_id: int) -> Operation:
         """Look up an operation by id."""
-        return self._g.nodes[op_id]["op"]
+        return self._ops[op_id]
 
     def has_op(self, op_id: int) -> bool:
-        return op_id in self._g
+        return op_id in self._ops
 
     def replace_operation(self, op: Operation) -> None:
         """Swap the node payload for an op with the same id."""
-        if op.op_id not in self._g:
+        if op.op_id not in self._ops:
             raise KeyError(op.op_id)
-        self._g.nodes[op.op_id]["op"] = op
+        self._ops[op.op_id] = op
         self._bump()
+
+    def _sorted_ops(self) -> list[Operation]:
+        cached = self._edge_cache.get("ops")
+        if cached is None:
+            ops = self._ops
+            cached = [ops[o] for o in self._sorted_ids()]
+            self._edge_cache["ops"] = cached
+        return cached
+
+    def _sorted_ids(self) -> list[int]:
+        cached = self._edge_cache.get("op_ids")
+        if cached is None:
+            cached = sorted(self._ops)
+            self._edge_cache["op_ids"] = cached
+        return cached
 
     @property
     def operations(self) -> list[Operation]:
         """All operations, ordered by id (deterministic)."""
-        cached = self._edge_cache.get("ops")
-        if cached is None:
-            cached = [self._g.nodes[n]["op"] for n in sorted(self._g.nodes)]
-            self._edge_cache["ops"] = cached
-        return list(cached)
+        return list(self._sorted_ops())
 
     @property
     def op_ids(self) -> list[int]:
-        cached = self._edge_cache.get("op_ids")
-        if cached is None:
-            cached = sorted(self._g.nodes)
-            self._edge_cache["op_ids"] = cached
-        return list(cached)
+        return list(self._sorted_ids())
 
     @property
     def n_ops(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._ops)
 
     @property
     def n_edges(self) -> int:
-        return self._g.number_of_edges()
+        return len(self._rows)
 
     def fu_demand(self) -> dict[FuType, int]:
         """Number of ops per FU class (input of ResMII; memoised)."""
         cached = self._edge_cache.get("fu_demand")
         if cached is None:
             cached = {}
-            for op in self.operations:
+            for op in self._sorted_ops():
                 cached[op.fu_type] = cached.get(op.fu_type, 0) + 1
             self._edge_cache["fu_demand"] = cached
         return dict(cached)
@@ -292,70 +260,101 @@ class Ddg:
         """
         sid = src.op_id if isinstance(src, Operation) else src
         did = dst.op_id if isinstance(dst, Operation) else dst
-        if sid not in self._g or did not in self._g:
+        if sid not in self._ops or did not in self._ops:
             raise KeyError(f"edge endpoints {sid}->{did} not in graph")
-        src_op = self.op(sid)
+        src_op = self._ops[sid]
         if kind is DepKind.DATA and not src_op.produces_value:
             raise ValueError(
                 f"DATA edge from non-producer {src_op.name}"
             )
         if latency is None:
             latency = src_op.latency if kind is DepKind.DATA else 1
-        key = self._g.add_edge(sid, did, latency=latency,
-                               distance=distance, kind=kind)
+        rows = self._rows
+        lo = bisect.bisect_left(rows, (sid, did))
+        hi = lo
+        while hi < len(rows) and rows[hi][0] == sid and rows[hi][1] == did:
+            hi += 1
+        used = {r[2] for r in rows[lo:hi]}
+        key = len(used)
+        while key in used:
+            key += 1
+        edge = DepEdge(sid, did, latency, distance, kind, key)
+        row = (sid, did, key, latency, distance, KIND_CODE[kind])
+        rows.insert(bisect.bisect_left(rows, row, lo, hi), row)
         self._bump()
-        return DepEdge(sid, did, latency, distance, kind, key)
+        return edge
+
+    def edge_rows(self, kind: Optional[DepKind] = None) -> list[Row]:
+        """The edge table, optionally of one kind: :data:`Row` tuples in
+        :meth:`edges` order (``KINDS[row[5]]`` is the kind).  The
+        allocation-free form of :meth:`edges` for hot readers; callers
+        must not mutate the returned list."""
+        if kind is None:
+            return self._rows
+        cache_key = ("rows", kind)
+        cached = self._edge_cache.get(cache_key)
+        if cached is None:
+            code = KIND_CODE[kind]
+            cached = [r for r in self._rows if r[5] == code]
+            self._edge_cache[cache_key] = cached
+        return cached
+
+    def _all_edges(self) -> list[DepEdge]:
+        """Every edge as a :class:`DepEdge`, in table order (memoised)."""
+        cached = self._edge_cache.get("edges")
+        if cached is None:
+            # rows were checked on the way in: _make skips the checks
+            cached = [DepEdge._make((s, d, lat, dist, KINDS[k], key))
+                      for s, d, key, lat, dist, k in self._rows]
+            self._edge_cache["edges"] = cached
+        return cached
 
     def edges(self, kind: Optional[DepKind] = None) -> Iterator[DepEdge]:
         """Iterate all edges (optionally of a single kind), deterministic."""
+        if kind is None:
+            return iter(self._all_edges())
         cache_key = ("edges", kind)
         cached = self._edge_cache.get(cache_key)
         if cached is None:
-            if kind is None:
-                cached = [
-                    DepEdge(sid, did, attrs["latency"], attrs["distance"],
-                            attrs["kind"], key)
-                    for sid, did, key, attrs in sorted(
-                        self._g.edges(keys=True, data=True))]
-            else:
-                cached = [e for e in self.edges() if e.kind is kind]
+            cached = [e for e in self._all_edges() if e.kind is kind]
             self._edge_cache[cache_key] = cached
         return iter(cached)
 
     def data_edges(self) -> Iterator[DepEdge]:
         return self.edges(DepKind.DATA)
 
+    def _buckets(self, side: str) -> dict[int, list[DepEdge]]:
+        """Edges grouped by destination (``"in"``) or source (``"out"``),
+        each group in table order (memoised)."""
+        cached = self._edge_cache.get(("buckets", side))
+        if cached is None:
+            cached = {o: [] for o in self._ops}
+            if side == "in":
+                for e in self._all_edges():
+                    cached[e.dst].append(e)
+            else:
+                for e in self._all_edges():
+                    cached[e.src].append(e)
+            self._edge_cache[("buckets", side)] = cached
+        return cached
+
+    def _incident(self, side: str, op_id: int,
+                  kind: Optional[DepKind]) -> list[DepEdge]:
+        cache_key = (side, op_id, kind)
+        cached = self._edge_cache.get(cache_key)
+        if cached is None:
+            edges = self._buckets(side)[op_id]
+            cached = [e for e in edges if kind is None or e.kind is kind]
+            self._edge_cache[cache_key] = cached
+        return cached
+
     def in_edges(self, op_id: int,
                  kind: Optional[DepKind] = None) -> list[DepEdge]:
-        cache_key = ("in", op_id, kind)
-        cached = self._edge_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        out = []
-        for sid, did, key, attrs in sorted(
-                self._g.in_edges(op_id, keys=True, data=True)):
-            edge = DepEdge(sid, did, attrs["latency"], attrs["distance"],
-                           attrs["kind"], key)
-            if kind is None or edge.kind is kind:
-                out.append(edge)
-        self._edge_cache[cache_key] = out
-        return out
+        return self._incident("in", op_id, kind)
 
     def out_edges(self, op_id: int,
                   kind: Optional[DepKind] = None) -> list[DepEdge]:
-        cache_key = ("out", op_id, kind)
-        cached = self._edge_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        out = []
-        for sid, did, key, attrs in sorted(
-                self._g.out_edges(op_id, keys=True, data=True)):
-            edge = DepEdge(sid, did, attrs["latency"], attrs["distance"],
-                           attrs["kind"], key)
-            if kind is None or edge.kind is kind:
-                out.append(edge)
-        self._edge_cache[cache_key] = out
-        return out
+        return self._incident("out", op_id, kind)
 
     def consumers(self, op_id: int) -> list[DepEdge]:
         """DATA out-edges of *op_id* (each is one queue lifetime)."""
@@ -366,7 +365,11 @@ class Ddg:
         return self.in_edges(op_id, DepKind.DATA)
 
     def remove_edge(self, edge: DepEdge) -> None:
-        self._g.remove_edge(edge.src, edge.dst, key=edge.key)
+        rows = self._rows
+        i = bisect.bisect_left(rows, (edge.src, edge.dst, edge.key))
+        if i == len(rows) or rows[i][:3] != (edge.src, edge.dst, edge.key):
+            raise KeyError(f"no edge {edge.src}->{edge.dst} key {edge.key}")
+        del rows[i]
         self._bump()
 
     def fanout(self, op_id: int) -> int:
@@ -374,7 +377,7 @@ class Ddg:
         return len(self.consumers(op_id))
 
     def max_fanout(self) -> int:
-        return max((self.fanout(o) for o in self.op_ids), default=0)
+        return max((self.fanout(o) for o in self._sorted_ids()), default=0)
 
     # ----------------------------------------------------------- structure
 
@@ -390,45 +393,20 @@ class Ddg:
         self._edge_cache[cache_key] = out
         return out
 
-    def acyclic_condensation(self) -> nx.DiGraph:
-        """DAG over ops using only distance-0 edges (for height priority)."""
-        dag = nx.DiGraph()
-        dag.add_nodes_from(self._g.nodes)
-        for e in self.edges():
-            if e.distance == 0:
-                # parallel edges collapse to max latency
-                if dag.has_edge(e.src, e.dst):
-                    dag[e.src][e.dst]["latency"] = max(
-                        dag[e.src][e.dst]["latency"], e.latency)
-                else:
-                    dag.add_edge(e.src, e.dst, latency=e.latency)
-        return dag
-
     def has_zero_distance_cycle(self) -> bool:
         """A cycle of distance-0 edges makes the loop unschedulable."""
-        dag = self.acyclic_condensation()
-        return not nx.is_directed_acyclic_graph(dag)
+        return self.arrays().has_zero_distance_cycle()
 
     def recurrence_ops(self) -> set[int]:
         """Ops participating in some dependence cycle (recurrence circuit).
 
         Used to report which loops are recurrence-bound (Figs. 8 vs 9).
         """
-        plain = nx.DiGraph()
-        plain.add_nodes_from(self._g.nodes)
-        plain.add_edges_from((e.src, e.dst) for e in self.edges())
-        out: set[int] = set()
-        for scc in nx.strongly_connected_components(plain):
-            if len(scc) > 1:
-                out |= scc
-            else:
-                (node,) = scc
-                if plain.has_edge(node, node):
-                    out.add(node)
-        return out
+        arr = self.arrays()
+        return {arr.ids[i] for i in arr.cyc_nodes}
 
     def sum_latency(self) -> int:
-        return sum(op.latency for op in self.operations)
+        return sum(op.latency for op in self._sorted_ops())
 
     # -------------------------------------------------------------- copies
 
@@ -439,15 +417,15 @@ class Ddg:
         live-in operands as coming from a non-queue constant store, so such
         ops simply have fewer queue reads.
         """
-        return [o for o in self.op_ids if not self.producers(o)]
+        return [o for o in self._sorted_ids() if not self.producers(o)]
 
     def copy_ops(self) -> list[int]:
-        return [o for o in self.op_ids if self.op(o).is_copy]
+        return [op.op_id for op in self._sorted_ops() if op.is_copy]
 
     def source_ops(self) -> list[int]:
         """Ops that existed before compiler-inserted COPY/MOVE ops."""
-        return [o for o in self.op_ids
-                if not self.op(o).is_copy and not self.op(o).is_move]
+        return [op.op_id for op in self._sorted_ops()
+                if not op.is_copy and not op.is_move]
 
     # ------------------------------------------------------------- utility
 
@@ -455,41 +433,23 @@ class Ddg:
         """Return a copy of the graph with a different latency model.
 
         DATA edge latencies are recomputed from the (re-timed) producer
-        latencies; MEM/SEQ latencies are preserved.
+        latencies; MEM/SEQ latencies are preserved.  Parallel-edge keys are
+        renumbered 0, 1, ... as if every edge were re-added in order.
         """
-        out = Ddg(self.name, self.trip_count)
-        for op in self.operations:
-            out.insert_operation(model.retime(op))
-        for e in self.edges():
-            lat = out.op(e.src).latency if e.kind is DepKind.DATA else e.latency
-            out.add_dependence(e.src, e.dst, distance=e.distance,
-                               kind=e.kind, latency=lat)
-        return out
+        ops = [model.retime(op) for op in self._sorted_ops()]
+        lat = {op.op_id: op.latency for op in ops}
+        rows = keyed_rows([
+            (s, d, key, lat[s] if k == DATA_CODE else el, dist, k)
+            for s, d, key, el, dist, k in self._rows])
+        return Ddg.from_table(self.name, self.trip_count, ops, rows)
 
     def copy(self, name: Optional[str] = None) -> "Ddg":
-        """Deep copy (ops are frozen dataclasses and shared; the graph
-        structure -- including parallel-edge keys -- is copied wholesale
-        rather than rebuilt edge by edge)."""
+        """Deep copy (ops and edge rows are immutable and shared; the
+        containers holding them are copied)."""
         out = Ddg(name or self.name, self.trip_count)
-        out._g = _graph_copy(self._g)
+        out._ops = dict(self._ops)
+        out._rows = list(self._rows)
         out._next_id = self._next_id
-        return out
-
-    def _bulk_edit(self) -> _BulkEdit:
-        """Structural editor for hot graph transforms (see
-        :class:`_BulkEdit`; callers must finish with ``done()``)."""
-        return _BulkEdit(self)
-
-    def _data_out_raw(self, op_id: int) -> list[tuple[int, int, int, int]]:
-        """``(dst, key, latency, distance)`` per DATA out-edge of *op_id*
-        in (dst, key) order -- the tuple form of :meth:`consumers`
-        without :class:`DepEdge` construction (hot transforms only)."""
-        out = []
-        for dst, kd in self._g._succ[op_id].items():
-            for key, dd in kd.items():
-                if dd["kind"] is DepKind.DATA:
-                    out.append((dst, key, dd["latency"], dd["distance"]))
-        out.sort()
         return out
 
     def arrays(self) -> "DdgArrays":
@@ -512,7 +472,7 @@ class Ddg:
         return self.n_ops
 
     def __contains__(self, op_id: int) -> bool:
-        return op_id in self._g
+        return op_id in self._ops
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Ddg({self.name!r}, ops={self.n_ops}, "
@@ -522,7 +482,7 @@ class Ddg:
         """Multi-line human-readable dump used by examples and the CLI."""
         lines = [f"loop {self.name}: {self.n_ops} ops, {self.n_edges} deps, "
                  f"trip_count={self.trip_count}"]
-        for op in self.operations:
+        for op in self._sorted_ops():
             cons = ", ".join(
                 f"->{self.op(e.dst).name}"
                 + (f"[d={e.distance}]" if e.distance else "")
@@ -534,20 +494,21 @@ class Ddg:
 
 def merge_ddgs(name: str, parts: Iterable[Ddg],
                trip_count: Optional[int] = None) -> Ddg:
-    """Disjoint union of several DDGs (used by tests and the generator)."""
+    """Disjoint union of several DDGs (used by tests and the generator).
+
+    Ops are renumbered densely, part by part, in id order; *trip_count*
+    defaults to the parts' maximum."""
     parts = list(parts)
-    out = Ddg(name, trip_count or max((p.trip_count for p in parts),
-                                      default=100))
-    counter = itertools.count()
+    if trip_count is None:
+        trip_count = max((p.trip_count for p in parts), default=100)
+    ops: list[Operation] = []
+    rows: list[Row] = []
     for part in parts:
         remap: dict[int, int] = {}
-        for op in part.operations:
-            nid = next(counter)
-            remap[op.op_id] = nid
-            out.insert_operation(op.with_id(nid, origin=op.origin,
-                                            unroll_index=op.unroll_index))
-        for e in part.edges():
-            out.add_dependence(remap[e.src], remap[e.dst],
-                               distance=e.distance, kind=e.kind,
-                               latency=e.latency)
-    return out
+        for op in part._sorted_ops():
+            remap[op.op_id] = nid = len(ops)
+            ops.append(op.with_id(nid, origin=op.origin,
+                                  unroll_index=op.unroll_index))
+        rows.extend((remap[s], remap[d], key, lat, dist, k)
+                    for s, d, key, lat, dist, k in part._rows)
+    return Ddg.from_table(name, trip_count, ops, keyed_rows(rows))

@@ -1,10 +1,9 @@
-"""Struct-of-arrays lowering of a :class:`~repro.ir.ddg.Ddg`.
+"""Frozen CSR view of a :class:`~repro.ir.ddg.Ddg`.
 
 The schedulers walk dependence edges millions of times per corpus sweep;
-iterating :class:`~repro.ir.ddg.DepEdge` dataclasses (built from networkx
-attribute dicts, hashed by enum kind) dominates their profiles.  A
-:class:`DdgArrays` lowers one graph -- **once per loop** -- into flat
-integer arrays the inner loops index directly:
+iterating :class:`~repro.ir.ddg.DepEdge` objects dominates their
+profiles.  A :class:`DdgArrays` packs one graph -- **once per loop** --
+into flat integer arrays the inner loops index directly:
 
 * ``ids``/``index`` map dense op indices (0..n-1) to/from op ids;
 * ``latency``/``pool`` are per-op int vectors (``pool`` is the integer
@@ -17,10 +16,15 @@ integer arrays the inner loops index directly:
   Bellman-Ford passes (heights, RecMII);
 * a DATA-neighbourhood CSR (``nbr_ptr``/``nbr``) for cluster affinity;
 * strongly-connected-component ids plus the *cycle-restricted* edge list
-  ``cyc_edges`` over ``cyc_n`` compacted nodes: a positive dependence
-  cycle can only use edges inside one SCC, so RecMII's repeated
-  positive-cycle tests run on the (usually tiny) recurrence subgraph
-  instead of the whole loop body.
+  ``cyc_edges`` over the ``cyc_n`` nodes ``cyc_nodes`` of cyclic SCCs: a
+  positive dependence cycle can only use edges inside one SCC, so
+  RecMII's repeated positive-cycle tests run on the (usually tiny)
+  recurrence subgraph instead of the whole loop body.
+
+The graph's edge table is already in ``(src, dst, key)`` order, which is
+the out-CSR order, so the view is a transposition of the table, not a
+walk and re-sort.  The successor arrays *are* the flat edge arrays
+(``out_dst is e_dst``); all of them are read-only.
 
 Instances are immutable snapshots.  Obtain them through
 :meth:`Ddg.arrays`, which memoises on the graph's structural cache --
@@ -30,18 +34,24 @@ any mutation invalidates, the next call rebuilds.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.machine.resources import POOL_ID_FOR
 
-from .ddg import DepKind
+from .ddg import DATA_CODE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ddg import Ddg
 
 
 class DdgArrays:
-    """Immutable packed-array view of one loop DDG (see module doc)."""
+    """Immutable packed-array view of one loop DDG (see module doc).
+
+    The per-op vectors and the flat/successor edge arrays are built up
+    front; the predecessor CSR, the DATA neighbourhood, the SCC ids and
+    the cycle-restricted edges are built on first access (a front-end
+    intermediate such as an unrolled body only ever needs SCCs)."""
 
     __slots__ = (
         "n", "ids", "index", "latency", "pool", "produces",
@@ -49,15 +59,15 @@ class DdgArrays:
         "out_ptr", "out_dst", "out_lat", "out_dist", "out_data",
         "e_src", "e_dst", "e_lat", "e_dist",
         "nbr_ptr", "nbr",
-        "scc_id", "cyc_n", "cyc_edges",
+        "scc_id", "cyc_n", "cyc_nodes", "cyc_edges",
         "ii_cache",
     )
 
     def __init__(self, ddg: "Ddg") -> None:
         #: per-II derived-analysis memo (heights, priority orders, SMS
-        #: analyses -- all pure functions of (this lowering, II)).  II
+        #: analyses -- all pure functions of (this view, II)).  II
         #: drivers re-probe the same (loop, II) points across machines
-        #: and search modes; the memo rides the lowering, which itself
+        #: and search modes; the memo rides the view, which itself
         #: rides the Ddg's structural cache, so any mutation drops both.
         self.ii_cache: dict = {}
         ids = ddg.op_ids
@@ -66,78 +76,59 @@ class DdgArrays:
         self.n = n
         self.ids = ids
         self.index = index
-        ops = ddg.operations
+        ops = ddg._sorted_ops()
         self.latency = [op.latency for op in ops]
         self.pool = [POOL_ID_FOR[op.fu_type] for op in ops]
         self.produces = [op.produces_value for op in ops]
 
-        # one pass over the (src, dst, key)-sorted edge list buckets both
-        # CSRs in Ddg.in_edges / Ddg.out_edges order.  Walk the raw
-        # adjacency dicts instead of Ddg.edges(): ``index`` is monotone
-        # in op id and (iu, iv, key) is unique, so sorting the packed
-        # tuples reproduces the (src, dst, key) DepEdge order exactly
-        # without building a DepEdge per edge.
-        data = DepKind.DATA
-        raw = []
-        succ = ddg._g._succ
-        for u, nbrs in succ.items():
-            iu = index[u]
-            for v, keydict in nbrs.items():
-                iv = index[v]
-                for key, dd in keydict.items():
-                    raw.append((iu, iv, key, dd["latency"], dd["distance"],
-                                1 if dd["kind"] is data else 0))
-        raw.sort()
-        edges = [(t[0], t[1], t[3], t[4], t[5]) for t in raw]
-        m = len(edges)
-        self.e_src = [e[0] for e in edges]
-        self.e_dst = [e[1] for e in edges]
-        self.e_lat = [e[2] for e in edges]
-        self.e_dist = [e[3] for e in edges]
+        rows = ddg.edge_rows()
+        if rows:
+            src, dst, _key, lat, dist, kind = (list(c) for c in zip(*rows))
+        else:
+            src, dst, lat, dist, kind = [], [], [], [], []
+        if n and ids[-1] != n - 1:
+            # sparse ids (an op was removed): translate to dense indices;
+            # ``index`` is monotone, so the table order carries over
+            src = [index[o] for o in src]
+            dst = [index[o] for o in dst]
+        self.e_src = src
+        self.e_dst = self.out_dst = dst
+        self.e_lat = self.out_lat = lat
+        self.e_dist = self.out_dist = dist
+        self.out_data = [1 if k == DATA_CODE else 0 for k in kind]
+        self.out_ptr = array("i", [bisect_left(src, i)
+                                   for i in range(n + 1)])
 
-        out_ptr = array("i", bytes(4 * (n + 1)))
-        for s, _d, _l, _dd, _k in edges:
-            out_ptr[s + 1] += 1
-        for i in range(n):
-            out_ptr[i + 1] += out_ptr[i]
-        self.out_ptr = out_ptr
-        # edges are sorted by (src, dst, key): consecutive same-src runs
-        # land in CSR order without a second sort
-        self.out_dst = [e[1] for e in edges]
-        self.out_lat = [e[2] for e in edges]
-        self.out_dist = [e[3] for e in edges]
-        self.out_data = [e[4] for e in edges]
+    def __getattr__(self, name: str) -> object:
+        # only reached for an empty slot: build the group that fills it
+        build = _LAZY.get(name)
+        if build is None:
+            raise AttributeError(name)
+        build(self)
+        return object.__getattribute__(self, name)
 
-        in_ptr = array("i", bytes(4 * (n + 1)))
-        for _s, d, _l, _dd, _k in edges:
-            in_ptr[d + 1] += 1
-        for i in range(n):
-            in_ptr[i + 1] += in_ptr[i]
-        self.in_ptr = in_ptr
-        fill = list(in_ptr[:n])
-        in_src = [0] * m
-        in_lat = [0] * m
-        in_dist = [0] * m
-        in_data = [0] * m
-        for s, d, lat, dist, kind in edges:
-            j = fill[d]
-            fill[d] = j + 1
-            in_src[j] = s
-            in_lat[j] = lat
-            in_dist[j] = dist
-            in_data[j] = kind
-        self.in_src = in_src
-        self.in_lat = in_lat
-        self.in_dist = in_dist
-        self.in_data = in_data
+    def _build_in(self) -> None:
+        """Predecessor CSR: a stable sort by destination keeps each
+        bucket in (src, key) order, i.e. ``Ddg.in_edges`` order."""
+        src, dst = self.e_src, self.e_dst
+        order = sorted(range(len(dst)), key=dst.__getitem__)
+        by_dst = [dst[j] for j in order]
+        self.in_ptr = array("i", [bisect_left(by_dst, i)
+                                  for i in range(self.n + 1)])
+        self.in_src = [src[j] for j in order]
+        self.in_lat = [self.e_lat[j] for j in order]
+        self.in_dist = [self.e_dist[j] for j in order]
+        self.in_data = [self.out_data[j] for j in order]
 
-        # DATA neighbourhood (either direction, deduplicated, ascending)
-        nbr_sets: list[set[int]] = [set() for _ in range(n)]
-        for s, d, _l, _dd, kind in edges:
-            if kind and s != d:
+    def _build_nbr(self) -> None:
+        """DATA neighbourhood (either direction, deduplicated,
+        ascending)."""
+        nbr_sets: list[set[int]] = [set() for _ in range(self.n)]
+        for s, d, k in zip(self.e_src, self.e_dst, self.out_data):
+            if k and s != d:
                 nbr_sets[s].add(d)
                 nbr_sets[d].add(s)
-        nbr_ptr = array("i", bytes(4 * (n + 1)))
+        nbr_ptr = array("i", bytes(4 * (self.n + 1)))
         nbr: list[int] = []
         for i, ns in enumerate(nbr_sets):
             nbr.extend(sorted(ns))
@@ -145,12 +136,10 @@ class DdgArrays:
         self.nbr_ptr = nbr_ptr
         self.nbr = nbr
 
-        self.scc_id = _scc_ids(n, out_ptr, self.out_dst)
-        self._build_cycle_edges(edges)
+    def _build_scc(self) -> None:
+        self.scc_id = _scc_ids(self.n, self.out_ptr, self.out_dst)
 
-    def _build_cycle_edges(
-            self,
-            edges: list[tuple[int, int, int, int, int]]) -> None:
+    def _build_cycle_edges(self) -> None:
         """Compact the edges that can participate in a dependence cycle.
 
         An edge can only lie on a cycle when both endpoints share an SCC
@@ -158,6 +147,7 @@ class DdgArrays:
         Nodes of cyclic SCCs are renumbered 0..cyc_n-1.
         """
         scc = self.scc_id
+        src, dst = self.e_src, self.e_dst
         cyclic: set[int] = set()
         members: dict[int, int] = {}
         for c in scc:
@@ -165,18 +155,50 @@ class DdgArrays:
         for c, count in members.items():
             if count > 1:
                 cyclic.add(c)
-        for s, d, _l, _dd, _k in edges:
+        for s, d in zip(src, dst):
             if s == d:
                 cyclic.add(scc[s])
-        remap: dict[int, int] = {}
-        for i in range(self.n):
-            if scc[i] in cyclic:
-                remap[i] = len(remap)
+        self.cyc_nodes = [i for i in range(self.n) if scc[i] in cyclic]
+        remap = {i: c for c, i in enumerate(self.cyc_nodes)}
         self.cyc_n = len(remap)
         self.cyc_edges = [
             (remap[s], remap[d], lat, dist)
-            for s, d, lat, dist, _k in edges
+            for s, d, lat, dist in zip(src, dst, self.e_lat, self.e_dist)
             if scc[s] == scc[d] and scc[s] in cyclic]
+
+    def has_zero_distance_cycle(self) -> bool:
+        """Any cycle of distance-0 edges?  Restricted to the recurrence
+        subgraph (a distance-0 cycle is a cycle, so all its edges live in
+        ``cyc_edges``), then an iterative DFS 3-colouring."""
+        n = self.cyc_n
+        if not n:
+            return False
+        succs: list[list[int]] = [[] for _ in range(n)]
+        for s, d, _lat, dist in self.cyc_edges:
+            if dist == 0:
+                if s == d:
+                    return True
+                succs[s].append(d)
+        state = [0] * n  # 0 = white, 1 = on stack, 2 = done
+        for root in range(n):
+            if state[root]:
+                continue
+            stack = [(root, 0)]
+            state[root] = 1
+            while stack:
+                v, ptr = stack[-1]
+                if ptr < len(succs[v]):
+                    stack[-1] = (v, ptr + 1)
+                    w = succs[v][ptr]
+                    if state[w] == 1:
+                        return True
+                    if state[w] == 0:
+                        state[w] = 1
+                        stack.append((w, 0))
+                else:
+                    state[v] = 2
+                    stack.pop()
+        return False
 
 
 def _scc_ids(n: int, out_ptr: list[int],
@@ -225,3 +247,14 @@ def _scc_ids(n: int, out_ptr: list[int],
                             break
                     n_comps += 1
     return ids
+
+
+#: Lazily built slot -> the builder that fills it (with its group).
+_LAZY = {
+    **dict.fromkeys(("in_ptr", "in_src", "in_lat", "in_dist", "in_data"),
+                    DdgArrays._build_in),
+    **dict.fromkeys(("nbr_ptr", "nbr"), DdgArrays._build_nbr),
+    "scc_id": DdgArrays._build_scc,
+    **dict.fromkeys(("cyc_n", "cyc_nodes", "cyc_edges"),
+                    DdgArrays._build_cycle_edges),
+}

@@ -85,6 +85,9 @@ SOURCE_OPCODES = (
 )
 
 
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class Operation:
     """A single operation of a loop body.
@@ -165,16 +168,23 @@ class Operation:
         return replace(self, name=name)
 
     def with_id(self, op_id: int, *, origin: Optional[int] = None,
-                unroll_index: Optional[int] = None) -> "Operation":
-        """Return a copy with a fresh id (used by graph transforms)."""
-        return replace(
-            self,
-            op_id=op_id,
-            origin=self.op_id if origin is None else origin,
-            unroll_index=(
-                self.unroll_index if unroll_index is None else unroll_index
-            ),
-        )
+                unroll_index: Optional[int] = None,
+                name: Optional[str] = None) -> "Operation":
+        """Return a copy with a fresh id (used by graph transforms).
+
+        ``origin`` defaults to this op's id.  The graph transforms derive
+        every unrolled op and every copy this way, so the copy is built
+        field by field without re-validation: none of the fields that
+        may change takes part in it."""
+        new = object.__new__(Operation)
+        _set(new, "op_id", op_id)
+        _set(new, "opcode", self.opcode)
+        _set(new, "name", self.name if name is None else name)
+        _set(new, "latency", self.latency)
+        _set(new, "unroll_index",
+             self.unroll_index if unroll_index is None else unroll_index)
+        _set(new, "origin", self.op_id if origin is None else origin)
+        return new
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}<{self.opcode.mnemonic}@{self.fu_type.value}>"

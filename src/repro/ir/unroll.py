@@ -29,30 +29,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .ddg import Ddg
-from .operations import FuType, Operation
+from .ddg import Ddg, keyed_rows
+from .operations import FuType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
-
-
-def _op_clone(op: Operation, op_id: int, u: int) -> Operation:
-    """Replicate *op* as unroll copy *u* under a fresh id.
-
-    Equivalent to ``dataclasses.replace(op, op_id=..., origin=op.op_id,
-    unroll_index=u, name=...)`` but skips the field introspection and
-    re-validation (the source op is already validated and none of the
-    changed fields participate in validation) -- unrolling clones every
-    op ``factor`` times, so this runs thousands of times per sweep."""
-    new = object.__new__(Operation)
-    d = new.__dict__
-    d.update(op.__dict__)
-    d["op_id"] = op_id
-    d["origin"] = op.op_id
-    d["unroll_index"] = u
-    if u:
-        d["name"] = f"{op.name}.u{u}"
-    return new
 
 
 def unroll(ddg: Ddg, factor: int, *, name: Optional[str] = None) -> Ddg:
@@ -60,34 +41,32 @@ def unroll(ddg: Ddg, factor: int, *, name: Optional[str] = None) -> Ddg:
 
     ``factor == 1`` returns a plain copy.  Op names get an ``.u<k>`` suffix
     for copies ``k >= 1``; ``unroll_index`` and ``origin`` record provenance.
+    Copy ``u`` of the op at position ``p`` (in id order) gets id
+    ``u * n_ops + p``; parallel edges are keyed in emission order:
+    source edge order, then copy.
     """
     if factor < 1:
         raise ValueError("unroll factor must be >= 1")
     if factor == 1:
         return ddg.copy(name or ddg.name)
 
-    out = Ddg(name or f"{ddg.name}.x{factor}", ddg.trip_count)
-    # body replication is factor * (ops + edges) mutations: run it on the
-    # bulk editor (same networkx semantics as the per-call API, one
-    # deferred cache invalidation)
-    edit = out._bulk_edit()
-    # id of copy u of original op o
-    remap: dict[tuple[int, int], int] = {}
-    next_id = 0
-    for u in range(factor):
-        for op in ddg.operations:
-            edit.add_op(_op_clone(op, next_id, u))
-            remap[(op.op_id, u)] = next_id
-            next_id += 1
-
-    for e in ddg.edges():
-        src, dst, lat, dist, kind = (e.src, e.dst, e.latency, e.distance,
-                                     e.kind)
+    src_ops = ddg.operations
+    n = len(src_ops)
+    ops = [op.with_id(u * n + p, unroll_index=u,
+                      name=f"{op.name}.u{u}" if u else op.name)
+           for u in range(factor) for p, op in enumerate(src_ops)]
+    pos = {op.op_id: p for p, op in enumerate(src_ops)}
+    rows = []
+    seq = 0
+    for s, d, _key, lat, dist, kind in ddg.edge_rows():
+        ps, pd = pos[s], pos[d]
         for u in range(factor):
-            edit.add_edge(remap[(src, u)], remap[(dst, (u + dist) % factor)],
-                          lat, (u + dist) // factor, kind)
-    edit.done(next_id)
-    return out
+            v = u + dist
+            rows.append((u * n + ps, v % factor * n + pd, seq, lat,
+                         v // factor, kind))
+            seq += 1
+    return Ddg.from_table(name or f"{ddg.name}.x{factor}", ddg.trip_count,
+                          ops, keyed_rows(rows))
 
 
 @dataclass(frozen=True)

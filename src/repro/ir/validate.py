@@ -9,13 +9,8 @@ from __future__ import annotations
 
 from repro.machine.resources import POOL_ID_FOR
 
-from typing import TYPE_CHECKING
-
 from .ddg import Ddg
 from .operations import FuType
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ddgarrays import DdgArrays
 
 
 class DdgValidationError(ValueError):
@@ -69,7 +64,7 @@ def validate_ddg(ddg: Ddg, *, require_schedulable: bool = True,
                         f"{ddg.op(ids[d]).name} latency {arr.out_lat[j]} "
                         f"!= producer latency {latency[i]}")
 
-    if require_schedulable and _has_zero_distance_cycle(arr):
+    if require_schedulable and arr.has_zero_distance_cycle():
         problems.append("zero-distance dependence cycle (unschedulable)")
 
     # copy/move port discipline from the CSR DATA flags
@@ -109,41 +104,6 @@ def validate_ddg(ddg: Ddg, *, require_schedulable: bool = True,
 #: COPY and MOVE ops both map to the copy pool -- the only pool whose ops
 #: carry port-discipline invariants.
 _COPY_POOL = POOL_ID_FOR[FuType.COPY]
-
-
-def _has_zero_distance_cycle(arr: "DdgArrays") -> bool:
-    """Any cycle of distance-0 edges?  Restricted to the recurrence
-    subgraph (a distance-0 cycle is a cycle, so all its edges live in
-    ``cyc_edges``), then an iterative DFS 3-colouring."""
-    n = arr.cyc_n
-    if not n:
-        return False
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for s, d, _lat, dist in arr.cyc_edges:
-        if dist == 0:
-            if s == d:
-                return True
-            succs[s].append(d)
-    state = [0] * n  # 0 = white, 1 = on stack, 2 = done
-    for root in range(n):
-        if state[root]:
-            continue
-        stack = [(root, 0)]
-        state[root] = 1
-        while stack:
-            v, ptr = stack[-1]
-            if ptr < len(succs[v]):
-                stack[-1] = (v, ptr + 1)
-                w = succs[v][ptr]
-                if state[w] == 1:
-                    return True
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, 0))
-            else:
-                state[v] = 2
-                stack.pop()
-    return False
 
 
 def is_valid(ddg: Ddg, **kwargs: object) -> bool:

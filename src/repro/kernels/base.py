@@ -121,12 +121,16 @@ class KernelBackend:
         change the result.
         """
         h = [0] * arr.n
-        e_src = arr.e_src
-        e_dst = arr.e_dst
-        w = [lat - dist * ii for lat, dist in zip(arr.e_lat, arr.e_dist)]
+        # heights flow from consumers to producers, so sweeping the edges
+        # in reverse (src, dst) order converges in a pass or two on a
+        # body whose ids follow its dataflow
+        edges = list(zip(arr.e_src, arr.e_dst,
+                         [lat - dist * ii
+                          for lat, dist in zip(arr.e_lat, arr.e_dist)]))
+        edges.reverse()
         for _ in range(arr.n + 1):
             changed = False
-            for s, d, wt in zip(e_src, e_dst, w):
+            for s, d, wt in edges:
                 cand = h[d] + wt
                 if cand > h[s]:
                     h[s] = cand
@@ -164,6 +168,7 @@ class KernelBackend:
                 for s, d, lat, dist in zip(arr.e_src, arr.e_dst,
                                            arr.e_lat, arr.e_dist)
                 if dist == 0]
+        zero.reverse()   # see heights(): consumers first
         for _ in range(arr.n + 1):
             changed = False
             for s, d, lat in zero:

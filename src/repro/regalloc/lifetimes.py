@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from repro.ir.ddg import DepEdge
+from repro.ir.ddg import DepEdge, DepKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import ClusteredMachine
@@ -101,7 +101,7 @@ _SLOT_KINDS = (LocationKind.PRIVATE, LocationKind.RING_CW,
 
 
 def _slot(ca: int, cb: int, machine: Optional["ClusteredMachine"],
-          e: DepEdge) -> int:
+          src: int, dst: int) -> int:
     """Index into :data:`_SLOT_KINDS` of an edge from cluster *ca* to
     *cb*: same cluster, clockwise or counter-clockwise neighbour."""
     if ca == cb:
@@ -114,7 +114,7 @@ def _slot(ca: int, cb: int, machine: Optional["ClusteredMachine"],
     if (ca - 1) % n == cb:
         return 2
     raise ValueError(
-        f"edge {e.src}->{e.dst} spans non-adjacent clusters {ca},{cb}")
+        f"edge {src}->{dst} spans non-adjacent clusters {ca},{cb}")
 
 
 def location_of_edge(sched: "ModuloSchedule", e: DepEdge,
@@ -122,7 +122,7 @@ def location_of_edge(sched: "ModuloSchedule", e: DepEdge,
                      ) -> Location:
     """Classify the queue set a DATA edge uses."""
     ca = sched.cluster_of.get(e.src, 0)
-    slot = _slot(ca, sched.cluster_of.get(e.dst, 0), machine, e)
+    slot = _slot(ca, sched.cluster_of.get(e.dst, 0), machine, e.src, e.dst)
     return Location(_SLOT_KINDS[slot], ca)
 
 
@@ -146,18 +146,16 @@ def extract_lifetimes(sched: "ModuloSchedule",
     ii = sched.ii
     shared: dict[tuple[int, int], Location] = {}
     out: list[Lifetime] = []
-    for e in sched.ddg.data_edges():
-        src, dst = e.src, e.dst
+    for src, dst, key, lat, dist, _k in sched.ddg.edge_rows(DepKind.DATA):
         ca = cluster_of.get(src, 0)
         cb = cluster_of.get(dst, 0)
-        slot = 0 if ca == cb else _slot(ca, cb, machine, e)
+        slot = 0 if ca == cb else _slot(ca, cb, machine, src, dst)
         loc = shared.get((slot, ca))
         if loc is None:
             loc = shared[(slot, ca)] = Location(_SLOT_KINDS[slot], ca)
-        start = sigma[src] + e.latency
-        out.append(Lifetime(src, dst, e.key, start,
-                            sigma[dst] + e.distance * ii - start,
-                            e.distance, loc))
+        start = sigma[src] + lat
+        out.append(Lifetime(src, dst, key, start,
+                            sigma[dst] + dist * ii - start, dist, loc))
     return out
 
 

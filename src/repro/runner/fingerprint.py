@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.ir.ddg import Ddg
-    from repro.machine.cluster import ClusteredMachine
-    from repro.machine.machine import Machine
+from repro.ir.ddg import KINDS, Ddg
+from repro.machine.cluster import ClusteredMachine
+from repro.machine.machine import Machine
 
 #: Bump on any change to signature layout or cached-record semantics.
 #: v2: options signature gained the ``scheduler`` engine name.
@@ -34,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v5: options signature gained ``verify`` (the static schedule proof);
 #:     a verified and an unverified compile must never share a record.
 SCHEMA_VERSION = 5
+
+
+#: ``DepKind.value`` by edge-table kind code.
+_KIND_VALUES = tuple(kind.value for kind in KINDS)
 
 
 def canonical_json(obj: object) -> str:
@@ -58,8 +60,8 @@ def ddg_signature(ddg: "Ddg") -> dict:
         "trip": ddg.trip_count,
         "ops": [(op.op_id, op.opcode.mnemonic, op.latency)
                 for op in ddg.operations],
-        "edges": [(e.src, e.dst, e.key, e.latency, e.distance, e.kind.value)
-                  for e in ddg.edges()],
+        "edges": [(s, d, key, lat, dist, _KIND_VALUES[k])
+                  for s, d, key, lat, dist, k in ddg.edge_rows()],
     }
     ddg._edge_cache["fingerprint_sig"] = sig
     return sig
@@ -84,8 +86,6 @@ def _single_machine_signature(machine: "Machine") -> dict:
 
 def machine_signature(machine: "Machine | ClusteredMachine") -> dict:
     """Signature of a single-cluster or ring-clustered machine."""
-    from repro.machine.cluster import ClusteredMachine
-
     if isinstance(machine, ClusteredMachine):
         return {
             "kind": "clustered",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.metrics import LoopOutcome
 from repro.faults import fault_point

@@ -48,8 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from repro.ir.ddg import Ddg
 from repro.ir.validate import validate_ddg
 from repro.kernels import active as _kernel_backend
@@ -127,22 +125,45 @@ def time_bounds(ddg: Ddg, ii: int) -> tuple[dict[int, int], dict[int, int]]:
     return e_of, l_of
 
 
-def _dependence_graph(ddg: Ddg) -> "nx.DiGraph":
-    """Plain digraph of the DDG (all edge kinds, self-loops dropped)."""
-    g = nx.DiGraph()
-    g.add_nodes_from(ddg.op_ids)
-    g.add_edges_from((e.src, e.dst) for e in ddg.edges()
-                     if e.src != e.dst)
-    return g
+def _neighbours(ddg: Ddg) -> tuple[dict[int, set[int]],
+                                   dict[int, set[int]]]:
+    """Predecessor and successor sets of every op (all edge kinds,
+    self-loops dropped)."""
+    arr = ddg.arrays()
+    ids = arr.ids
+    preds: dict[int, set[int]] = {u: set() for u in ids}
+    succs: dict[int, set[int]] = {u: set() for u in ids}
+    for s, d in zip(arr.e_src, arr.e_dst):
+        if s != d:
+            succs[ids[s]].add(ids[d])
+            preds[ids[d]].add(ids[s])
+    return preds, succs
 
 
-def _node_sets(ddg: Ddg, g: "nx.DiGraph",
+def _reach(starts: set[int], nbrs: dict[int, set[int]]) -> set[int]:
+    """Every op reachable from *starts* along *nbrs*, *starts* included
+    (one multi-source search)."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _node_sets(ddg: Ddg, preds: dict[int, set[int]],
+               succs: dict[int, set[int]],
                criticality: dict[int, int]) -> list[list[int]]:
     """SMS node sets: recurrence SCCs by decreasing criticality, each
     preceded by the nodes on paths between already-covered sets and the
     new one, then everything left."""
-    sccs = [scc for scc in nx.strongly_connected_components(g)
-            if len(scc) > 1]
+    arr = ddg.arrays()
+    comps: dict[int, set[int]] = {}
+    for u, comp in zip(arr.ids, arr.scc_id):
+        comps.setdefault(comp, set()).add(u)
+    sccs = [scc for scc in comps.values() if len(scc) > 1]
     sccs.sort(key=lambda s: (-max(criticality[u] for u in s),
                              -len(s), min(s)))
     sets: list[list[int]] = []
@@ -151,21 +172,11 @@ def _node_sets(ddg: Ddg, g: "nx.DiGraph",
         if covered:
             # nodes on any directed path between the covered region and
             # this recurrence (either direction), excluding both ends
-            down = set()
-            for u in covered:
-                down.update(nx.descendants(g, u))
-            up = set()
-            for u in scc:
-                up.update(nx.ancestors(g, u))
-            between = (down & up) - covered - scc
+            between = ((_reach(covered, succs) & _reach(scc, preds))
+                       - covered - scc)
             if not between:
-                down_s = set()
-                for u in scc:
-                    down_s.update(nx.descendants(g, u))
-                up_c = set()
-                for u in covered:
-                    up_c.update(nx.ancestors(g, u))
-                between = (down_s & up_c) - covered - scc
+                between = ((_reach(scc, succs) & _reach(covered, preds))
+                           - covered - scc)
             if between:
                 sets.append(sorted(between))
                 covered |= between
@@ -188,9 +199,7 @@ def sms_order(ddg: Ddg, ii: int, *,
     """
     e_of, l_of, h = analysis or _analyse(ddg, ii)
     criticality = {u: e_of[u] + h[u] for u in ddg.op_ids}
-    g = _dependence_graph(ddg)
-    preds = {u: set(g.predecessors(u)) for u in g}
-    succs = {u: set(g.successors(u)) for u in g}
+    preds, succs = _neighbours(ddg)
 
     def seed_of(work: set[int]) -> int:
         return min(work, key=lambda u: (-criticality[u],
@@ -198,7 +207,7 @@ def sms_order(ddg: Ddg, ii: int, *,
 
     order: list[int] = []
     placed: set[int] = set()
-    for node_set in _node_sets(ddg, g, criticality):
+    for node_set in _node_sets(ddg, preds, succs, criticality):
         work = set(node_set)
         frontier = {u for u in work if preds[u] & placed}
         direction = "down"

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.ir.ddg import Ddg, DepEdge, DepKind
+from repro.ir.ddg import DATA_CODE, KINDS, Ddg, DepKind, Row
 from repro.ir.operations import FuType, Opcode, Operation
 from repro.machine.cluster import ClusteredMachine
 from repro.machine.machine import Machine, QueueBudget
@@ -175,9 +175,10 @@ def _check_structure(sched: ModuloSchedule, ddg: Ddg, n_clusters: int,
 # 2. dependences (+ bus latency on crossing edges)
 # ---------------------------------------------------------------------------
 
-def _edge_tag(ddg: Ddg, e: DepEdge) -> str:
-    return (f"{ddg.op(e.src).name} -> {ddg.op(e.dst).name} "
-            f"({e.kind.value}, lat={e.latency}, d={e.distance})")
+def _edge_tag(ddg: Ddg, e: Row) -> str:
+    src, dst, _key, lat, dist, kind = e
+    return (f"{ddg.op(src).name} -> {ddg.op(dst).name} "
+            f"({KINDS[kind].value}, lat={lat}, d={dist})")
 
 
 def _check_dependences(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
@@ -187,29 +188,30 @@ def _check_dependences(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
     cluster_of = sched.cluster_of
     ii = sched.ii
     passed = 0
-    for e in ddg.edges():
-        if e.src not in ok_ops or e.dst not in ok_ops:
+    for e in ddg.edge_rows():
+        src, dst, _key, lat, dist, kind = e
+        if src not in ok_ops or dst not in ok_ops:
             continue
-        slack = sigma[e.dst] + e.distance * ii - sigma[e.src] - e.latency
+        slack = sigma[dst] + dist * ii - sigma[src] - lat
         if slack < 0:
             out.append(Violation(
                 ViolationKind.DEPENDENCE,
                 f"dependence violated: {_edge_tag(ddg, e)} with "
-                f"sigma {sigma[e.src]} -> {sigma[e.dst]} at II={ii}",
-                inequality=(f"{sigma[e.dst]} + {e.distance}*{ii} - "
-                            f"{sigma[e.src]} - {e.latency} = {slack} "
+                f"sigma {sigma[src]} -> {sigma[dst]} at II={ii}",
+                inequality=(f"{sigma[dst]} + {dist}*{ii} - "
+                            f"{sigma[src]} - {lat} = {slack} "
                             f">= 0"),
-                ops=(e.src, e.dst)))
+                ops=(src, dst)))
             continue
-        if (xlat and e.kind is DepKind.DATA
-                and cluster_of.get(e.src, 0) != cluster_of.get(e.dst, 0)
+        if (xlat and kind == DATA_CODE
+                and cluster_of.get(src, 0) != cluster_of.get(dst, 0)
                 and slack < xlat):
             out.append(Violation(
                 ViolationKind.BUS_LATENCY,
                 f"crossing edge {_edge_tag(ddg, e)} pays only {slack} "
                 f"cycle(s) of the {xlat}-cycle inter-cluster bus",
                 inequality=f"slack {slack} >= bus latency {xlat}",
-                ops=(e.src, e.dst)))
+                ops=(src, dst)))
             continue
         passed += 1
     proved["dependence"] = passed
@@ -262,11 +264,12 @@ def _check_topology(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
                     proved: dict[str, int]) -> None:
     cluster_of = sched.cluster_of
     passed = 0
-    for e in ddg.data_edges():
-        if e.src not in ok_ops or e.dst not in ok_ops:
+    for e in ddg.edge_rows(DepKind.DATA):
+        src, dst = e[0], e[1]
+        if src not in ok_ops or dst not in ok_ops:
             continue
-        ca = cluster_of.get(e.src, 0)
-        cb = cluster_of.get(e.dst, 0)
+        ca = cluster_of.get(src, 0)
+        cb = cluster_of.get(dst, 0)
         hops = 0 if ca == cb else _ring_hops(ca, cb, n_clusters)
         if hops > 1:
             out.append(Violation(
@@ -274,7 +277,7 @@ def _check_topology(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
                 f"DATA edge {_edge_tag(ddg, e)} spans clusters "
                 f"{ca} -> {cb}, {hops} ring hops apart",
                 inequality=f"ring_hops({ca}, {cb}) = {hops} <= 1",
-                ops=(e.src, e.dst)))
+                ops=(src, dst)))
         else:
             passed += 1
     proved["topology"] = passed
@@ -329,7 +332,7 @@ def _queue_positions(queue: list[int], starts: list[int],
     return every + max(folded)
 
 
-def _fifo_proved(q: list[int], edges: list[DepEdge], starts: list[int],
+def _fifo_proved(q: list[int], edges: list[Row], starts: list[int],
                  lengths: list[int], ii: int, where: str,
                  out: list[Violation]) -> bool:
     """Whether every pair sharing queue *q* is Q-compatible; reports
@@ -342,9 +345,9 @@ def _fifo_proved(q: list[int], edges: list[DepEdge], starts: list[int],
                 a, b = edges[i], edges[j]
                 out.append(Violation(
                     ViolationKind.QUEUE_ORDER,
-                    f"{where}: lifetimes {a.src}->{a.dst} and "
-                    f"{b.src}->{b.dst} cannot share a FIFO at II={ii}",
-                    ops=(a.src, a.dst, b.src, b.dst)))
+                    f"{where}: lifetimes {a[0]}->{a[1]} and "
+                    f"{b[0]}->{b[1]} cannot share a FIFO at II={ii}",
+                    ops=(a[0], a[1], b[0], b[1])))
                 ok = False
     return ok
 
@@ -358,18 +361,18 @@ def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
     cluster_of = sched.cluster_of
     # lifetime i: DATA edge edges[i], written at starts[i] and read
     # lengths[i] cycles later -- flat lists, not an object per lifetime
-    edges: list[DepEdge] = []
+    edges: list[Row] = []
     starts: list[int] = []
     lengths: list[int] = []
     # location code -> its lifetimes; the code is kind index *
     # n_clusters + producer cluster, so codes sort in report order
     per_loc: dict[int, list[int]] = {}
-    for e in ddg.data_edges():
-        src, dst = e.src, e.dst
+    for e in ddg.edge_rows(DepKind.DATA):
+        src, dst, _key, lat, dist, _kind = e
         if src not in ok_ops or dst not in ok_ops:
             continue
-        start = sigma[src] + e.latency
-        length = sigma[dst] + e.distance * ii - start
+        start = sigma[src] + lat
+        length = sigma[dst] + dist * ii - start
         if length < 0:
             continue  # already reported as a dependence violation
         ca = cluster_of.get(src, 0)
@@ -400,8 +403,7 @@ def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
         if len(lifetimes) > 1:
             # the hardware allocator's order: (start, length, edge)
             lifetimes.sort(key=lambda i: (starts[i], lengths[i],
-                                          edges[i].src, edges[i].dst,
-                                          edges[i].key))
+                                          edges[i][:3]))
         # deterministic greedy first-fit, as the hardware allocator packs;
         # a queue already holding the incoming start residue is skipped
         # untested (delta == 0 is never Q-compatible)
@@ -437,7 +439,7 @@ def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
                     f"values ({len(q)} lifetimes)",
                     inequality=(f"MaxLive {depth} <= positions "
                                 f"{budget.positions}"),
-                    ops=tuple(edges[i].src for i in q)))
+                    ops=tuple(edges[i][0] for i in q)))
             else:
                 passed += 1
         if enforce_budget and len(queues) > limits[k]:

@@ -1,4 +1,4 @@
-"""Shared fixtures: machines, kernels, and corpus samples."""
+"""Shared fixtures: machines, kernels, corpus samples and graph oracles."""
 
 from __future__ import annotations
 
@@ -115,3 +115,28 @@ def synth_small():
     rng = random.Random(7)
     loops = [generate_loop(rng, cfg, i) for i in range(cfg.n_loops)]
     return loops[:12]
+
+
+def _reachable(n: int, edges) -> list[set[int]]:
+    """Brute-force reachability over nodes ``0..n-1``: entry ``u`` is every
+    node reachable from ``u`` along one or more of *edges*."""
+    succ: list[set[int]] = [set() for _ in range(n)]
+    for s, d in edges:
+        succ[s].add(d)
+    out = []
+    for u in range(n):
+        seen: set[int] = set()
+        stack = list(succ[u])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(succ[v])
+        out.append(seen)
+    return out
+
+
+@pytest.fixture(scope="session")
+def reachability():
+    """The brute-force reachability oracle (see :func:`_reachable`)."""
+    return _reachable

@@ -133,6 +133,28 @@ class TestMutation:
         ddg.remove_edge(e)
         assert ddg.producers(1) == []
 
+    def test_parallel_edge_keys_skip_keys_in_use(self):
+        # the key is the number of parallel edges, bumped past keys still
+        # in use (networkx's MultiDiGraph rule, which edge order and job
+        # keys depend on)
+        ddg = Ddg("k")
+        x = ddg.add_operation(Opcode.LOAD, name="x")
+        y = ddg.add_operation(Opcode.MUL, name="y")
+        e0, _e1, _e2 = (ddg.add_dependence(x, y) for _ in range(3))
+        ddg.remove_edge(e0)
+        assert ddg.add_dependence(x, y).key == 3
+        assert [e.key for e in ddg.producers(y.op_id)] == [1, 2, 3]
+        # retiming re-adds every edge in order: keys renumber from 0
+        fast = ddg.retimed(LatencyModel({Opcode.LOAD: 5}))
+        assert [e.key for e in fast.producers(y.op_id)] == [0, 1, 2]
+
+    def test_remove_missing_edge_raises(self):
+        ddg = simple_ddg()
+        (e,) = ddg.producers(1)
+        ddg.remove_edge(e)
+        with pytest.raises(KeyError):
+            ddg.remove_edge(e)
+
     def test_replace_operation(self):
         ddg = simple_ddg()
         ddg.replace_operation(ddg.op(1).renamed("bb"))
@@ -191,3 +213,16 @@ class TestMerge:
         merged = merge_ddgs("m", [b.build(), b.build()])
         carried = [e for e in merged.data_edges() if e.distance == 2]
         assert len(carried) == 2
+
+    def test_merge_rejects_zero_trip_count(self):
+        b = LoopBuilder("z")
+        b.store("s", b.load("x"))
+        with pytest.raises(ValueError, match="trip_count"):
+            merge_ddgs("m", [b.build()], trip_count=0)
+
+    def test_merge_keeps_parallel_edge_keys(self):
+        b = LoopBuilder("sq")
+        x = b.load("x")
+        b.store("s", b.mul("xx", x, x))
+        merged = merge_ddgs("m", [b.build(), b.build()])
+        assert [e.key for e in merged.producers(4)] == [0, 1]

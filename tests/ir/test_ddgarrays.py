@@ -1,6 +1,5 @@
 """DdgArrays must agree edge-for-edge with the object-graph API."""
 
-import networkx as nx
 import pytest
 
 from repro.ir.ddg import DepKind
@@ -48,28 +47,29 @@ def test_csr_matches_edge_objects(ddg):
 
 
 @pytest.mark.parametrize("ddg", list(_graphs()), ids=lambda d: d.name)
-def test_scc_and_cycle_edges_match_networkx(ddg):
+def test_scc_and_cycle_edges_match_networkx(ddg, reachability):
+    """SCCs and cycle edges against a brute-force reachability oracle
+    (named for the networkx oracle it replaced)."""
     arr = ddg.arrays()
-    g = nx.DiGraph()
-    g.add_nodes_from(range(arr.n))
-    g.add_edges_from(zip(arr.e_src, arr.e_dst))
-    expected = list(nx.strongly_connected_components(g))
-    # same partition of nodes into components
+    reach = reachability(arr.n, zip(arr.e_src, arr.e_dst))
+    # same partition of nodes into components: u and v share one iff
+    # each reaches the other
+    expected = {frozenset({u} | {v for v in reach[u] if u in reach[v]})
+                for u in range(arr.n)}
     got: dict[int, set] = {}
     for i, c in enumerate(arr.scc_id):
         got.setdefault(c, set()).add(i)
     assert sorted(map(sorted, got.values())) \
         == sorted(map(sorted, expected))
-    # cycle-restricted edges: exactly the edges inside a cyclic SCC
-    cyclic_nodes = set()
-    for comp in expected:
-        if len(comp) > 1 or any(g.has_edge(v, v) for v in comp):
-            cyclic_nodes |= comp
+    # cycle-restricted edges: exactly the edges inside a cyclic SCC (a
+    # node is on a cycle iff it reaches itself)
+    cyclic_nodes = {u for u in range(arr.n) if u in reach[u]}
     n_expected = sum(1 for s, d in zip(arr.e_src, arr.e_dst)
                      if s in cyclic_nodes and d in cyclic_nodes
                      and arr.scc_id[s] == arr.scc_id[d])
     assert len(arr.cyc_edges) == n_expected
     assert arr.cyc_n == len(cyclic_nodes)
+    assert {arr.ids[i] for i in cyclic_nodes} == ddg.recurrence_ops()
     # the compacted subgraph preserves every cycle's latency/distance sums
     for s, d, lat, dist in arr.cyc_edges:
         assert 0 <= s < arr.cyc_n and 0 <= d < arr.cyc_n

@@ -19,10 +19,7 @@ def test_valid_loop_passes():
 def test_zero_distance_self_edge():
     ddg = Ddg("bad")
     a = ddg.add_operation(Opcode.ADD, name="a")
-    # bypass builder checks by adding the raw edge
-    ddg._g.add_edge(a.op_id, a.op_id, latency=1, distance=0,
-                    kind=DepKind.DATA)
-    ddg._bump()
+    ddg.add_dependence(a, a, distance=0, kind=DepKind.DATA, latency=1)
     with pytest.raises(DdgValidationError):
         validate_ddg(ddg)
 
@@ -32,9 +29,7 @@ def test_zero_distance_cycle():
     a = ddg.add_operation(Opcode.ADD, name="a")
     b = ddg.add_operation(Opcode.ADD, name="b")
     ddg.add_dependence(a, b, distance=0)
-    ddg._g.add_edge(b.op_id, a.op_id, latency=1, distance=0,
-                    kind=DepKind.DATA)
-    ddg._bump()
+    ddg.add_dependence(b, a, distance=0, kind=DepKind.DATA, latency=1)
     with pytest.raises(DdgValidationError, match="cycle"):
         validate_ddg(ddg)
 
@@ -43,9 +38,7 @@ def test_data_latency_mismatch():
     ddg = Ddg("lat")
     a = ddg.add_operation(Opcode.LOAD, name="a")   # latency 2
     b = ddg.add_operation(Opcode.STORE, name="b")
-    ddg._g.add_edge(a.op_id, b.op_id, latency=1, distance=0,
-                    kind=DepKind.DATA)
-    ddg._bump()
+    ddg.add_dependence(a, b, distance=0, kind=DepKind.DATA, latency=1)
     with pytest.raises(DdgValidationError, match="latency"):
         validate_ddg(ddg)
 

@@ -92,9 +92,8 @@ class TestSearchControls:
         a = ddg.add_operation(Opcode.ADD, name="a")
         b = ddg.add_operation(Opcode.ADD, name="b")
         ddg.add_dependence(a, b)
-        ddg._g.add_edge(b.op_id, a.op_id, latency=1, distance=0,
-                        kind=DepKind.DATA)
-        ddg._bump()
+        ddg.add_dependence(b, a, distance=0, kind=DepKind.DATA,
+                           latency=1)
         with pytest.raises(Exception):
             modulo_schedule(ddg, qrf_machine(4))
 

@@ -136,8 +136,7 @@ class TestZeroDistanceCycle:
         a = ddg.add_operation(Opcode.ADD, name="a")
         b2 = ddg.add_operation(Opcode.ADD, name="b")
         ddg.add_dependence(a, b2, distance=0)
-        ddg._g.add_edge(b2.op_id, a.op_id, latency=1, distance=0,
-                        kind=DepKind.DATA)
-        ddg._bump()
+        ddg.add_dependence(b2, a, distance=0, kind=DepKind.DATA,
+                           latency=1)
         with pytest.raises(ValueError, match="cycle"):
             rec_mii(ddg)

@@ -1,5 +1,12 @@
 """The README's public API surface must exist and work as documented."""
 
+import ast
+import importlib
+import pathlib
+import typing
+
+import pytest
+
 import repro
 
 
@@ -32,3 +39,33 @@ def test_clustered_flow():
 
 def test_mii_exports():
     assert repro.mii(repro.daxpy_example(), repro.qrf_machine(4)) == 2
+
+
+@pytest.mark.parametrize("module", ["repro.runner", "repro.ir"])
+def test_annotations_resolve(module):
+    """Every exported callable's annotations name importable types (mypy
+    checks them statically; this catches names only mypy would see)."""
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if callable(obj):
+            typing.get_type_hints(obj)
+
+
+def test_no_module_imports_networkx():
+    """The IR is self-contained: no module of the package imports
+    networkx (it is not a dependency)."""
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "networkx" for n in names):
+                offenders.append(str(path.relative_to(root)))
+    assert not offenders
