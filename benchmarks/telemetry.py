@@ -79,18 +79,10 @@ def provenance() -> dict:
     if _PROVENANCE is None:
         host = hashlib.sha256(
             socket.gethostname().encode("utf-8", "replace")).hexdigest()
-        try:
-            # the backend changes wall time, never results -- record it so
-            # the perf trajectory can be grouped per backend
-            from repro.kernels import active_name
-            kernels = active_name()
-        except Exception:  # telemetry.py also runs standalone (check/update)
-            kernels = "unknown"
         _PROVENANCE = {
             "git_sha": _git_sha(),
             "host": host[:12],
             "python": platform.python_version(),
-            "kernels": kernels,
         }
     return dict(_PROVENANCE)
 

@@ -234,11 +234,9 @@ def cmd_trace(args) -> int:
                        partitioner=args.partitioner,
                        ii_search=args.ii_search)
     wall = time.perf_counter() - t0
-    from repro.kernels import active_name
     print(f"{args.kernel}: II={res.schedule.ii} "
           f"stages={res.schedule.stage_count} "
-          f"dynamic IPC {res.sim.dynamic_ipc:.2f} "
-          f"(kernels={active_name()})")
+          f"dynamic IPC {res.sim.dynamic_ipc:.2f}")
     print()
     print(stage_breakdown(trace_snapshot(), wall_s=wall))
     return 0
@@ -275,31 +273,6 @@ def cmd_partitioners(args) -> int:
     for name, descr in partitioner_descriptions().items():
         default = "  (default)" if name == DEFAULT_PARTITIONER else ""
         print(f"{name:<14} {descr}{default}")
-    return 0
-
-
-def cmd_kernels(args) -> int:
-    """List the compute-kernel backends (``repro.kernels``): which are
-    importable here, what ``auto`` resolves to, and which one is active
-    after the environment / ``--kernels`` flag is applied."""
-    from repro import kernels as _k
-
-    info = _k.backend_info()
-    for row in info["backends"]:
-        name = row["name"]
-        marks = []
-        if name == info["active"]:
-            marks.append("active")
-        if name == info["auto_resolves_to"]:
-            marks.append("auto")
-        avail = "" if row.get("available", True) else "  [unavailable]"
-        tag = f"  ({', '.join(marks)})" if marks else ""
-        print(f"{name:<8} {row['description']}{avail}{tag}")
-    print(f"numpy importable: {'yes' if info['numpy_available'] else 'no'}")
-    print(f"auto resolves to: {info['auto_resolves_to']}")
-    env = info["env"]
-    print(f"selection: {info['requested']}"
-          + (f"  (REPRO_KERNELS={env})" if env else ""))
     return 0
 
 
@@ -720,14 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "'seed=7;pool.worker=crash:0.05;cache.put="
                         "torn:0.2' (equivalent to $REPRO_FAULTS; "
                         "chaos testing only)")
-    from repro.kernels import CHOICES as KERNEL_BACKEND_CHOICES
-    p.add_argument("--kernels", default=None, metavar="BACKEND",
-                   choices=list(KERNEL_BACKEND_CHOICES),
-                   dest="kernel_backend",
-                   help="compute-kernel backend: "
-                        f"{', '.join(KERNEL_BACKEND_CHOICES)} "
-                        "(default: $REPRO_KERNELS or auto; results are "
-                        "identical, only speed differs)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("corpus", help="corpus statistics")
@@ -797,9 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("schedulers",
                    help="list the registered scheduling engines")
-    sub.add_parser("kernels",
-                   help="list the compute-kernel backends (python/numpy) "
-                        "and show which one is active")
     sub.add_parser("partitioners",
                    help="list the registered cluster-partitioning engines")
 
@@ -951,14 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.kernel_backend:
-        from repro import kernels as _k
-
-        try:
-            _k.set_backend(args.kernel_backend)
-        except (ValueError, RuntimeError) as exc:
-            print(f"repro-vliw: --kernels: {exc}", file=sys.stderr)
-            return 2
     if args.faults:
         from repro.faults import enable_faults
 
@@ -975,7 +929,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "experiment": cmd_experiment,
         "schedulers": cmd_schedulers,
         "partitioners": cmd_partitioners,
-        "kernels": cmd_kernels,
         "verify": cmd_verify,
         "report": cmd_report,
         "bench": cmd_bench,

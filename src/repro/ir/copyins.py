@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
-from repro.kernels import active as _kernel_backend
+from repro.kernels import zero_heights
 
 from .ddg import DATA_CODE, Ddg, DepKind, Row
 from .operations import Opcode, Operation
@@ -135,7 +135,7 @@ def insert_copies(ddg: Ddg, *, strategy: CopyStrategy = "slack",
     arr = ddg.arrays()
     index = arr.index
     # criticality inputs, all in packed (op-index) form
-    heights = _kernel_backend().zero_heights(arr)
+    heights = zero_heights(arr)
     scc = arr.scc_id
     scc_sizes = [0] * (max(scc) + 1 if scc else 0)
     for comp in scc:

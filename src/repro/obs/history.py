@@ -62,14 +62,10 @@ def rows_from_record(record: dict, *,
 
     Works on schema-1 records (no provenance block) and schema-2 ones
     (``git_sha`` comes from ``record["provenance"]``); the *git_sha*
-    argument overrides both.  Rows carry the kernel backend the record
-    was measured under (``provenance["kernels"]``); records predating
-    the backend field were measured by the pure-Python loops, so they
-    default to ``python``.
+    argument overrides both.
     """
     provenance = record.get("provenance") or {}
     sha = git_sha or provenance.get("git_sha") or "unknown"
-    backend = provenance.get("kernels") or "python"
     ts = record.get("timestamp") or ""
     bench = record.get("name") or "unknown"
     rows = []
@@ -77,8 +73,7 @@ def rows_from_record(record: dict, *,
     metrics.update(record.get("metrics") or {})
     for metric, value in _flatten(metrics):
         rows.append({"bench": bench, "metric": metric, "value": value,
-                     "git_sha": sha, "timestamp": ts,
-                     "backend": backend})
+                     "git_sha": sha, "timestamp": ts})
     return rows
 
 
@@ -102,11 +97,10 @@ class BenchHistory:
 
     def append(self, rows: Sequence[dict]) -> int:
         """Append *rows*, skipping exact (bench, metric, git_sha,
-        timestamp, backend) duplicates already present; returns rows
-        written."""
+        timestamp) duplicates already present; returns rows written."""
         def _ident(r: dict) -> tuple:
             return (r["bench"], r["metric"], r["git_sha"],
-                    r["timestamp"], r.get("backend") or "python")
+                    r["timestamp"])
 
         seen = {_ident(r) for r in self.load()}
         fresh = [r for r in rows if _ident(r) not in seen]
@@ -156,7 +150,6 @@ class TrendStat:
     metric: str
     latest: Optional[float]
     n_history: int
-    backend: str = "python"
     median: Optional[float] = None
     mad: Optional[float] = None
     z: Optional[float] = None
@@ -183,8 +176,7 @@ class TrendStat:
             detail += f", ratio {self.ratio:.2f}x"
         tag = "REGRESSION" if self.regressed else "ok"
         return (f"{self.bench}/{self.metric}: {detail} "
-                f"[{self.test}, n={self.n_history}, "
-                f"{self.backend}] -- {tag}")
+                f"[{self.test}, n={self.n_history}] -- {tag}")
 
 
 def _median(values: Sequence[float]) -> float:
@@ -258,19 +250,11 @@ def trend_stats(history: BenchHistory, records: Sequence[dict], *,
     test); rows already in *history* with the same (bench, git_sha,
     timestamp) identity are excluded from the comparison window, so
     appending before gating does not let a run vouch for itself.
-
-    The comparison window is restricted to rows measured under the same
-    kernel backend as the record under test: a numpy-backed run is
-    gated against numpy history only (and vice versa), so switching
-    backends can never trip -- or mask -- the MAD gate by mixing two
-    different performance regimes into one series.
     """
     series = history.series()
     stats: list[TrendStat] = []
     for record in sorted(records, key=lambda r: r.get("name") or ""):
         bench = record.get("name") or "unknown"
-        backend = (record.get("provenance") or {}).get("kernels") \
-            or "python"
         newest = rows_from_record(record)
         newest_ids = {(r["git_sha"], r["timestamp"]) for r in newest}
         latest_by_metric = {r["metric"]: r["value"] for r in newest}
@@ -285,15 +269,13 @@ def trend_stats(history: BenchHistory, records: Sequence[dict], *,
         for metric in gated:
             prior = [r["value"]
                      for r in series.get((bench, metric), [])
-                     if (r["git_sha"], r["timestamp"]) not in newest_ids
-                     and (r.get("backend") or "python") == backend]
+                     if (r["git_sha"], r["timestamp"]) not in newest_ids]
             latest = latest_by_metric.get(metric)
             if latest is None and not prior:
                 continue
             stat = evaluate_metric(
                 prior, latest, bench=bench, metric=metric, window=window,
                 z_threshold=z_threshold, ratio=ratio)
-            stat.backend = backend
             stats.append(stat)
     return stats
 

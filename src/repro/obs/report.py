@@ -42,7 +42,7 @@ def trend_table(stats: Sequence[TrendStat]) -> str:
     """Render per-metric trend rows (the ``repro-vliw report`` body)."""
     if not stats:
         return "no benchmark records to report on"
-    lines = [f"{'benchmark':<28} {'metric':<10} {'kernels':<8} "
+    lines = [f"{'benchmark':<28} {'metric':<10} "
              f"{'runs':>4} {'latest':>9} {'median':>9} {'trend':<16} "
              f"verdict"]
     for s in stats:
@@ -53,7 +53,7 @@ def trend_table(stats: Sequence[TrendStat]) -> str:
             verdict += f" (z={s.z:.2f})"
         elif s.test == "ratio" and s.ratio is not None:
             verdict += f" ({s.ratio:.2f}x)"
-        lines.append(f"{s.bench:<28} {s.metric:<10} {s.backend:<8} "
+        lines.append(f"{s.bench:<28} {s.metric:<10} "
                      f"{s.n_history:>4d} "
                      f"{latest:>9} {median:>9} "
                      f"{sparkline(s.history + ([s.latest] if s.latest is not None else [])):<16} "
@@ -192,10 +192,7 @@ def render_dashboard(history: BenchHistory, stats: Sequence[TrendStat], *,
     cards = []
     for bench in sorted(by_bench):
         s = by_bench[bench]
-        # the sparkline must stay in one performance regime: only rows
-        # measured under the same kernel backend as the gated stat
-        rows = [r for r in series.get((bench, "wall_s"), [])
-                if (r.get("backend") or "python") == s.backend]
+        rows = series.get((bench, "wall_s"), [])
         values = [r["value"] for r in rows]
         labels = [f'{r.get("git_sha", "")} {r.get("timestamp", "")}'
                   for r in rows]
@@ -290,15 +287,6 @@ def prometheus_text(snapshot: dict) -> str:
     _metric(lines, "repro_uptime_seconds", "gauge",
             "Seconds since the service started.",
             [("", float(snapshot.get("uptime_s", 0.0)))])
-
-    kernels = snapshot.get("kernels") or {}
-    if kernels.get("active"):
-        _metric(lines, "repro_kernels_info", "gauge",
-                "Active compute-kernel backend (labels carry the "
-                "selection).",
-                [(f'{{backend="{_sanitize(str(kernels["active"]))}",'
-                  f'requested="{_sanitize(str(kernels.get("requested", "auto")))}"}}',
-                  1)])
 
     service_counters = {
         "requests": "Submit requests received.",

@@ -25,12 +25,6 @@ A :class:`SchedArena` owns those buffers across attempts, loops and jobs:
   ``resets`` (attempt begins) feed the perf telemetry
   (``ARENA_COUNTERS.json`` in CI) so arena effectiveness is observable,
   not assumed.
-* **Backend-native buffers** -- pooled tables carry whatever scratch the
-  active kernel backend (:mod:`repro.kernels`) hangs off them (e.g. the
-  numpy backend's zero-copy int32 count-vector views), so the vectorised
-  paths stay allocation-free across attempts exactly like the packed
-  buffers themselves; ``counters()`` records which backend the process
-  ran so the CI artifact attributes the numbers correctly.
 
 The module-global arena (:func:`global_arena`) is what the II drivers
 use by default; worker processes each get their own copy-on-fork
@@ -41,7 +35,6 @@ tests that poke at attempt state get fresh, unshared buffers.
 
 from __future__ import annotations
 
-from repro.kernels import active_name as _kernel_name
 from repro.machine.cluster import ClusteredMachine
 
 from .mrt import PackedMRT
@@ -124,8 +117,7 @@ class SchedArena:
         """Counters for telemetry records and the CI artifact."""
         return {"generation": self.generation, "resets": self.resets,
                 "hits": self.hits, "allocs": self.allocs,
-                "pooled_mrts": len(self._mrts),
-                "kernels": _kernel_name()}
+                "pooled_mrts": len(self._mrts)}
 
 
 #: Process-wide arena used by the II drivers.  Fork-based sweep workers

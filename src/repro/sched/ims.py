@@ -28,7 +28,6 @@ from typing import Optional
 
 from repro.ir.ddg import Ddg
 from repro.ir.validate import validate_ddg
-from repro.kernels import active as _kernel_backend
 from repro.machine.machine import Machine
 
 from .arena import SchedArena, global_arena
@@ -99,11 +98,6 @@ def try_schedule_at_ii(ddg: Ddg, machine: Machine, ii: int, *,
     sig = [-1] * n          # issue time per op index (-1 = unscheduled)
     last_time = [-1] * n
     unscheduled = set(order)
-    # wide-fan-in ops take the kernel backend's gathered earliest-start;
-    # narrow ones keep the inline CSR walk (identical results)
-    backend = _kernel_backend()
-    arrival_min = backend.arrival_batch_min
-    backend_estart = backend.estart
     # table hoists: the full-row mask list and caps array are mutated in
     # place (never reassigned) during an attempt, so the inlined
     # first_free below -- same mask rotation as PackedMRT.first_free --
@@ -129,16 +123,13 @@ def try_schedule_at_ii(ddg: Ddg, machine: Machine, ii: int, *,
         i = order[cursor]
         unscheduled.discard(i)
 
-        if in_ptr[i + 1] - in_ptr[i] >= arrival_min:
-            est = backend_estart(arr, i, sig, ii)
-        else:
-            est = 0
-            for j in range(in_ptr[i], in_ptr[i + 1]):
-                t = sig[in_src[j]]
-                if t >= 0:
-                    cand = t + in_lat[j] - in_dist[j] * ii
-                    if cand > est:
-                        est = cand
+        est = 0
+        for j in range(in_ptr[i], in_ptr[i + 1]):
+            t = sig[in_src[j]]
+            if t >= 0:
+                cand = t + in_lat[j] - in_dist[j] * ii
+                if cand > est:
+                    est = cand
 
         # inlined PackedMRT.first_free (one probe per placement, the
         # attempt's hottest expression)

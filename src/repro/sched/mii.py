@@ -22,7 +22,7 @@ from typing import Protocol
 
 from repro.ir.ddg import Ddg
 from repro.ir.operations import FuType
-from repro.kernels import active as _kernel_backend
+from repro.kernels import cycle_tester
 
 
 class _HasCapacity(Protocol):  # Machine or ClusteredMachine
@@ -44,11 +44,6 @@ def res_mii(ddg: Ddg, machine: _HasCapacity) -> int:
     return bound
 
 
-def _edge_list(ddg: Ddg) -> list[tuple[int, int, int, int]]:
-    """(src, dst, latency, distance) for every edge (all kinds order)."""
-    return [(e.src, e.dst, e.latency, e.distance) for e in ddg.edges()]
-
-
 def _cycle_edges(ddg: Ddg) -> tuple[int, list[tuple[int, int, int, int]]]:
     """Node count + index-mapped edges of the *cycle-restricted* subgraph.
 
@@ -60,26 +55,6 @@ def _cycle_edges(ddg: Ddg) -> tuple[int, list[tuple[int, int, int, int]]]:
     """
     arr = ddg.arrays()
     return arr.cyc_n, arr.cyc_edges
-
-
-def _positive_cycle(n: int, edges: list[tuple[int, int, int, int]],
-                    ii: float) -> bool:
-    """Bellman-Ford longest-path over index-mapped edges: does any cycle
-    have ``sum(lat) - ii * sum(dist) > eps``?  Runs on the active kernel
-    backend (:mod:`repro.kernels`); decision-identical across backends.
-    Bisections build one tester via ``cycle_tester`` instead of calling
-    this per probe."""
-    return _kernel_backend().positive_cycle(n, edges, ii)
-
-
-def _has_positive_cycle(nodes: list[int],
-                        edges: list[tuple[int, int, int, int]],
-                        ii: float) -> bool:
-    """Positive-cycle test over op-id-keyed edges (indexes, then runs
-    :func:`_positive_cycle`)."""
-    idx = {node: i for i, node in enumerate(nodes)}
-    es = [(idx[s], idx[d], lat, dd) for s, d, lat, dd in edges]
-    return _positive_cycle(len(nodes), es, ii)
 
 
 def rec_mii(ddg: Ddg) -> int:
@@ -96,9 +71,8 @@ def rec_mii(ddg: Ddg) -> int:
     if not edges:
         ddg._edge_cache["rec_mii"] = 1
         return 1
-    # one tester serves every probe of the bisection (backends hoist
-    # their per-graph setup into the closure)
-    positive = _kernel_backend().cycle_tester(n, edges)
+    # one tester serves every probe of the bisection
+    positive = cycle_tester(n, edges)
     # at II > sum of latencies only a zero-distance cycle can stay positive,
     # and such a loop is unschedulable at any II
     if positive(ddg.sum_latency() + 1.0):
@@ -132,7 +106,7 @@ def max_cycle_ratio(ddg: Ddg, *, tol: float = 1e-6) -> float:
     n, edges = _cycle_edges(ddg)
     if not edges:
         return 0.0
-    positive = _kernel_backend().cycle_tester(n, edges)
+    positive = cycle_tester(n, edges)
     if not positive(0.0 + 1e-9):
         # even at ii ~ 0 nothing is positive -> no cycles with latency
         ddg._edge_cache[cache_key] = 0.0

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.ir.operations import FuType
-
-from repro.kernels import active as _kernel_backend
 from repro.machine.resources import (HARDWARE_POOLS, N_POOLS, POOL_IDS,
                                      pool_for)
 
@@ -203,8 +201,7 @@ class PackedMRT:
     """
 
     __slots__ = ("ii", "caps", "_counts", "_rows", "_usage", "_load",
-                 "_where", "_full", "_mut", "_occ_memo", "_conf_memo",
-                 "_npc")
+                 "_where", "_full", "_mut", "_occ_memo", "_conf_memo")
 
     @staticmethod
     def _caps_array(capacities: Union[dict[FuType, int], Sequence[int]],
@@ -250,9 +247,6 @@ class PackedMRT:
         self._mut = 0
         self._occ_memo: Optional[tuple[int, int, tuple[int, ...]]] = None
         self._conf_memo: Optional[tuple[int, int, tuple[int, ...]]] = None
-        # lazily built zero-copy NumPy int32 view of _counts (owned by
-        # the numpy kernel backend; invalidated when _counts reallocates)
-        self._npc = None
 
     # ------------------------------------------------------------ queries
 
@@ -400,19 +394,11 @@ class PackedMRT:
             old_ii = self.ii
             counts = self._counts
             rows = self._rows
-            if len(self._where) >= _kernel_backend().reset_bulk_min:
-                # bulk teardown: one whole-vector sweep on the backend's
-                # native view beats per-slot stores once enough slots
-                # were touched (occupant lists still clear per slot)
-                _kernel_backend().zero_counts(self)
-                for pool, time in self._where.values():
-                    rows[pool * old_ii + time % old_ii].clear()
-            else:
-                for pool, time in self._where.values():
-                    slot = pool * old_ii + time % old_ii
-                    if counts[slot]:
-                        counts[slot] = 0
-                        rows[slot].clear()
+            for pool, time in self._where.values():
+                slot = pool * old_ii + time % old_ii
+                if counts[slot]:
+                    counts[slot] = 0
+                    rows[slot].clear()
             self._where.clear()
             self._mut += 1
         for i in range(N_POOLS):
@@ -430,7 +416,6 @@ class PackedMRT:
                 self._counts = array("i", bytes(4 * need))
                 self._rows.extend([] for _ in
                                   range(need - len(self._rows)))
-                self._npc = None  # view points at the old buffer
         return self
 
     def clear(self) -> None:

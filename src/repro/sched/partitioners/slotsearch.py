@@ -23,10 +23,9 @@ instead of once per candidate cluster.
 from __future__ import annotations
 
 import random as _random
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.ir.ddg import Ddg
-from repro.kernels import active as _kernel_backend
 from repro.machine.cluster import ClusteredMachine
 
 from ..arena import SchedArena
@@ -34,25 +33,6 @@ from ..priority import priority_order_idx
 from ..schedule import ScheduleStats
 from .base import Partitioner, PartitionState
 from .registry import register_partitioner
-
-
-def _batched_probe(first_free_batch: Callable, mrts: list,
-                   allowed: list[int], p_i: int,
-                   arrivals: list[tuple[int, int]],
-                   uniform_est: Optional[int],
-                   xlat: int) -> tuple[list[int], list[int]]:
-    """One bulk ``first_free`` probe over all candidate clusters.
-
-    Lives outside ``try_at_ii`` on purpose: the two lists built here are
-    deliberate, amortised over ``probe_batch_min``-or-more clusters per
-    round (the R001 hot-loop-allocation gate keeps the scalar path under
-    the floor allocation-free, which is where per-round garbage would
-    actually hurt).
-    """
-    estart_from = PartitionState.estart_from
-    ests = [uniform_est if uniform_est is not None
-            else estart_from(arrivals, c, xlat) for c in allowed]
-    return ests, first_free_batch([mrts[c] for c in allowed], p_i, ests)
 
 
 class SlotSearchPartitioner(Partitioner):
@@ -118,15 +98,6 @@ class SlotSearchPartitioner(Partitioner):
         sigma_d = state.sigma
         cluster_d = state.cluster_of
         lastt_d = state.last_time
-        # kernel backend hooks: wide rounds (many predecessor edges /
-        # many candidate clusters) take the batched primitives; narrow
-        # ones keep the inline loops below the backend's floors --
-        # decisions are identical on either side (see repro.kernels)
-        backend = _kernel_backend()
-        arrival_min = backend.arrival_batch_min
-        probe_min = backend.probe_batch_min
-        pred_arrivals_round = backend.pred_arrivals_round
-        first_free_batch = backend.first_free_batch
         # aging: repeated adjacency deadlocks rotate through cluster
         # choices (a deterministic heuristic would otherwise ping-pong
         # forever between two mutually-exclusive placements)
@@ -173,45 +144,31 @@ class SlotSearchPartitioner(Partitioner):
             else:
                 allowed = [c for c in all_clusters
                            if adj_mask[c] & need == need]
-            if in_ptr[i + 1] - in_ptr[i] >= arrival_min:
-                arrivals, uniform, uniform_est = pred_arrivals_round(
-                    arr, i, sig, cl, ii, xlat)
-            else:
-                arrivals: list[tuple[int, int]] = []
-                uniform = True
-                for j in range(in_ptr[i], in_ptr[i + 1]):
-                    s = in_src[j]
-                    t = sig[s]
-                    if t < 0:
-                        continue
-                    base = t + in_lat[j] - in_dist[j] * ii
-                    if xlat and in_data[j]:
-                        arrivals.append((base, cl[s]))
-                        uniform = False
-                    else:
-                        arrivals.append((base, -1))
-                uniform_est = None
-                if uniform:
-                    est0 = 0
-                    for base, _sc in arrivals:
-                        if base > est0:
-                            est0 = base
-                    uniform_est = est0
+            arrivals: list[tuple[int, int]] = []
+            uniform = True
+            for j in range(in_ptr[i], in_ptr[i + 1]):
+                s = in_src[j]
+                t = sig[s]
+                if t < 0:
+                    continue
+                base = t + in_lat[j] - in_dist[j] * ii
+                if xlat and in_data[j]:
+                    arrivals.append((base, cl[s]))
+                    uniform = False
+                else:
+                    arrivals.append((base, -1))
+            uniform_est = None
+            if uniform:
+                est0 = 0
+                for base, _sc in arrivals:
+                    if base > est0:
+                        est0 = base
+                uniform_est = est0
 
             # ---- normal placement: best (cluster, slot) candidate ------
             best: Optional[tuple[tuple, int, int]] = None  # key, c, slot
             p_i = pool[i]
-            if len(allowed) >= probe_min:
-                _, slots = _batched_probe(first_free_batch, mrts,
-                                          allowed, p_i, arrivals,
-                                          uniform_est, xlat)
-                for c, t in zip(allowed, slots):
-                    if t >= 0:
-                        key = key_fn(aff_count.get(c, 0), t,
-                                     mrts[c].load(), c, rng)
-                        if best is None or key < best[0]:
-                            best = (key, c, t)
-            elif caps0[p_i] > 0:
+            if caps0[p_i] > 0:
                 # inlined PackedMRT.first_free / load(): one probe per
                 # candidate cluster is the search's hottest expression
                 # (with no unit of this pool anywhere, every probe would

@@ -19,25 +19,24 @@ from __future__ import annotations
 
 from repro.ir.ddg import Ddg
 from repro.ir.ddgarrays import DdgArrays
-from repro.kernels import active as _kernel_backend
+from repro.kernels import heights as _relax_heights
 
 
 def heights_list(arr: DdgArrays, ii: int) -> list[int]:
     """Height per op *index* at initiation interval *ii* (packed form).
 
     Raises ``ValueError`` if *ii* is below RecMII (a positive cycle makes
-    heights diverge).  The relaxation runs on the active kernel backend
-    (:mod:`repro.kernels`; the fixed point is unique, so backends agree
-    bit-for-bit).  Memoised per (lowering, II) on ``arr.ii_cache``
-    (every II driver probes the same points across machines); callers
-    treat the returned list as immutable.
+    heights diverge).  The relaxation is :func:`repro.kernels.heights`.
+    Memoised per (lowering, II) on ``arr.ii_cache`` (every II driver
+    probes the same points across machines); callers treat the returned
+    list as immutable.
     """
     if ii < 1:
         raise ValueError("II must be >= 1")
     cached = arr.ii_cache.get(("heights", ii))
     if cached is not None:
         return cached
-    h = _kernel_backend().heights(arr, ii)
+    h = _relax_heights(arr, ii)
     if h is None:
         raise ValueError(
             f"heights diverge at II={ii}: positive dependence cycle "

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 from repro.ir.ddg import Ddg, DepEdge, DepKind
 from repro.ir.operations import FuType
-from repro.kernels import active as _kernel_backend
+from repro.kernels import capacity_clean, dependence_clean
 
 from repro.machine.resources import HARDWARE_POOLS, POOL_IDS, pool_for
 
@@ -182,14 +182,12 @@ class ModuloSchedule:
             if extra not in known:
                 problems.append(f"sigma has unknown op {extra}")
 
-        # fast boolean audits on the kernel backend first: a clean,
-        # fully-scheduled schedule (the overwhelmingly common case --
-        # every scheduler output is validated) skips the per-edge
-        # diagnostic loops entirely; any problem falls through to them
-        # so the error text is identical on every backend
-        backend = _kernel_backend()
+        # fast boolean audits first: a clean, fully-scheduled schedule
+        # (the overwhelmingly common case -- every scheduler output is
+        # validated) skips the per-edge diagnostic loops entirely; any
+        # problem falls through to them
         clean = not problems
-        if clean and not backend.dependence_clean(arr, sig, ii):
+        if clean and not dependence_clean(arr, sig, ii):
             clean = False
         if not clean:
             for s, d, lat, dist in zip(arr.e_src, arr.e_dst, arr.e_lat,
@@ -214,7 +212,7 @@ class ModuloSchedule:
                 # pre-packed per-pool vector (FuSet.pool_caps)
                 caps = capacities
             cl_list = [cluster_of.get(o, 0) for o in ids]
-            if not backend.capacity_clean(pool, sig, cl_list, ii, caps):
+            if not capacity_clean(pool, sig, cl_list, ii, caps):
                 usage: dict[tuple[int, int, int], int] = {}
                 for i, o in enumerate(ids):
                     t = sig[i]

@@ -50,7 +50,7 @@ from typing import Optional
 
 from repro.ir.ddg import Ddg
 from repro.ir.validate import validate_ddg
-from repro.kernels import active as _kernel_backend
+from repro.kernels import earliest_starts
 from repro.machine.machine import Machine
 
 from ..arena import SchedArena, global_arena
@@ -97,7 +97,7 @@ def _analyse(ddg: Ddg, ii: int) -> _Analysis:
     cached = arr.ii_cache.get(("sms_analysis", ii))
     if cached is not None:
         return cached
-    e_list = _kernel_backend().earliest_starts(arr, ii)
+    e_list = earliest_starts(arr, ii)
     if e_list is None:
         raise ValueError(
             f"earliest starts diverge at II={ii}: positive dependence "

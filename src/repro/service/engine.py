@@ -358,14 +358,12 @@ class SweepService:
         tracing counters (the source of both ``/metrics.json`` and the
         Prometheus ``/metrics`` exposition)."""
         import repro
-        from repro.kernels import backend_info
         from repro.obs.trace import trace_snapshot
         from repro.sched import arena_counters
 
         return {
             "uptime_s": round(time.monotonic() - self.t_started, 3),
             "version": repro.__version__,
-            "kernels": backend_info(),
             "service": {
                 "requests": self.c_requests,
                 "jobs": self.c_jobs,

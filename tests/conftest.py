@@ -7,32 +7,25 @@ import random
 
 import pytest
 
-from repro import kernels as _kernel_registry
 from repro.machine.cluster import make_clustered
 from repro.machine.presets import (clustered_machine, crf_machine,
                                    narrow_test_machine, qrf_machine)
 from repro.workloads.kernels import all_kernels, daxpy, dot_product
 from repro.workloads.synth import SynthConfig, generate_loop
 
-#: One param per registered kernel backend; unavailable ones (NumPy
-#: missing) show up as skips, not silent absences.
-KERNEL_BACKEND_PARAMS = [
-    pytest.param(name, marks=pytest.mark.skipif(
-        not cls.available(),
-        reason=f"kernel backend {name!r} not importable here"))
-    for name, cls in _kernel_registry.BACKENDS.items()]
+#: The environment variable that once selected a kernel backend, and the
+#: two backend names it accepted.  Nothing reads it any more.
+LEGACY_KERNELS_ENV = "REPRO_KERNELS"
+LEGACY_KERNELS_VALUES = ("python", "numpy")
 
 
-@pytest.fixture(params=KERNEL_BACKEND_PARAMS)
-def each_kernel_backend(request, monkeypatch):
-    """Run the test once per kernel backend, restoring the process-wide
-    selection (and ``REPRO_KERNELS``) afterwards."""
-    name = request.param
-    monkeypatch.setenv(_kernel_registry.ENV_VAR, name)
-    monkeypatch.setattr(_kernel_registry, "_active",
-                        _kernel_registry.BACKENDS[name]())
-    monkeypatch.setattr(_kernel_registry, "_requested", name)
-    return name
+@pytest.fixture(params=LEGACY_KERNELS_VALUES)
+def legacy_kernels_env(request, monkeypatch):
+    """Run the test once with ``REPRO_KERNELS`` set to each name the old
+    backend registry accepted.  There is one kernel path now, so every
+    run must give the same answer: a stale setting selects nothing."""
+    monkeypatch.setenv(LEGACY_KERNELS_ENV, request.param)
+    return request.param
 
 
 @pytest.fixture(scope="session", autouse=True)

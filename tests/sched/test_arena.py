@@ -90,8 +90,7 @@ class TestDriverIntegration:
         after = arena_counters()
         assert after["resets"] > before
         assert set(after) == {"generation", "resets", "hits", "allocs",
-                              "pooled_mrts", "kernels"}
-        assert after["kernels"] in {"python", "numpy"}
+                              "pooled_mrts"}
         assert global_arena().counters() == after
 
     def test_returned_schedules_survive_later_arena_attempts(self):

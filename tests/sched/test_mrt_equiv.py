@@ -38,7 +38,7 @@ def _assert_agree(legacy: ModuloReservationTable, packed: PackedMRT,
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_random_sequences_agree(seed, each_kernel_backend):
+def test_random_sequences_agree(seed, legacy_kernels_env):
     rng = random.Random(seed)
     ii = rng.randint(1, 7)
     caps = {FuType.LS: rng.randint(0, 2), FuType.ADD: rng.randint(1, 3),

@@ -12,9 +12,9 @@ A new engine registered later simply has no golden entry and is skipped;
 regenerate the fixture (see the script header in this file's git history)
 to pin it too.
 
-Every case replays once per kernel backend (``each_kernel_backend``):
-backends are decision-identical by contract, so the golden schedules must
-be byte-identical under ``python`` and ``numpy`` alike.
+Every case replays once per value the retired ``REPRO_KERNELS`` variable
+accepted (``legacy_kernels_env``): nothing reads it now, so the golden
+schedules must be byte-identical under ``python`` and ``numpy`` alike.
 """
 
 import json
@@ -43,7 +43,7 @@ def _sigma(sched) -> dict[str, int]:
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 @pytest.mark.parametrize("scheduler", available_schedulers())
 def test_scheduler_matches_golden(scheduler, kernel_name,
-                                  each_kernel_backend):
+                                  legacy_kernels_env):
     entry = GOLDEN["schedulers"].get(f"{scheduler}/{kernel_name}")
     if entry is None:
         pytest.skip(f"no golden entry for {scheduler}/{kernel_name}")
@@ -58,7 +58,7 @@ def test_scheduler_matches_golden(scheduler, kernel_name,
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 @pytest.mark.parametrize("partitioner", available_partitioners())
 def test_partitioner_matches_golden(partitioner, kernel_name,
-                                    each_kernel_backend):
+                                    legacy_kernels_env):
     entry = GOLDEN["partitioners"].get(f"{partitioner}/{kernel_name}")
     if entry is None:
         pytest.skip(f"no golden entry for {partitioner}/{kernel_name}")
@@ -75,7 +75,7 @@ def test_partitioner_matches_golden(partitioner, kernel_name,
 
 @pytest.mark.parametrize("partitioner", available_partitioners())
 def test_partitioner_matches_golden_unrolled(partitioner,
-                                             each_kernel_backend):
+                                             legacy_kernels_env):
     """The unrolled stress case drives the eviction/deadlock machinery."""
     entry = GOLDEN["partitioners"].get(f"{partitioner}/dot.u4x5cl")
     if entry is None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ir.builder import LoopBuilder, chain
 from repro.sched.priority import heights, highest_priority, priority_order
+from repro.sched.strategies.sms import time_bounds
 from repro.workloads.kernels import daxpy
 
 
@@ -26,8 +27,12 @@ class TestHeights:
         b = LoopBuilder("r")
         a = b.add("a", latency=3)
         b.carry(a, a, distance=1)
+        ddg = b.build()
         with pytest.raises(ValueError, match="diverge"):
-            heights(b.build(), 2)
+            heights(ddg, 2)
+        # the earliest-start relaxation diverges on the same cycle
+        with pytest.raises(ValueError, match="earliest starts diverge"):
+            time_bounds(ddg, 2)
 
     def test_bad_ii(self):
         with pytest.raises(ValueError):

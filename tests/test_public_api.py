@@ -52,9 +52,8 @@ def test_annotations_resolve(module):
             typing.get_type_hints(obj)
 
 
-def test_no_module_imports_networkx():
-    """The IR is self-contained: no module of the package imports
-    networkx (it is not a dependency)."""
+def _importers_of(banned: str) -> list[str]:
+    """Package modules (relative paths) that import *banned*."""
     root = pathlib.Path(repro.__file__).parent
     offenders = []
     for path in sorted(root.rglob("*.py")):
@@ -66,6 +65,18 @@ def test_no_module_imports_networkx():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n.split(".")[0] == "networkx" for n in names):
+            if any(n.split(".")[0] == banned for n in names):
                 offenders.append(str(path.relative_to(root)))
-    assert not offenders
+    return offenders
+
+
+def test_no_module_imports_networkx():
+    """The IR is self-contained: no module of the package imports
+    networkx (it is not a dependency)."""
+    assert not _importers_of("networkx")
+
+
+def test_no_module_imports_numpy():
+    """The kernels are plain Python loops: no module of the package
+    imports NumPy (it is not a dependency)."""
+    assert not _importers_of("numpy")

@@ -28,11 +28,9 @@ def test_write_bench_json_shape(bench_dir):
     assert rec["schema"] == telemetry.SCHEMA_VERSION
     assert "timestamp" in rec
     prov = rec["provenance"]
-    assert set(prov) == {"git_sha", "host", "python", "kernels"}
+    assert set(prov) == {"git_sha", "host", "python"}
     assert len(prov["host"]) == 12
     assert prov["python"].count(".") == 2
-    from repro.kernels import BACKENDS
-    assert prov["kernels"] in BACKENDS
 
 
 def test_provenance_git_sha_env_override(bench_dir, monkeypatch):
