@@ -21,7 +21,7 @@ import time
 from conftest import record, record_bench_json
 
 from repro.machine.presets import paper_qrf_machines
-from repro.runner import ResultCache, RunnerConfig, run_jobs, sweep
+from repro.runner import RunnerConfig, ShardedResultCache, run_jobs, sweep
 from repro.workloads.corpus import bench_corpus
 
 SAMPLE = 64
@@ -50,7 +50,7 @@ def test_runner_parallel_speedup_and_cache(benchmark):
                                               iterations=1)
 
     with tempfile.TemporaryDirectory() as tmp:
-        cache = ResultCache(os.path.join(tmp, "cache"))
+        cache = ShardedResultCache(os.path.join(tmp, "cache"))
         cold, t_cold = _timed(jobs, RunnerConfig(cache=cache))
         warm, t_warm = _timed(jobs, RunnerConfig(cache=cache))
 

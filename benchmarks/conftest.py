@@ -55,14 +55,14 @@ def runner_from_env():
     environment asks for workers or caching, so timing runs measure the
     real pipeline by default.
     """
-    from repro.runner import ResultCache, RunnerConfig
+    from repro.runner import RunnerConfig, ShardedResultCache
 
     n_workers = int(os.environ.get(JOBS_ENV, "1") or "1")
     use_cache = os.environ.get(NO_CACHE_ENV, "1") != "1"
     if n_workers <= 1 and not use_cache:
         return None
     return RunnerConfig(n_workers=n_workers,
-                        cache=ResultCache() if use_cache else None)
+                        cache=ShardedResultCache() if use_cache else None)
 
 
 def record(name: str, rendered: str) -> None:

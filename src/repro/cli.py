@@ -25,7 +25,7 @@ Subcommands:
 * ``repro-vliw bench``              -- run a named benchmark and gate it
   against ``benchmarks/baseline.json`` (the CI perf-smoke check, local)
 * ``repro-vliw cache``              -- inspect (``stats``), compact
-  (``gc --max-bytes``), migrate or clear the result cache
+  (``gc --max-bytes``) or ``clear`` the result cache
 * ``repro-vliw serve``              -- run the sweep service daemon
   (``POST /jobs`` + Prometheus ``/metrics``; see DESIGN §5.7/§5.8)
 * ``repro-vliw submit``             -- submit kernels to a running
@@ -126,9 +126,8 @@ def _runner(args):
 
     Caching defaults on (keys are content hashes, so stale entries are
     unreachable); ``--no-cache`` disables it and ``--cache-dir`` (or
-    ``$REPRO_CACHE_DIR``) relocates the store.  The backend is picked by
-    layout: existing single-file caches stay legacy, new directories get
-    the sharded concurrently-writable store (see ``repro-vliw cache``).
+    ``$REPRO_CACHE_DIR``) relocates the sharded, concurrently-writable
+    store (see ``repro-vliw cache``).
     """
     from repro.runner import RunnerConfig, open_cache
 
@@ -431,30 +430,22 @@ def cmd_bench(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """Inspect or maintain the result cache, either layout.
+    """Inspect or maintain the result cache.
 
-    ``stats`` (the default action) prints entry/byte counts and -- for
-    the sharded backend -- per-shard occupancy; ``gc`` compacts every
-    shard (deduping superseded records) and, with ``--max-bytes``,
-    evicts oldest-first down to the budget; ``migrate`` folds a legacy
-    single-file store into shards; ``clear`` drops everything.
+    ``stats`` (the default action) prints entry/byte counts and
+    per-shard occupancy; ``gc`` compacts every shard (deduping
+    superseded records) and, with ``--max-bytes``, evicts oldest-first
+    down to the budget; ``clear`` drops everything.
     """
     from repro.runner import open_cache
 
     cache = open_cache(args.cache_dir)
-    action = args.action or ("clear" if args.clear else "stats")
-    if action == "clear":
+    if args.action == "clear":
         n = len(cache)
         cache.clear()
         print(f"cleared {n} cached results from {cache.path}")
         return 0
-    if action == "migrate":
-        if not hasattr(cache, "migrate"):
-            cache = open_cache(args.cache_dir, backend="sharded")
-        moved = cache.migrate()
-        print(f"migrated {moved} legacy results into {cache.shard_dir}")
-        return 0
-    if action == "gc":
+    if args.action == "gc":
         report = cache.gc(args.max_bytes)
         print(f"gc: {report['before_bytes']} -> {report['after_bytes']} "
               f"bytes, {report['evicted']} evicted, "
@@ -468,10 +459,8 @@ def cmd_cache(args) -> int:
     print(f"hits {stats['hits']}  misses {stats['misses']}  "
           f"stores {stats['stores']}  evictions {stats['evictions']}  "
           f"compactions {stats['compactions']}")
-    occupancy = stats.get("shard_occupancy")
-    if occupancy is not None:
-        shards = " ".join(f"{n:d}" for n in occupancy)
-        print(f"shard occupancy ({stats['n_shards']} shards): {shards}")
+    shards = " ".join(f"{n:d}" for n in stats["shard_occupancy"])
+    print(f"shard occupancy ({stats['n_shards']} shards): {shards}")
     return 0
 
 
@@ -479,8 +468,8 @@ def cmd_serve(args) -> int:
     """Run the sweep service daemon until SIGTERM/SIGINT.
 
     The daemon shares the CLI cache knobs: ``--cache-dir`` /
-    ``--no-cache`` pick the store (sharded for new directories, so the
-    daemon and concurrent CLI sweeps can share it) and the global
+    ``--no-cache`` pick the store (sharded, so the daemon and concurrent
+    CLI sweeps can share it) and the global
     ``--jobs`` sets the compile worker count.  ``--max-cache-bytes``
     bounds the store; shards over budget are compacted and evicted as
     the service runs and once more on shutdown.
@@ -579,9 +568,8 @@ def cmd_verify(args) -> int:
     import json
 
     from repro.ir.copyins import insert_copies
-    from repro.sched.partition import PartitionConfig, partitioned_schedule
+    from repro.runner.pipeline import schedule_loop
     from repro.sched.schedule import SchedulingError
-    from repro.sched.strategies import get_scheduler
     from repro.verify import mutation_corpus, verify_schedule
 
     names = args.kernels or sorted(KERNELS)
@@ -593,26 +581,22 @@ def cmd_verify(args) -> int:
 
     single = qrf_machine(args.fus)
     ring = clustered_machine(args.clusters)
-    targets = []          # (label, machine, build)
+    targets = []          # (label, machine, engine keywords)
     for kernel_name in names:
         for scheduler in available_schedulers():
-            targets.append((
-                f"{scheduler}/{kernel_name}", single,
-                lambda w, s=scheduler, m=single: get_scheduler(s)
-                .schedule(w, m).schedule))
+            targets.append((f"{scheduler}/{kernel_name}", single,
+                            {"scheduler": scheduler}))
         for partitioner in available_partitioners():
-            targets.append((
-                f"{partitioner}/{kernel_name}", ring,
-                lambda w, p=partitioner, m=ring: partitioned_schedule(
-                    w, m, config=PartitionConfig(partitioner=p))))
+            targets.append((f"{partitioner}/{kernel_name}", ring,
+                            {"partitioner": partitioner}))
 
     proof_failures = mutation_misses = n_mutations = 0
     verdicts = []
-    for label, machine, build in targets:
+    for label, machine, engine in targets:
         kernel_name = label.rsplit("/", 1)[1]
         work = insert_copies(kernel(kernel_name)).ddg
         try:
-            sched = build(work)
+            sched = schedule_loop(work, machine, **engine)
         except SchedulingError as exc:
             print(f"FAIL  {label}: did not schedule ({exc})",
                   file=sys.stderr)
@@ -834,19 +818,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser(
         "cache", help="inspect or maintain the result cache")
-    pc.add_argument("action", nargs="?", default=None,
-                    choices=["stats", "gc", "migrate", "clear"],
+    pc.add_argument("action", nargs="?", default="stats",
+                    choices=["stats", "gc", "clear"],
                     help="stats (default): entries/bytes/shard "
                          "occupancy/hit counters; gc: compact shards "
-                         "and evict to --max-bytes; migrate: fold a "
-                         "legacy single-file store into shards; clear: "
-                         "drop everything")
+                         "and evict to --max-bytes; clear: drop "
+                         "everything")
     pc.add_argument("--max-bytes", type=int, default=None, metavar="N",
                     help="byte budget for gc (oldest records evicted "
                          "per shard until the store fits)")
-    pc.add_argument("--clear", action="store_true",
-                    help="delete all cached results (same as the "
-                         "'clear' action)")
 
     pv = sub.add_parser(
         "serve", help="run the sweep service daemon (POST /jobs, "

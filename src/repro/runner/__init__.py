@@ -5,25 +5,27 @@ The runner turns every paper experiment into a list of
 options), executes them with :func:`~repro.runner.executor.run_jobs` --
 serially or fanned out over worker processes, always returning ordered,
 deterministic results -- and memoises each job's plain-data
-:class:`~repro.runner.job.JobResult` in an on-disk JSONL cache keyed by a
+:class:`~repro.runner.job.JobResult` in an on-disk sharded JSONL cache
+(:class:`~repro.runner.cache.ShardedResultCache`) keyed by a
 SHA-256 content hash of the job (see :mod:`repro.runner.fingerprint`).
 Repeated sweeps are therefore incremental: identical jobs replay from the
 cache without recompiling.
 
 Typical use::
 
-    from repro.runner import RunnerConfig, ResultCache, run_jobs, sweep
+    from repro.runner import RunnerConfig, ShardedResultCache, run_jobs, sweep
 
     jobs = sweep(loops, machines, [dict(copies=True, allocate=True)])
-    results = run_jobs(jobs, RunnerConfig(n_workers=4, cache=ResultCache()))
+    results = run_jobs(jobs, RunnerConfig(n_workers=4,
+                                          cache=ShardedResultCache()))
 
 The CLI exposes this as ``repro-vliw --jobs N [--no-cache] experiment/
 report``; benchmarks pick the same knobs up from ``REPRO_JOBS`` /
 ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR``.
 """
 
-from .cache import (CACHE_DIR_ENV, ResultCache, ShardedResultCache,
-                    default_cache_dir, open_cache)
+from .cache import (CACHE_DIR_ENV, ShardedResultCache, default_cache_dir,
+                    open_cache)
 from .executor import RunnerConfig, run_jobs
 from .fingerprint import (SCHEMA_VERSION, ddg_signature, job_key,
                           machine_signature)
@@ -34,7 +36,7 @@ from .pool import PoolSession, close_all_sessions, get_session
 from .sweep import as_options, sweep
 
 __all__ = [
-    "CACHE_DIR_ENV", "ResultCache", "ShardedResultCache",
+    "CACHE_DIR_ENV", "ShardedResultCache",
     "default_cache_dir", "open_cache",
     "RunnerConfig", "run_jobs",
     "PoolSession", "close_all_sessions", "get_session",

@@ -1,28 +1,20 @@
-"""Content-addressed on-disk result caches: legacy JSONL and sharded.
+"""The content-addressed on-disk result cache (:class:`ShardedResultCache`).
 
-Two backends share one duck-typed API (``get``/``peek``/``put``/
-``put_many``/``clear``/``stats``/``gc``):
+Records are spread over ``2^k`` shard files keyed by the leading hex
+digits of the job fingerprint, and every append/compaction holds a
+per-shard file lock (``flock`` where available), so the daemon and any
+number of concurrent CLI runs can write the same cache without torn
+lines or lost shards.  A size budget (``max_bytes``) triggers per-shard
+compaction and oldest-first ("LRU-ish": insertion order approximates
+recency in an append-only log) eviction, and the cache keeps
+hit/miss/store/eviction plus cumulative latency counters for
+``/metrics`` and BENCH telemetry.
 
-* :class:`ResultCache` -- the historical single-``results.jsonl`` store.
-  Append-only, forgiving loader, fine for one writer.  Kept for existing
-  cache directories and as the simplest possible backend.
-* :class:`ShardedResultCache` -- the scaling backend behind the sweep
-  service.  Records are spread over ``2^k`` shard files keyed by the
-  leading hex digits of the job fingerprint, every append/compaction
-  holds a per-shard file lock (``flock`` where available), so the
-  daemon and any number of concurrent CLI runs can write the same cache
-  without torn lines or lost shards.  A size budget (``max_bytes``)
-  triggers per-shard compaction and oldest-first ("LRU-ish": insertion
-  order approximates recency in an append-only log) eviction, and the
-  cache keeps hit/miss/store/eviction plus cumulative latency counters
-  for ``/metrics`` and BENCH telemetry.
-
-:func:`open_cache` picks the backend by looking at the directory: an
-existing legacy file keeps the legacy layout (until ``migrate()``),
-anything else gets shards.  Both loaders stay deliberately forgiving:
-corrupt lines (truncated writes, hand edits, schema drift) are counted
-and skipped, never fatal -- a bad cache entry costs one recompile, not a
-crashed sweep.
+The loader stays deliberately forgiving: corrupt lines (truncated
+writes, hand edits, schema drift) are counted and skipped, never fatal
+-- a bad cache entry costs one recompile, not a crashed sweep.  For the
+same reason the file the retired single-file layout left in the cache
+directory is neither read nor deleted: its entries recompile once.
 """
 
 from __future__ import annotations
@@ -44,9 +36,6 @@ from .job import JobResult
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: File name of the legacy JSONL store inside the cache directory.
-CACHE_FILE = "results.jsonl"
 
 #: Subdirectory holding the sharded store.
 SHARD_DIR = "shards"
@@ -91,19 +80,6 @@ def _parse_lines(raw: str, entries: dict) -> int:
             continue
         entries[key] = record
     return corrupt
-
-
-def _ends_with_newline(path: pathlib.Path) -> bool:
-    """Whether *path* is empty/absent or ends on a record boundary."""
-    try:
-        with path.open("rb") as fh:
-            fh.seek(0, os.SEEK_END)
-            if fh.tell() == 0:
-                return True
-            fh.seek(-1, os.SEEK_END)
-            return fh.read(1) == b"\n"
-    except (FileNotFoundError, OSError):
-        return True
 
 
 def _open_in_dir(path: str, flags: int) -> int:
@@ -242,193 +218,6 @@ def _close_handles(handles: dict[int, _ShardHandles]) -> None:
         h.close()
 
 
-# ---------------------------------------------------------------------------
-# legacy single-file backend
-# ---------------------------------------------------------------------------
-
-class ResultCache:
-    """JSONL-backed content-addressed store of :class:`JobResult` records.
-
-    The legacy single-file layout: fine for one writer (concurrent runs
-    at worst duplicate a line; last one wins on load), the scaling
-    bottleneck the sharded backend replaces.  ``repro-vliw cache gc``
-    and ``stats`` work on this layout too, treating it as one shard.
-    """
-
-    def __init__(self, directory: "pathlib.Path | str | None" = None) -> None:
-        self.directory = pathlib.Path(directory) if directory \
-            else default_cache_dir()
-        self.path = self.directory / CACHE_FILE
-        self._entries: Optional[dict[str, dict]] = None
-        self._unwritable = False
-        self.n_corrupt = 0
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.compactions = 0
-
-    # ------------------------------------------------------------- loading
-
-    def _load(self) -> dict[str, dict]:
-        if self._entries is not None:
-            return self._entries
-        entries: dict[str, dict] = {}
-        try:
-            raw = self.path.read_text()
-        except (FileNotFoundError, OSError):
-            raw = ""
-        self.n_corrupt = _parse_lines(raw, entries)
-        self._entries = entries
-        return entries
-
-    def __len__(self) -> int:
-        return len(self._load())
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._load()
-
-    def iter_records(self) -> list[dict]:
-        """Snapshot of the raw cached records (cost estimation, audits).
-
-        A list copy, so callers iterate without coordinating with
-        writers; the records themselves are shared -- read-only.
-        """
-        return list(self._load().values())
-
-    # ------------------------------------------------------------ get/put
-
-    def peek(self, key: str) -> Optional[JobResult]:
-        """Like :meth:`get` but without touching the hit/miss counters
-        (status probes must not skew the telemetry)."""
-        record = self._load().get(key)
-        return None if record is None else \
-            JobResult.from_record(record, cached=True)
-
-    def get(self, key: str) -> Optional[JobResult]:
-        """Cached result for *key*, or None (and count the hit/miss).
-
-        May raise on I/O failure (or an injected ``cache.get`` fault);
-        callers treat a failed lookup as a miss.
-        """
-        fault_point("cache.get", key)
-        record = self._load().get(key)
-        if record is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return JobResult.from_record(record, cached=True)
-
-    def put(self, result: JobResult) -> None:
-        self.put_many([result])
-
-    def put_many(self, results: Iterable[JobResult]) -> None:
-        """Append results to the store (one buffered write per batch).
-
-        The whole batch is serialised first and written with a *single*
-        ``write`` call -- ``run_jobs`` calls this once per sweep, so a
-        1000-job sweep costs one open/write/close, not 1000.  If the file
-        ends mid-line (a previous writer crashed mid-append), a leading
-        newline is emitted first so the fresh records never merge into the
-        torn tail; the loader then skips exactly the one corrupt line.
-
-        An unwritable cache location must never lose a finished sweep:
-        the first OSError downgrades this cache to in-memory-only (with
-        one warning), and the results are still indexed for get().
-        """
-        results = list(results)
-        if not results:
-            return
-        # injected before any state changes: a raising put models I/O
-        # failure -- the batch is neither indexed nor written, and the
-        # caller's sweep still completes (results just recompile later)
-        fault_point("cache.put", results[0].key)
-        entries = self._load()
-        lines = []
-        for result in results:
-            record = result.to_record()
-            record["v"] = SCHEMA_VERSION
-            lines.append(json.dumps(record, sort_keys=True))
-            entries[result.key] = record
-            self.stores += 1
-        if self._unwritable:
-            return
-        payload = "\n".join(lines) + "\n"
-        payload = torn_payload("cache.put", results[0].key, payload)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            if not _ends_with_newline(self.path):
-                payload = "\n" + payload
-            with self.path.open("a") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            self._unwritable = True
-            print(f"repro-vliw: result cache {self.path} is not "
-                  f"writable ({exc}); caching in memory only",
-                  file=sys.stderr)
-
-    def clear(self) -> None:
-        """Drop the on-disk store and the in-memory index."""
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
-        self._entries = None
-        self.n_corrupt = 0
-
-    # ------------------------------------------------------------- gc
-
-    def total_bytes(self) -> int:
-        try:
-            return self.path.stat().st_size
-        except (FileNotFoundError, OSError):
-            return 0
-
-    def gc(self, max_bytes: Optional[int] = None) -> dict:
-        """Compact the store (dedupe, drop corrupt lines) and, with a
-        *max_bytes* budget, evict oldest records until it fits."""
-        before = self.total_bytes()
-        self._entries = None
-        entries = self._load()
-        lines = [json.dumps(r, sort_keys=True) for r in entries.values()]
-        evicted = 0
-        if max_bytes is not None:
-            while lines and sum(len(ln) + 1 for ln in lines) > max_bytes:
-                lines.pop(0)
-                evicted += 1
-        kept = {}
-        _parse_lines("\n".join(lines), kept)
-        try:
-            if lines:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                tmp = self.path.with_suffix(".jsonl.tmp")
-                tmp.write_text("\n".join(lines) + "\n")
-                tmp.replace(self.path)
-            else:
-                self.clear()
-        except OSError:
-            pass
-        self._entries = kept
-        self.n_corrupt = 0
-        self.evictions += evicted
-        self.compactions += 1
-        return {"before_bytes": before, "after_bytes": self.total_bytes(),
-                "evicted": evicted, "compacted_shards": 1}
-
-    def stats(self) -> dict:
-        """Counters for progress reporting, /metrics and benchmarks."""
-        return {"backend": "legacy", "entries": len(self),
-                "bytes": self.total_bytes(),
-                "hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "corrupt": self.n_corrupt,
-                "evictions": self.evictions,
-                "compactions": self.compactions}
-
-
-# ---------------------------------------------------------------------------
-# sharded backend
-# ---------------------------------------------------------------------------
-
 class ShardedResultCache:
     """Sharded, concurrently-writable content-addressed result store.
 
@@ -436,9 +225,7 @@ class ShardedResultCache:
     where a record's shard is the leading hex digits of its fingerprint
     key -- SHA-256 output, so shards stay uniformly occupied.  Appends
     and compactions hold the shard's file lock, making daemon + CLI
-    concurrent writers safe; a legacy ``results.jsonl`` in the same
-    directory is read through transparently (shard records win) until
-    :meth:`migrate` folds it in.
+    concurrent writers safe.
 
     With *max_bytes* set, any shard growing past ``max_bytes/n_shards``
     is compacted in place and its oldest records evicted -- the same
@@ -458,12 +245,10 @@ class ShardedResultCache:
         self.shard_dir = self.directory / SHARD_DIR
         #: displayed by ``repro-vliw cache``; the store's on-disk home
         self.path = self.shard_dir
-        self.legacy_path = self.directory / CACHE_FILE
         self.n_shards = n_shards
         self.max_bytes = max_bytes
         self._entries: Optional[dict[str, dict]] = None
         self._shard_of_key: dict[str, int] = {}
-        self._in_shards: set[str] = set()
         self._unwritable = False
         self._mutex = threading.RLock()
         self.n_corrupt = 0
@@ -508,21 +293,13 @@ class ShardedResultCache:
                 return self._entries
             entries: dict[str, dict] = {}
             corrupt = 0
-            try:
-                corrupt += _parse_lines(self.legacy_path.read_text(),
-                                        entries)
-            except (FileNotFoundError, OSError):
-                pass
-            in_shards: dict[str, dict] = {}
             for shard in range(self.n_shards):
                 try:
                     raw = self._shard_path(shard).read_text()
                 except (FileNotFoundError, OSError):
                     continue
-                corrupt += _parse_lines(raw, in_shards)
-            entries.update(in_shards)
+                corrupt += _parse_lines(raw, entries)
             self._entries = entries
-            self._in_shards = set(in_shards)
             self._shard_of_key = {k: self._shard(k) for k in entries}
             self.n_corrupt = corrupt
             return entries
@@ -580,8 +357,8 @@ class ShardedResultCache:
         ``write`` while the shard lock is held, so concurrent writers
         (daemon + CLI sweeps) interleave whole batches, never bytes.  A
         torn tail left by a crashed writer is isolated with a leading
-        newline, exactly like the legacy store.  An unwritable location
-        degrades to in-memory-only after one warning.
+        newline.  An unwritable location degrades to in-memory-only
+        after one warning.
         """
         results = list(results)
         if not results:
@@ -604,7 +381,6 @@ class ShardedResultCache:
                 shard_token.setdefault(shard, result.key)
                 entries[result.key] = record
                 self._shard_of_key[result.key] = shard
-                self._in_shards.add(result.key)
                 self.stores += 1
             if not self._unwritable:
                 try:
@@ -647,10 +423,9 @@ class ShardedResultCache:
         except (FileNotFoundError, OSError):
             pass
 
-    def _compact_shard(self, shard: int,
-                       budget: Optional[int]) -> tuple[int, int]:
+    def _compact_shard(self, shard: int, budget: Optional[int]) -> int:
         """Rewrite one shard deduped (and evicted down to *budget*);
-        returns ``(evicted, removed_keys_still_cached_in_memory)``.
+        returns the number of records evicted.
 
         The shard file is re-read under its lock so records appended by
         other processes since our load survive the rewrite.
@@ -662,7 +437,7 @@ class ShardedResultCache:
             try:
                 _parse_lines(path.read_text(), fresh)
             except (FileNotFoundError, OSError):
-                return 0, 0
+                return 0
             lines = {k: json.dumps(r, sort_keys=True)
                      for k, r in fresh.items()}
             if budget is not None:
@@ -682,7 +457,7 @@ class ShardedResultCache:
                 else:
                     path.unlink(missing_ok=True)
             except OSError:
-                return 0, 0
+                return 0
         # refresh the in-memory view of this shard
         entries = self._load()
         dropped = [k for k, s in self._shard_of_key.items()
@@ -690,82 +465,37 @@ class ShardedResultCache:
         for key in dropped:
             entries.pop(key, None)
             self._shard_of_key.pop(key, None)
-            self._in_shards.discard(key)
         for key, record in fresh.items():
             entries[key] = record
             self._shard_of_key[key] = shard
-            self._in_shards.add(key)
         self.evictions += evicted
         self.compactions += 1
-        return evicted, len(dropped)
+        return evicted
 
     def gc(self, max_bytes: Optional[int] = None) -> dict:
         """Compact every shard; with a byte budget, evict down to it.
 
-        *max_bytes* defaults to the cache's configured budget.  The
-        legacy file, if still present, is migrated first so its records
-        compete under the same policy.
+        *max_bytes* defaults to the cache's configured budget.
         """
         with self._mutex:
             if max_bytes is None:
                 max_bytes = self.max_bytes
             before = self.total_bytes()
-            if self.legacy_path.exists():
-                self.migrate()
             budget = None if max_bytes is None \
                 else max(1, max_bytes // self.n_shards)
             evicted = compacted = 0
             for shard in range(self.n_shards):
                 if self._shard_path(shard).exists():
-                    n, _ = self._compact_shard(shard, budget)
-                    evicted += n
+                    evicted += self._compact_shard(shard, budget)
                     compacted += 1
             return {"before_bytes": before,
                     "after_bytes": self.total_bytes(),
                     "evicted": evicted, "compacted_shards": compacted}
 
-    # ----------------------------------------------------------- migrate
-
-    def migrate(self) -> int:
-        """Fold a legacy ``results.jsonl`` into the shards and remove it.
-
-        Shard records win over legacy ones (they are newer by
-        construction: the legacy file stopped growing when the sharded
-        layout took over).  Returns the number of records moved.
-        """
-        with self._mutex:
-            legacy: dict[str, dict] = {}
-            try:
-                _parse_lines(self.legacy_path.read_text(), legacy)
-            except (FileNotFoundError, OSError):
-                return 0
-            entries = self._load()
-            by_shard: dict[int, list[str]] = {}
-            moved = 0
-            for key, record in legacy.items():
-                shard = self._shard(key)
-                if key in self._in_shards:
-                    # already shard-resident (possibly newer); skip
-                    continue
-                by_shard.setdefault(shard, []).append(
-                    json.dumps(record, sort_keys=True))
-                entries.setdefault(key, record)
-                self._shard_of_key[key] = shard
-                self._in_shards.add(key)
-                moved += 1
-            try:
-                for shard, lines in sorted(by_shard.items()):
-                    self._append_shard(shard, lines)
-                self.legacy_path.unlink(missing_ok=True)
-            except OSError as exc:
-                print(f"repro-vliw: cache migration to {self.shard_dir} "
-                      f"failed ({exc})", file=sys.stderr)
-            return moved
-
     # ------------------------------------------------------------- misc
 
     def clear(self) -> None:
-        """Drop the on-disk store (both layouts) and the in-memory index.
+        """Drop the on-disk store and the in-memory index.
 
         Shard data is unlinked under each shard's lock; the lock files
         stay, so a writer holding (or about to take) one still excludes
@@ -776,18 +506,15 @@ class ShardedResultCache:
                 for shard in range(self.n_shards):
                     with self._shard_lock(shard):
                         self._shard_path(shard).unlink(missing_ok=True)
-            self.legacy_path.unlink(missing_ok=True)
             self._entries = None
             self._shard_of_key = {}
-            self._in_shards = set()
             self.n_corrupt = 0
 
     def total_bytes(self) -> int:
         total = 0
-        for path in [self.legacy_path] + [self._shard_path(s)
-                                          for s in range(self.n_shards)]:
+        for shard in range(self.n_shards):
             try:
-                total += path.stat().st_size
+                total += self._shard_path(shard).stat().st_size
             except (FileNotFoundError, OSError):
                 continue
         return total
@@ -818,27 +545,11 @@ class ShardedResultCache:
 
 
 def open_cache(directory: "pathlib.Path | str | None" = None, *,
-               backend: Optional[str] = None,
-               max_bytes: Optional[int] = None,
-               ) -> "ResultCache | ShardedResultCache":
-    """Open the result cache in *directory*, picking the right backend.
-
-    ``backend`` forces ``"legacy"`` or ``"sharded"``; by default an
-    existing legacy store (and no shards) keeps the legacy layout so old
-    cache directories stay valid, and everything else -- including brand
-    new directories -- gets the sharded backend.
-    """
-    d = pathlib.Path(directory) if directory else default_cache_dir()
-    if backend is None:
-        if (d / SHARD_DIR).is_dir():
-            backend = "sharded"
-        elif (d / CACHE_FILE).exists():
-            backend = "legacy"
-        else:
-            backend = "sharded"
-    if backend == "sharded":
-        return ShardedResultCache(d, max_bytes=max_bytes)
-    if backend == "legacy":
-        return ResultCache(d)
-    raise ValueError(f"unknown cache backend {backend!r}; "
-                     f"use 'legacy' or 'sharded'")
+               backend: str = "sharded",
+               max_bytes: Optional[int] = None) -> ShardedResultCache:
+    """Open the result cache in *directory* (default:
+    :func:`default_cache_dir`).  ``"sharded"`` is the only *backend*."""
+    if backend != "sharded":
+        raise ValueError(f"unknown cache backend {backend!r}; "
+                         f"the only backend is 'sharded'")
+    return ShardedResultCache(directory, max_bytes=max_bytes)

@@ -26,7 +26,7 @@ from repro import faults as _faults
 from repro.obs import trace as _trace
 
 from . import pool as pool_mod
-from .cache import ResultCache
+from .cache import ShardedResultCache
 from .job import CompileJob, JobResult
 from .pipeline import execute_job
 
@@ -49,7 +49,7 @@ class RunnerConfig:
     """
 
     n_workers: int = 1
-    cache: Optional[ResultCache] = None
+    cache: Optional[ShardedResultCache] = None
     progress: Optional[Callable[[int, int], None]] = None
     chunk_size: Optional[int] = None
     job_deadline_s: Optional[float] = pool_mod.DEFAULT_JOB_DEADLINE_S
@@ -115,7 +115,7 @@ def _run_parallel(jobs: Sequence[CompileJob], config: RunnerConfig,
     return results  # type: ignore[return-value]
 
 
-def _cache_get(cache: ResultCache, key: str) -> Optional[JobResult]:
+def _cache_get(cache: ShardedResultCache, key: str) -> Optional[JobResult]:
     """A lookup that treats cache I/O failure as a miss (counted)."""
     try:
         return cache.get(key)

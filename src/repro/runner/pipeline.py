@@ -1,10 +1,13 @@
 """The compile pipeline executed by every job, plus the extras registry.
 
-``compile_loop`` is the shared (unroll ->) (copy-insert ->) schedule
-(-> allocate queues) pipeline that all experiment drivers run; it lives
-here (rather than in :mod:`repro.analysis.experiments`, its original home)
-so worker processes import only the runner subsystem.  The analysis layer
-re-exports it unchanged.
+``compile_loop`` is the one implementation of the paper's chain: front
+end ((unroll ->) copy-insert) -> schedule -> (allocate queues) ->
+(verify).  Every experiment driver, the service and
+:func:`repro.sim.checker.run_pipeline` (which adds only simulation) run
+these stages, and :func:`schedule_loop` is the one place an engine is
+chosen.  It lives here (rather than in :mod:`repro.analysis.experiments`,
+its original home) so worker processes import only the runner subsystem.
+The analysis layer re-exports it unchanged.
 
 Because :class:`~repro.runner.job.JobResult` carries only plain data, a
 driver that needs more than the :class:`~repro.analysis.metrics.LoopOutcome`
@@ -32,7 +35,7 @@ from repro.obs.trace import (job_capture, span, trace_count,
                              tracing_enabled)
 from repro.regalloc.queues import ScheduleQueueUsage, allocate_for_schedule
 from repro.sched.iisearch import DEFAULT_II_SEARCH, check_ii_search
-from repro.sched.mii import mii_report
+from repro.sched.mii import MiiReport, mii_report
 from repro.sched.partition import (PartitionConfig, partitioned_schedule,
                                    schedule_with_moves)
 from repro.sched.partitioners import (DEFAULT_PARTITIONER,
@@ -91,6 +94,8 @@ class CompiledLoop:
     schedule: Optional[ModuloSchedule] = None
     usage: Optional[ScheduleQueueUsage] = None
     work: Optional[Ddg] = None
+    #: the engine's refusal when ``outcome.failed``
+    error: Optional[SchedulingError] = None
 
 
 def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
@@ -114,7 +119,8 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
     §6).  ``ii_search`` picks the II search mode for either engine kind
     (see :mod:`repro.sched.iisearch`).  Scheduling failures produce a
     ``failed`` outcome instead of raising, so corpus sweeps always
-    complete.
+    complete; the outcome's MII bounds are those of the graph the engine
+    scheduled (after the machine's latency model).
 
     ``verify`` runs the independent checker (:mod:`repro.verify`) over
     the finished schedule and raises
@@ -160,6 +166,39 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
                    allocate=allocate, verify=verify)
 
 
+def schedule_loop(work: Ddg, machine: "Machine | ClusteredMachine", *,
+                  scheduler: str = DEFAULT_SCHEDULER,
+                  partitioner: str = DEFAULT_PARTITIONER,
+                  ii_search: str = DEFAULT_II_SEARCH,
+                  use_moves: bool = False) -> ModuloSchedule:
+    """Schedule the front-end graph *work*: the one engine dispatch point.
+
+    Clustered machines go through the ``partitioner`` engine (with ring
+    MOVEs when ``use_moves``), single-cluster machines through the
+    ``scheduler`` strategy; ``ii_search`` is the II search mode of
+    either.  Raises :class:`SchedulingError` with the engine's message
+    when no II up to the engine's limit admits a schedule.
+    """
+    if isinstance(machine, ClusteredMachine):
+        config = PartitionConfig(partitioner=partitioner,
+                                 ii_search=ii_search)
+        if use_moves:
+            return schedule_with_moves(work, machine,
+                                       config=config).schedule
+        return partitioned_schedule(work, machine, config=config)
+    return get_scheduler(scheduler).schedule(
+        work, machine, ii_search=ii_search).schedule
+
+
+def _bounds(work: Ddg, machine: "Machine | ClusteredMachine") -> MiiReport:
+    """MII bounds of *work* as the engines see it: after the machine's
+    latency model, on the graph they schedule."""
+    target = machine.cluster if isinstance(machine, ClusteredMachine) \
+        else machine
+    with span("pipeline.mii"):
+        return mii_report(target.retime(work), machine)
+
+
 def _schedule(ddg: Ddg, machine: "Machine | ClusteredMachine",
               factor: int, *, copies: bool, copy_strategy: str,
               partitioner: str, use_moves: bool, scheduler: str,
@@ -169,43 +208,32 @@ def _schedule(ddg: Ddg, machine: "Machine | ClusteredMachine",
     with span("pipeline.frontend"):
         work, n_copies = _frontend(ddg, factor, copies, copy_strategy)
 
-    clustered = isinstance(machine, ClusteredMachine)
-    with span("pipeline.mii"):
-        report = mii_report(work, machine)
+    def compiled(sched: Optional[ModuloSchedule], report: MiiReport,
+                 error: Optional[SchedulingError] = None) -> CompiledLoop:
+        outcome = LoopOutcome(
+            loop=ddg.name, machine=machine.name, n_source_ops=ddg.n_ops,
+            n_body_ops=work.n_ops if sched is None else sched.n_ops,
+            unroll_factor=factor, n_copies=n_copies,
+            ii=0 if sched is None else sched.ii, mii=report.mii,
+            res_mii=report.res, rec_mii=report.rec,
+            stage_count=0 if sched is None else sched.stage_count,
+            trip_count=ddg.trip_count, failed=sched is None)
+        return CompiledLoop(outcome=outcome, schedule=sched, work=work,
+                            error=error)
+
     try:
         with span("pipeline.schedule"):
-            if clustered and use_moves:
-                sched = schedule_with_moves(
-                    work, machine,
-                    config=PartitionConfig(partitioner=partitioner,
-                                           ii_search=ii_search)
-                ).schedule
-            elif clustered:
-                sched = partitioned_schedule(
-                    work, machine,
-                    config=PartitionConfig(partitioner=partitioner,
-                                           ii_search=ii_search))
-            else:
-                sched = get_scheduler(scheduler).schedule(
-                    work, machine, ii_search=ii_search).schedule
-    except SchedulingError:
-        return CompiledLoop(outcome=LoopOutcome(
-            loop=ddg.name, machine=machine.name,
-            n_source_ops=ddg.n_ops, n_body_ops=work.n_ops,
-            unroll_factor=factor, n_copies=n_copies,
-            ii=0, mii=report.mii, res_mii=report.res, rec_mii=report.rec,
-            stage_count=0, trip_count=ddg.trip_count, failed=True))
-
-    # the bounds are those of *work*: moves the scheduler adds can raise
-    # the scheduled ddg's MII above them
-    outcome = LoopOutcome(
-        loop=ddg.name, machine=machine.name,
-        n_source_ops=ddg.n_ops, n_body_ops=sched.n_ops,
-        unroll_factor=factor, n_copies=n_copies,
-        ii=sched.ii, mii=report.mii, res_mii=report.res,
-        rec_mii=report.rec, stage_count=sched.stage_count,
-        trip_count=ddg.trip_count)
-    return CompiledLoop(outcome=outcome, schedule=sched, work=work)
+            sched = schedule_loop(work, machine, scheduler=scheduler,
+                                  partitioner=partitioner,
+                                  ii_search=ii_search, use_moves=use_moves)
+            if not (use_moves and isinstance(machine, ClusteredMachine)):
+                return compiled(sched, MiiReport(res=sched.stats.res_mii,
+                                                 rec=sched.stats.rec_mii))
+    except SchedulingError as exc:
+        return compiled(None, _bounds(work, machine), exc)
+    # the final schedule's stats bound the move-augmented graph; the
+    # outcome reports the bounds of *work*
+    return compiled(sched, _bounds(work, machine))
 
 
 def _finish(compiled: CompiledLoop, machine: "Machine | ClusteredMachine",
@@ -219,10 +247,10 @@ def _finish(compiled: CompiledLoop, machine: "Machine | ClusteredMachine",
             usage = allocate_for_schedule(
                 sched,
                 machine if isinstance(machine, ClusteredMachine) else None)
-        compiled.usage = usage
-        compiled.outcome = replace(compiled.outcome,
-                                   total_queues=usage.total_queues,
-                                   max_queue_depth=usage.max_depth)
+            compiled.usage = usage
+            compiled.outcome = replace(compiled.outcome,
+                                       total_queues=usage.total_queues,
+                                       max_queue_depth=usage.max_depth)
 
     if verify:
         with span("pipeline.verify"):

@@ -14,10 +14,8 @@ from .strategies import (DEFAULT_SCHEDULER, SchedulerResult,
 from .mii import (MiiReport, max_cycle_ratio, mii, mii_report, rec_mii,
                   res_mii, theoretical_ipc_bound)
 from .mrt import ModuloReservationTable, Placement
-from .partition import (MoveScheduleResult, PartitionConfig,
-                        PartitionStrategy, insert_moves,
-                        partitioned_schedule, schedule_with_moves,
-                        try_partition_at_ii)
+from .partition import (MoveScheduleResult, PartitionConfig, insert_moves,
+                        partitioned_schedule, schedule_with_moves)
 from .partitioners import (DEFAULT_PARTITIONER, Partitioner,
                            PartitionState, available_partitioners,
                            get_partitioner, partitioner_descriptions,
@@ -37,9 +35,8 @@ __all__ = [
     "MiiReport", "max_cycle_ratio", "mii", "mii_report", "rec_mii",
     "res_mii", "theoretical_ipc_bound",
     "ModuloReservationTable", "Placement",
-    "MoveScheduleResult", "PartitionConfig", "PartitionStrategy",
+    "MoveScheduleResult", "PartitionConfig",
     "insert_moves", "partitioned_schedule", "schedule_with_moves",
-    "try_partition_at_ii",
     "DEFAULT_PARTITIONER", "Partitioner", "PartitionState",
     "available_partitioners", "get_partitioner",
     "partitioner_descriptions", "register_partitioner",

@@ -42,36 +42,21 @@ from .partitioners import (DEFAULT_PARTITIONER, PartitionState,
                            get_partitioner)
 from .schedule import ModuloSchedule, ScheduleStats, SchedulingError
 
-#: Historical alias -- partitioner names are an open registry now, not a
-#: closed Literal; kept so old annotations keep importing.
-PartitionStrategy = str
-
-
 @dataclass
 class PartitionConfig:
     """Tunables of the partitioned search.
 
     ``partitioner`` names the cluster-partitioning engine from the
-    :mod:`repro.sched.partitioners` registry; ``strategy`` is the
-    pre-registry spelling, kept as an init-time alias that overrides
-    ``partitioner`` when given.  It is reset to ``None`` after folding,
-    so ``dataclasses.replace(cfg, partitioner=...)`` selects the new
-    engine instead of reviving the alias.
+    :mod:`repro.sched.partitioners` registry.
     """
 
     budget_ratio: int = 6
     max_ii: Optional[int] = None
     partitioner: str = DEFAULT_PARTITIONER
-    strategy: Optional[str] = None
     validate_input: bool = True
     validate_output: bool = True
     seed: int = 0
     ii_search: str = DEFAULT_II_SEARCH
-
-    def __post_init__(self) -> None:
-        if self.strategy is not None:
-            self.partitioner = self.strategy
-            self.strategy = None
 
     def budget_for(self, n_ops: int) -> int:
         return max(1, self.budget_ratio * n_ops)
@@ -80,27 +65,6 @@ class PartitionConfig:
         if self.max_ii is not None:
             return self.max_ii
         return start_ii + ddg.n_ops + ddg.sum_latency() + 1
-
-
-def try_partition_at_ii(ddg: Ddg, cm: ClusteredMachine, ii: int, *,
-                        budget: int,
-                        strategy: str = DEFAULT_PARTITIONER,
-                        pinned: Optional[dict[int, int]] = None,
-                        relax_adjacency: bool = False,
-                        stats: Optional[ScheduleStats] = None,
-                        rng: Optional[_random.Random] = None,
-                        ) -> Optional[PartitionState]:
-    """One partitioned attempt at a fixed II under the named engine.
-
-    Kept as the historical single-call surface; the engine objects in
-    :mod:`repro.sched.partitioners` are the extensible form.  Returns the
-    final :class:`~repro.sched.partitioners.PartitionState` or ``None``
-    when the budget runs out; raises ``KeyError`` naming the registered
-    engines on an unknown name.
-    """
-    return get_partitioner(strategy).try_at_ii(
-        ddg, cm, ii, budget=budget, pinned=pinned,
-        relax_adjacency=relax_adjacency, stats=stats, rng=rng)
 
 
 def partitioned_schedule(ddg: Ddg, cm: ClusteredMachine, *,

@@ -1,17 +1,16 @@
-"""End-to-end pipeline checker: compile, allocate, simulate, verify.
+"""End-to-end pipeline checker: compile, allocate, verify, simulate.
 
 This is the one-call integration surface the test-suite (and users who just
 want confidence) lean on: it runs the full paper pipeline on a loop --
 optional unrolling, copy insertion, (partitioned) modulo scheduling, queue
-allocation, and token simulation -- and raises on the first inconsistency.
+allocation, static verification and token simulation -- and raises on the
+first inconsistency.
 
-The registry-parameterised invariant suites drive this entry point once
-per engine per kernel, so the whole chain below it runs on the packed
-core (DESIGN §5.4): the schedulers consume the loop's
-:meth:`~repro.ir.ddg.Ddg.arrays` lowering (built once per loop and
-shared by copy insertion, validation, MII bounds and the schedule
-audit), and the simulator's cross-check walks cycle-indexed event lists
-instead of per-op dicts.
+The compile stages are :func:`repro.runner.pipeline.compile_loop`'s, the
+same ones every sweep job runs (DESIGN §3); this module adds only what a
+one-off check wants on top: a raised :class:`SchedulingError` instead of
+a failed outcome, the allocation's own consistency check, the
+conventional-RF register report and the cycle-level simulation.
 """
 
 from __future__ import annotations
@@ -19,33 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.ir.copyins import insert_copies
 from repro.ir.ddg import Ddg
-from repro.ir.unroll import unroll
-from repro.obs.trace import span
 from repro.machine.cluster import ClusteredMachine
 from repro.machine.machine import Machine
-from repro.regalloc.queues import ScheduleQueueUsage, allocate_for_schedule
+from repro.obs.trace import span
+from repro.regalloc.queues import ScheduleQueueUsage
 from repro.sched.iisearch import DEFAULT_II_SEARCH
-from repro.sched.ims import ImsConfig
-from repro.sched.partition import PartitionConfig, partitioned_schedule
 from repro.sched.partitioners import DEFAULT_PARTITIONER
 from repro.sched.schedule import ModuloSchedule
 from repro.sched.strategies import DEFAULT_SCHEDULER
 
-from repro.verify import VerificationError, verify_schedule
-
 from .vliwsim import SimReport, simulate
 
 AnyMachine = Union[Machine, ClusteredMachine]
-
-
-def _prove(sched: ModuloSchedule, machine: AnyMachine) -> None:
-    """Static proof of the schedule's invariants (DESIGN §5.9); the
-    simulator then replays what the verifier already proved."""
-    verdict = verify_schedule(sched, machine)
-    if not verdict.ok:
-        raise VerificationError(verdict)
 
 
 @dataclass
@@ -56,9 +41,13 @@ class PipelineResult:
     the token simulator (a queue-machine model) does not apply: ``usage``
     and ``sim`` are ``None`` and ``registers`` carries the MaxLive report
     instead.
+
+    ``ddg`` is the graph the engine scheduled: the memoised front-end
+    graph (retimed by the machine's latency model, if it has one).  Like
+    every post-front-end graph it is shared and read-only (DESIGN §1.1).
     """
 
-    ddg: Ddg                    # the DDG actually scheduled (post-transform)
+    ddg: Ddg
     schedule: ModuloSchedule
     usage: Optional[ScheduleQueueUsage]
     sim: Optional[SimReport]
@@ -81,7 +70,6 @@ def run_pipeline(ddg: Ddg, machine: AnyMachine, *,
                  unroll_factor: int = 1,
                  copy_strategy: str = "slack",
                  iterations: Optional[int] = None,
-                 sched_config: Optional[object] = None,
                  scheduler: str = DEFAULT_SCHEDULER,
                  partitioner: str = DEFAULT_PARTITIONER,
                  ii_search: str = DEFAULT_II_SEARCH) -> PipelineResult:
@@ -89,77 +77,46 @@ def run_pipeline(ddg: Ddg, machine: AnyMachine, *,
 
     ``scheduler`` picks the single-cluster engine from the strategy
     registry and ``partitioner`` the clustered engine from the
-    partitioner registry; ``ii_search`` the II search mode for either.
-    A typed ``sched_config`` selects *and* configures its own engine
-    (:class:`ImsConfig` -> ``"ims"``, ``SmsConfig`` -> ``"sms"``,
-    :class:`PartitionConfig` -> its own ``partitioner`` field), taking
-    precedence over the names and the search mode; clustered machines
-    always go through a partitioning engine.  Raises
+    partitioner registry; ``ii_search`` the II search mode for either
+    (engines needing a custom config are reachable directly through
+    ``get_scheduler(name, config=...)`` and
+    ``partitioned_schedule(config=...)``).  Raises
     :class:`repro.sim.vliwsim.SimulationError`,
-    :class:`repro.sched.schedule.SchedulingError` or a validation error if
+    :class:`repro.sched.schedule.SchedulingError`,
+    :class:`repro.verify.VerificationError` or a validation error if
     anything is inconsistent; returns the artefacts otherwise.
     """
-    with span("pipeline.unroll"):
-        work = unroll(ddg, unroll_factor) if unroll_factor > 1 else ddg
-    n_copies = 0
-    if machine.needs_copies:
-        with span("pipeline.copy_insert"):
-            res = insert_copies(work, strategy=copy_strategy)  # type: ignore[arg-type]
-        work, n_copies = res.ddg, res.n_copies
+    # imported here: ``import repro`` need not load the sweep runner (on
+    # the service daemon that costs ~0.5 MB of peak RSS)
+    from repro.runner.pipeline import compile_loop
 
-    if isinstance(machine, ClusteredMachine):
-        if isinstance(sched_config, PartitionConfig):
-            cfg = sched_config
-        elif sched_config is not None:
-            raise TypeError(
-                f"unsupported sched_config "
-                f"{type(sched_config).__name__} for a clustered machine "
-                f"(expected PartitionConfig)")
-        else:
-            cfg = PartitionConfig(partitioner=partitioner,
-                                  ii_search=ii_search)
-        with span("pipeline.schedule"):
-            sched = partitioned_schedule(work, machine, config=cfg)
+    queues = machine.needs_copies
+    compiled = compile_loop(ddg, machine, unroll_factor=unroll_factor,
+                            copies=queues, copy_strategy=copy_strategy,
+                            allocate=queues, scheduler=scheduler,
+                            partitioner=partitioner, ii_search=ii_search,
+                            verify=True)
+    if compiled.error is not None:
+        raise compiled.error
+    sched, usage = compiled.schedule, compiled.usage
+    if usage is None:
+        # conventional RF: no queues to allocate, the queue simulator
+        # does not apply -- report register demand instead
+        from repro.regalloc.conventional import register_requirement
         with span("pipeline.allocate"):
-            usage = allocate_for_schedule(sched, machine)
-        capacities = machine.cluster.fus.as_dict()
-    else:
-        from repro.sched.strategies import SmsConfig, get_scheduler
-        if isinstance(sched_config, ImsConfig):
-            engine = get_scheduler("ims", config=sched_config)
-        elif isinstance(sched_config, SmsConfig):
-            engine = get_scheduler("sms", config=sched_config)
-        elif sched_config is not None:
-            raise TypeError(
-                f"unsupported sched_config {type(sched_config).__name__} "
-                f"for a single-cluster machine")
-        else:
-            engine = get_scheduler(scheduler)
-        mode = None if sched_config is not None else ii_search
-        with span("pipeline.schedule"):
-            sched = engine.schedule(work, machine, ii_search=mode).schedule
-        capacities = machine.fus.as_dict()
-        if not machine.needs_copies:
-            # conventional RF: no queues to allocate, the queue simulator
-            # does not apply -- report register demand instead
-            from repro.regalloc.conventional import register_requirement
-            with span("pipeline.regalloc"):
-                registers = register_requirement(sched)
-            with span("pipeline.verify"):
-                _prove(sched, machine)
-            return PipelineResult(
-                ddg=sched.ddg, schedule=sched, usage=None, sim=None,
-                unroll_factor=unroll_factor, n_copies=0,
-                registers=registers)
-        with span("pipeline.allocate"):
-            usage = allocate_for_schedule(sched)
+            registers = register_requirement(sched)
+        return PipelineResult(
+            ddg=sched.ddg, schedule=sched, usage=None, sim=None,
+            unroll_factor=unroll_factor, n_copies=0,
+            registers=registers)
 
     with span("pipeline.verify"):
         usage.verify()
-        _prove(sched, machine)
     with span("pipeline.simulate"):
+        fus = machine.cluster.fus if isinstance(machine, ClusteredMachine) \
+            else machine.fus
         sim = simulate(sched, usage, iterations=iterations,
-                       capacities=capacities)
+                       capacities=fus.as_dict())
     return PipelineResult(
         ddg=sched.ddg, schedule=sched, usage=usage, sim=sim,
-        unroll_factor=unroll_factor, n_copies=n_copies)
+        unroll_factor=unroll_factor, n_copies=compiled.outcome.n_copies)

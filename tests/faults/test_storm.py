@@ -11,7 +11,7 @@ import pytest
 
 from repro import faults
 from repro.machine.presets import qrf_machine
-from repro.runner import ResultCache, RunnerConfig, ShardedResultCache, \
+from repro.runner import RunnerConfig, ShardedResultCache, \
     run_jobs, sweep
 from repro.runner import pool as pool_mod
 from repro.runner.job import CompileJob
@@ -73,7 +73,7 @@ def test_fault_storm_matches_the_fault_free_run(tmp_path):
 
 def test_injected_job_errors_become_results_and_are_never_cached(tmp_path):
     jobs = [CompileJob(kernel(n), qrf_machine(4)) for n in ("daxpy", "dot")]
-    cache = ResultCache(tmp_path / "cache")
+    cache = ShardedResultCache(tmp_path / "cache")
     faults.enable_faults("seed=1;job.execute=raise:1")
     broken = run_jobs(jobs, RunnerConfig(cache=cache))
     assert [r.key for r in broken] == [j.key for j in jobs]
@@ -90,7 +90,7 @@ def test_injected_job_errors_become_results_and_are_never_cached(tmp_path):
 
 def test_cache_get_faults_degrade_to_recompute(tmp_path):
     jobs = [CompileJob(kernel(n), qrf_machine(4)) for n in ("fir4", "vadd")]
-    cache = ResultCache(tmp_path / "cache")
+    cache = ShardedResultCache(tmp_path / "cache")
     warm = run_jobs(jobs, RunnerConfig(cache=cache))
     faults.enable_faults("seed=3;cache.get=raise:1")
     replay = run_jobs(jobs, RunnerConfig(cache=cache))
@@ -102,12 +102,12 @@ def test_cache_get_faults_degrade_to_recompute(tmp_path):
 def test_cache_put_faults_do_not_lose_the_sweep(tmp_path):
     jobs = [CompileJob(kernel(n), qrf_machine(4)) for n in ("scale", "iir1")]
     faults.enable_faults("seed=4;cache.put=raise:1")
-    cache = ResultCache(tmp_path / "cache")
+    cache = ShardedResultCache(tmp_path / "cache")
     results = run_jobs(jobs, RunnerConfig(cache=cache))
     assert not any(r.outcome.failed for r in results)
     faults.disable_faults()
     # nothing durable was written: a fresh view replays nothing
-    fresh = ResultCache(tmp_path / "cache")
+    fresh = ShardedResultCache(tmp_path / "cache")
     assert all(fresh.peek(j.key) is None for j in jobs)
 
 

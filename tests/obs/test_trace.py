@@ -121,10 +121,13 @@ def test_pipeline_emits_stage_spans(traced):
 
     run_pipeline(kernel("daxpy"), qrf_machine(4))
     snap = tr.trace_snapshot()
-    for stage in ("pipeline.unroll", "pipeline.copy_insert",
-                  "pipeline.schedule", "pipeline.allocate",
-                  "pipeline.verify", "pipeline.simulate"):
-        assert snap["stages"][stage]["count"] >= 1, stage
+    stages = {name for name in snap["stages"]
+              if name.startswith("pipeline.")}
+    # compile_loop's stages plus simulation; the MII comes from the
+    # engine, so there is no pipeline.mii stage on success
+    assert stages == {"pipeline.frontend", "pipeline.schedule",
+                      "pipeline.allocate", "pipeline.verify",
+                      "pipeline.simulate"}
     assert snap["counters"]["sched.ii_accepted"] >= 1
     assert "sched.ii_attempt" in snap["stages"]
 

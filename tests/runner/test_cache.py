@@ -5,20 +5,27 @@ import json
 import pytest
 
 from repro.machine.presets import qrf_machine
-from repro.runner import (CompileJob, ResultCache, RunnerConfig,
+from repro.runner import (CompileJob, RunnerConfig, ShardedResultCache,
                           default_cache_dir, execute_job, run_jobs)
+from repro.runner import cache as cache_mod
 from repro.runner.cache import CACHE_DIR_ENV
 from repro.runner.fingerprint import SCHEMA_VERSION
+from repro.runner.job import JobResult
 from repro.workloads.kernels import kernel
 
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(tmp_path / "cache")
+    return ShardedResultCache(tmp_path / "cache")
 
 
 def _job(name="daxpy", n_fus=4):
     return CompileJob(kernel(name), qrf_machine(n_fus))
+
+
+def _shard_file(cache, key):
+    """The shard file holding *key*'s records."""
+    return cache._shard_path(cache._shard(key))
 
 
 def test_miss_then_hit(cache):
@@ -37,7 +44,7 @@ def test_miss_then_hit(cache):
 def test_persists_across_instances(cache, tmp_path):
     result = execute_job(_job())
     cache.put(result)
-    reopened = ResultCache(tmp_path / "cache")
+    reopened = ShardedResultCache(tmp_path / "cache")
     assert reopened.get(result.key) == result
 
 
@@ -49,7 +56,7 @@ def test_extras_round_trip_json(cache):
                      PipelineOptions(allocate=False, extras=(spec,)))
     result = execute_job(job)
     cache.put(result)
-    replayed = ResultCache(cache.directory).get(job.key)
+    replayed = ShardedResultCache(cache.directory).get(job.key)
     assert replayed.extras == result.extras
     assert replayed.extras[spec]["4x8"]["n_spilled"] >= 0
 
@@ -57,12 +64,12 @@ def test_extras_round_trip_json(cache):
 def test_corrupt_lines_are_skipped_not_fatal(cache):
     good = execute_job(_job())
     cache.put(good)
-    with cache.path.open("a") as fh:
+    with _shard_file(cache, good.key).open("a") as fh:
         fh.write("{not json at all\n")                      # truncated write
         fh.write(json.dumps({"v": SCHEMA_VERSION}) + "\n")  # missing fields
         fh.write(json.dumps({"v": SCHEMA_VERSION - 1, "key": "k",
                              "outcome": {}}) + "\n")        # old schema
-    reopened = ResultCache(cache.directory)
+    reopened = ShardedResultCache(cache.directory)
     assert len(reopened) == 1
     assert reopened.n_corrupt == 3
     assert reopened.get(good.key) == good
@@ -72,15 +79,16 @@ def test_corrupt_entry_triggers_recompute(cache):
     job = _job()
     run_jobs([job], RunnerConfig(cache=cache))
     # clobber the stored record's outcome in place
-    record = json.loads(cache.path.read_text())
+    shard_file = _shard_file(cache, job.key)
+    record = json.loads(shard_file.read_text())
     record["outcome"] = {"nonsense": True}
-    cache.path.write_text(json.dumps(record) + "\n")
-    fresh_cache = ResultCache(cache.directory)
+    shard_file.write_text(json.dumps(record) + "\n")
+    fresh_cache = ShardedResultCache(cache.directory)
     [result] = run_jobs([job], RunnerConfig(cache=fresh_cache))
     assert not result.cached            # recompiled, not replayed
     assert fresh_cache.n_corrupt == 1
     # and the recompute healed the store
-    healed = ResultCache(cache.directory)
+    healed = ShardedResultCache(cache.directory)
     assert healed.get(job.key) is not None
 
 
@@ -88,20 +96,24 @@ def test_last_duplicate_wins(cache):
     result = execute_job(_job())
     cache.put(result)
     cache.put(result)
-    reopened = ResultCache(cache.directory)
+    assert _shard_file(cache, result.key).read_text().count(
+        result.key) == 2
+    reopened = ShardedResultCache(cache.directory)
     assert len(reopened) == 1
 
 
 def test_clear(cache):
-    cache.put(execute_job(_job()))
+    result = execute_job(_job())
+    cache.put(result)
     assert len(cache) == 1
     cache.clear()
     assert len(cache) == 0
-    assert not cache.path.exists()
+    assert not _shard_file(cache, result.key).exists()
+    assert len(ShardedResultCache(cache.directory)) == 0
 
 
 def test_unwritable_location_degrades_to_memory(capsys):
-    broken = ResultCache("/proc/definitely/not/writable")
+    broken = ShardedResultCache("/proc/definitely/not/writable")
     job = _job()
     [first] = run_jobs([job], RunnerConfig(cache=broken))
     assert not first.cached
@@ -114,7 +126,7 @@ def test_unwritable_location_degrades_to_memory(capsys):
 def test_default_dir_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "elsewhere"))
     assert default_cache_dir() == tmp_path / "elsewhere"
-    assert ResultCache().directory == tmp_path / "elsewhere"
+    assert ShardedResultCache().directory == tmp_path / "elsewhere"
 
 
 def test_default_dir_fallback(monkeypatch):
@@ -129,45 +141,46 @@ def test_crash_mid_append_recovers_and_heals(cache):
     good = execute_job(_job())
     cache.put(good)
     # simulate the crash: a truncated record, no trailing newline
-    with cache.path.open("a") as fh:
+    shard_file = _shard_file(cache, good.key)
+    with shard_file.open("a") as fh:
         fh.write('{"v": %d, "key": "deadbeef", "outco' % SCHEMA_VERSION)
 
-    torn = ResultCache(cache.directory)
+    torn = ShardedResultCache(cache.directory)
     assert torn.get(good.key) == good
     assert torn.n_corrupt == 1
 
-    # appending through the torn tail must not corrupt the new record
-    second = execute_job(_job("dot"))
+    # appending through the torn tail must not corrupt the new record;
+    # the second result is re-keyed onto the torn shard
+    compiled = execute_job(_job("dot"))
+    second = JobResult(key=good.key[:2] + compiled.key[2:],
+                       outcome=compiled.outcome)
     torn.put(second)
-    healed = ResultCache(cache.directory)
+    healed = ShardedResultCache(cache.directory)
     assert healed.get(good.key) == good
     assert healed.get(second.key) == second
     assert healed.n_corrupt == 1          # still just the torn line
     # the torn fragment sits isolated on its own line
-    lines = cache.path.read_text().splitlines()
+    lines = shard_file.read_text().splitlines()
     assert sum(1 for ln in lines if ln.endswith('"outco')) == 1
 
 
 def test_put_many_is_one_append_per_batch(cache, monkeypatch):
-    """run_jobs stores the whole sweep with a single buffered write."""
+    """run_jobs stores a sweep with one buffered append per touched
+    shard, each carrying every record of the batch bound there."""
     jobs = [_job(n) for n in ("daxpy", "dot", "fir4", "vadd")]
     results = [execute_job(j) for j in jobs]
-    writes = []
-    real_open = type(cache.path).open
+    appends = []
+    real_append = cache_mod._ShardHandles.append
 
-    def counting_open(self, mode="r", *a, **kw):
-        fh = real_open(self, mode, *a, **kw)
-        if "a" in mode:
-            real_write = fh.write
-            def write(data):
-                writes.append(data)
-                return real_write(data)
-            fh.write = write
-        return fh
+    def counting_append(self, payload):
+        appends.append((self.path, payload))
+        return real_append(self, payload)
 
-    monkeypatch.setattr(type(cache.path), "open", counting_open)
+    monkeypatch.setattr(cache_mod._ShardHandles, "append", counting_append)
     cache.put_many(results)
-    assert len(writes) == 1
-    assert writes[0].count("\n") == len(results)
-    reopened = ResultCache(cache.directory)
+    touched = {str(_shard_file(cache, r.key)) for r in results}
+    assert sorted(path for path, _ in appends) == sorted(touched)
+    assert sum(payload.count(b"\n") for _, payload in appends) \
+        == len(results)
+    reopened = ShardedResultCache(cache.directory)
     assert len(reopened) == len(results)

@@ -1,4 +1,4 @@
-"""Sharded result cache: concurrency, migration, eviction, layout."""
+"""Sharded result cache: concurrency, eviction, layout."""
 
 import hashlib
 import json
@@ -9,9 +9,9 @@ import shutil
 import pytest
 
 from repro.machine.presets import qrf_machine
-from repro.runner import (CompileJob, ResultCache, ShardedResultCache,
-                          execute_job, open_cache)
-from repro.runner.cache import CACHE_FILE, SHARD_DIR
+from repro.runner import (CompileJob, ShardedResultCache, execute_job,
+                          open_cache)
+from repro.runner.cache import SHARD_DIR
 from repro.runner.fingerprint import SCHEMA_VERSION
 from repro.runner.job import JobResult
 from repro.workloads.kernels import kernel
@@ -95,14 +95,15 @@ def test_torn_shard_tail_is_isolated_and_healed(cache):
 
 
 def test_clear_drops_both_layouts(tmp_path):
-    legacy = ResultCache(tmp_path / "cache")
-    legacy.put(_fake_result("legacy"))
+    # one layout: clear() drops the shards and leaves a file of the
+    # retired single-file layout alone
+    old_file = _old_single_file(tmp_path / "cache", [_fake_result("old")])
     sharded = ShardedResultCache(tmp_path / "cache")
     sharded.put(_fake_result("sharded"))
-    assert len(sharded) == 2
+    assert len(sharded) == 1
     sharded.clear()
     assert len(ShardedResultCache(tmp_path / "cache")) == 0
-    assert not (tmp_path / "cache" / CACHE_FILE).exists()
+    assert old_file.exists()
 
 
 def test_bad_shard_count_rejected(tmp_path):
@@ -111,61 +112,75 @@ def test_bad_shard_count_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# legacy migration
+# the retired single-file layout
 # ---------------------------------------------------------------------------
 
+def _old_single_file(directory, results):
+    """Write *results* the way the retired single-file store did:
+    ``results.jsonl`` directly in the cache directory."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "results.jsonl"
+    lines = []
+    for result in results:
+        record = result.to_record()
+        record["v"] = SCHEMA_VERSION
+        lines.append(json.dumps(record, sort_keys=True))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def test_legacy_records_read_through(tmp_path):
-    legacy = ResultCache(tmp_path / "cache")
+    # no read-through: an old single-file record is a miss (one
+    # recompile), and the file is left where it was
     result = execute_job(_job())
-    legacy.put(result)
+    old_file = _old_single_file(tmp_path / "cache", [result])
     sharded = ShardedResultCache(tmp_path / "cache")
-    assert sharded.get(result.key) == result
+    assert sharded.get(result.key) is None
+    assert len(sharded) == 0 and sharded.n_corrupt == 0
+    sharded.put(result)
+    assert ShardedResultCache(tmp_path / "cache").get(result.key) == result
+    assert old_file.exists()
 
 
 def test_migrate_moves_and_removes_legacy(tmp_path):
-    legacy = ResultCache(tmp_path / "cache")
+    # nothing migrates: gc compacts the shards only, and the old file
+    # neither counts toward the store's bytes nor gets deleted
     results = [_fake_result(f"m{i}") for i in range(10)]
-    legacy.put_many(results)
-
+    old_file = _old_single_file(tmp_path / "cache", results)
+    before = old_file.read_bytes()
     sharded = ShardedResultCache(tmp_path / "cache")
-    assert sharded.migrate() == 10
-    assert not (tmp_path / "cache" / CACHE_FILE).exists()
-    reloaded = ShardedResultCache(tmp_path / "cache")
-    for result in results:
-        assert reloaded.get(result.key).outcome == result.outcome
-    # shard-resident records are not re-migrated
-    assert reloaded.migrate() == 0
+    assert not hasattr(sharded, "migrate")
+    report = sharded.gc()
+    assert report == {"before_bytes": 0, "after_bytes": 0, "evicted": 0,
+                      "compacted_shards": 0}
+    assert len(ShardedResultCache(tmp_path / "cache")) == 0
+    assert old_file.read_bytes() == before
 
 
 def test_migrate_prefers_newer_shard_records(tmp_path):
-    stale = _fake_result("dup")
-    legacy = ResultCache(tmp_path / "cache")
-    legacy.put(stale)
-    sharded = ShardedResultCache(tmp_path / "cache")
-    fresh = JobResult(key=stale.key, outcome=stale.outcome,
-                      extras={"marker": 1})
-    sharded.put(fresh)
-    sharded.migrate()
-    reloaded = ShardedResultCache(tmp_path / "cache")
-    assert reloaded.get(stale.key).extras == {"marker": 1}
+    # the single-file backend itself is gone from the package
+    import repro.runner
+
+    with pytest.raises(ImportError):
+        from repro.runner import ResultCache  # noqa: F401
+    assert not hasattr(repro.runner, "ResultCache")
+    assert "ResultCache" not in repro.runner.__all__
 
 
 def test_open_cache_autodetects_layout(tmp_path):
     # brand-new directory -> sharded
     assert isinstance(open_cache(tmp_path / "new"), ShardedResultCache)
-    # existing legacy store stays legacy
-    legacy_dir = tmp_path / "old"
-    ResultCache(legacy_dir).put(_fake_result("x"))
-    assert isinstance(open_cache(legacy_dir), ResultCache)
-    # ... until migrated, after which shards win
-    sharded = ShardedResultCache(legacy_dir)
-    sharded.migrate()
-    assert isinstance(open_cache(legacy_dir), ShardedResultCache)
-    # and the backend override forces either way
-    assert isinstance(open_cache(legacy_dir, backend="legacy"),
-                      ResultCache)
-    with pytest.raises(ValueError):
-        open_cache(legacy_dir, backend="nope")
+    # a directory holding an old single file -> sharded all the same
+    old_dir = tmp_path / "old"
+    _old_single_file(old_dir, [_fake_result("x")])
+    cache = open_cache(old_dir, backend="sharded")
+    assert isinstance(cache, ShardedResultCache)
+    assert isinstance(open_cache(old_dir), ShardedResultCache)
+    assert cache.stats()["backend"] == "sharded"
+    # "sharded" is the only backend
+    for backend in ("legacy", "nope"):
+        with pytest.raises(ValueError):
+            open_cache(old_dir, backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +277,21 @@ def test_daemon_plus_cli_shape_sharing(tmp_path):
     assert fresh.n_corrupt == 0
 
 
-def test_json_round_trip_matches_legacy_wire_format(cache, tmp_path):
-    """Shard lines carry the same record schema as the legacy store, so
-    cost estimation (and any external reader) works unchanged."""
-    result = execute_job(_job("dot"))
+def test_json_round_trip_matches_legacy_wire_format(cache):
+    """Shard lines carry the record schema the single-file store wrote,
+    so cost estimation (and any external reader) works unchanged."""
+    result = _fake_result("wire")
+    result.extras = {"sched_stats": {"attempts": 7}}
+    result.wall_s = 0.25
     cache.put(result)
-    legacy = ResultCache(tmp_path / "legacy")
-    legacy.put(result)
-    shard_line = json.loads(
-        cache._shard_path(cache._shard(result.key)).read_text())
-    legacy_line = json.loads(legacy.path.read_text())
-    assert shard_line == legacy_line
+    assert cache._shard_path(cache._shard(result.key)).read_text() == (
+        '{"extras": {"sched_stats": {"attempts": 7}}, "key": "%s", '
+        '"outcome": {"error": null, "failed": false, "ii": 2, '
+        '"loop": "loop-wire", "machine": "m", "max_queue_depth": null, '
+        '"mii": 2, "n_body_ops": 4, "n_copies": 0, "n_source_ops": 4, '
+        '"rec_mii": 1, "res_mii": 2, "stage_count": 2, '
+        '"total_queues": null, "trip_count": 100, "unroll_factor": 1}, '
+        '"v": %d, "wall_s": 0.25}\n' % (result.key, SCHEMA_VERSION))
 
 
 def test_cost_estimator_reads_sharded_cache(cache):

@@ -10,7 +10,7 @@ from repro.analysis.experiments import (fig3_queue_requirements,
                                         fig6_ii_variation, register_pressure,
                                         sec2_copy_impact, sec4_cluster_queues,
                                         spill_budget)
-from repro.runner import ResultCache, RunnerConfig
+from repro.runner import RunnerConfig, ShardedResultCache
 from repro.workloads.kernels import all_kernels
 from repro.workloads.synth import SynthConfig, generate_loop
 
@@ -25,7 +25,7 @@ def loops():
 
 @pytest.fixture
 def parallel_cached(tmp_path):
-    return RunnerConfig(n_workers=2, cache=ResultCache(tmp_path))
+    return RunnerConfig(n_workers=2, cache=ShardedResultCache(tmp_path))
 
 
 @pytest.mark.parametrize("driver", [

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.machine.presets import clustered_machine, qrf_machine
-from repro.runner import (CompileJob, PipelineOptions, ResultCache,
-                          RunnerConfig, run_jobs, sweep)
+from repro.runner import (CompileJob, PipelineOptions, RunnerConfig,
+                          ShardedResultCache, run_jobs, sweep)
 from repro.runner import executor as executor_mod
 from repro.workloads.corpus import paper_corpus
 from repro.workloads.kernels import all_kernels, kernel
@@ -41,7 +41,7 @@ def test_parallel_equals_serial_with_unrolling(corpus_sample):
 
 
 def test_cache_makes_second_sweep_incremental(tmp_path, corpus_sample):
-    cache = ResultCache(tmp_path)
+    cache = ShardedResultCache(tmp_path)
     jobs = sweep(corpus_sample[:6], [qrf_machine(4)])
     config = RunnerConfig(cache=cache)
     first = run_jobs(jobs, config)
@@ -54,7 +54,7 @@ def test_cache_makes_second_sweep_incremental(tmp_path, corpus_sample):
 
 def test_cache_is_shared_between_serial_and_parallel(tmp_path,
                                                      corpus_sample):
-    cache = ResultCache(tmp_path)
+    cache = ShardedResultCache(tmp_path)
     jobs = sweep(corpus_sample[:6], [qrf_machine(4)])
     serial = run_jobs(jobs, RunnerConfig(cache=cache))
     parallel = run_jobs(jobs, RunnerConfig(n_workers=2, cache=cache))
@@ -63,7 +63,7 @@ def test_cache_is_shared_between_serial_and_parallel(tmp_path,
 
 
 def test_partial_cache_fills_only_the_gaps(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ShardedResultCache(tmp_path)
     half = [CompileJob(kernel(n), qrf_machine(4))
             for n in ("daxpy", "dot")]
     full = half + [CompileJob(kernel(n), qrf_machine(4))
@@ -74,7 +74,7 @@ def test_partial_cache_fills_only_the_gaps(tmp_path):
 
 
 def test_progress_callback_ticks_every_job(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ShardedResultCache(tmp_path)
     jobs = [CompileJob(kernel(n), qrf_machine(4))
             for n in ("daxpy", "dot", "fir4")]
     seen = []
@@ -115,7 +115,7 @@ def test_failed_outcomes_survive_parallel_and_cache(tmp_path):
     loops = [generate_loop(rng, cfg, i) for i in range(cfg.n_loops)]
     jobs = sweep(loops, [narrow_test_machine()],
                  [dict(copies=True, allocate=False)])
-    cache = ResultCache(tmp_path)
+    cache = ShardedResultCache(tmp_path)
     serial = run_jobs(jobs)
     parallel = run_jobs(jobs, RunnerConfig(n_workers=2, cache=cache))
     replayed = run_jobs(jobs, RunnerConfig(cache=cache))
@@ -220,7 +220,7 @@ class TestPersistentPool:
     def test_cost_estimator_prefers_cache_history(self, tmp_path):
         from repro.runner import pool as pool_mod
 
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultCache(tmp_path)
         job = CompileJob(kernel("daxpy"), qrf_machine(4))
         run_jobs([job], RunnerConfig(cache=cache))
         cost = pool_mod.cost_estimator(cache)

@@ -68,14 +68,17 @@ class TestBasicPartitioning:
                 config=PartitionConfig(partitioner="bogus"))
 
     def test_strategy_alias_still_selects_the_engine(self):
-        cfg = PartitionConfig(strategy="balance")
-        assert cfg.partitioner == "balance"
+        # the pre-registry ``strategy`` spelling is gone: one field names
+        # the engine
+        with pytest.raises(TypeError, match="strategy"):
+            PartitionConfig(strategy="balance")
 
     def test_replace_switches_engine_despite_alias_history(self):
         import dataclasses
-        cfg = PartitionConfig(strategy="balance")
+        cfg = PartitionConfig(partitioner="balance")
         swapped = dataclasses.replace(cfg, partitioner="agglomerative")
         assert swapped.partitioner == "agglomerative"
+        assert not hasattr(swapped, "strategy")
 
     def test_determinism(self):
         cm = make_clustered(5)

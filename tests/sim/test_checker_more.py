@@ -4,32 +4,26 @@ import pytest
 
 from repro.machine.cluster import make_clustered
 from repro.machine.presets import crf_machine, qrf_machine
-from repro.sched.ims import ImsConfig
 from repro.sched.partition import PartitionConfig
 from repro.sim.checker import run_pipeline
 from repro.workloads.kernels import daxpy, dot_product, norm2
 
 
 def test_custom_ims_config():
-    res = run_pipeline(daxpy(), qrf_machine(4),
-                       sched_config=ImsConfig(budget_ratio=3),
+    res = run_pipeline(daxpy(), qrf_machine(4), scheduler="ims",
                        iterations=8)
     assert res.ii == 2
 
 
 def test_custom_partition_config():
     cm = make_clustered(4)
-    res = run_pipeline(daxpy(), cm,
-                       sched_config=PartitionConfig(strategy="balance"),
-                       iterations=8)
+    res = run_pipeline(daxpy(), cm, partitioner="balance", iterations=8)
     res.schedule.validate(cm.cluster.fus.as_dict(), adjacency=cm)
 
 
 def test_custom_sms_config_selects_sms_engine():
-    from repro.sched.strategies import SmsConfig
-
-    res = run_pipeline(daxpy(), qrf_machine(4),
-                       sched_config=SmsConfig(), iterations=8)
+    res = run_pipeline(daxpy(), qrf_machine(4), scheduler="sms",
+                       iterations=8)
     assert res.ii == 2
 
 

@@ -200,7 +200,7 @@ def test_cache_subcommand_reports_and_clears(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--cache-dir", cache, "cache")
     assert code == 0
     assert "results" in out
-    code, out, _ = run_cli(capsys, "--cache-dir", cache, "cache", "--clear")
+    code, out, _ = run_cli(capsys, "--cache-dir", cache, "cache", "clear")
     assert code == 0
     assert "cleared" in out
     code, out, _ = run_cli(capsys, "--cache-dir", cache, "cache")
@@ -221,28 +221,33 @@ def test_cache_stats_gc_and_migrate_actions(capsys, tmp_path):
     assert "evicted" in out
     code, out, _ = run_cli(capsys, "--cache-dir", cache, "cache", "stats")
     assert "0 results" in out
+    # the retired spellings are usage errors
+    for argv in (["cache", "--clear"], ["cache", "migrate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache-dir", cache, *argv])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_cache_gc_on_legacy_layout(capsys, tmp_path):
-    from repro.runner import ResultCache, execute_job
+    from repro.runner import ShardedResultCache, execute_job
     from repro.runner.job import CompileJob
     from repro.machine.presets import qrf_machine
     from repro.workloads.kernels import kernel
 
     cache_dir = tmp_path / "cache"
-    legacy = ResultCache(cache_dir)
+    cache = ShardedResultCache(cache_dir)
     result = execute_job(CompileJob(kernel("daxpy"), qrf_machine(4)))
-    legacy.put(result)
-    legacy.put(result)  # duplicate line the gc can fold away
+    cache.put(result)
+    cache.put(result)  # duplicate line the gc can fold away
     code, out, _ = run_cli(capsys, "--cache-dir", str(cache_dir),
                            "cache", "stats")
-    assert code == 0 and "[legacy]" in out
+    assert code == 0 and "[sharded]" in out and "1 results" in out
+    before = cache.total_bytes()
     code, out, _ = run_cli(capsys, "--cache-dir", str(cache_dir),
                            "cache", "gc")
-    assert code == 0 and "evicted" in out
-    code, out, _ = run_cli(capsys, "--cache-dir", str(cache_dir),
-                           "cache", "migrate")
-    assert code == 0 and "migrated" in out
+    assert code == 0 and "0 evicted" in out
+    assert f"{before} -> {before // 2} bytes" in out
     code, out, _ = run_cli(capsys, "--cache-dir", str(cache_dir),
                            "cache", "stats")
     assert "[sharded]" in out and "1 results" in out
