@@ -487,7 +487,6 @@ def cmd_serve(args) -> int:
     cache = None if args.no_cache else open_cache(
         args.cache_dir, max_bytes=args.max_cache_bytes)
     service = SweepService(cache, n_workers=args.jobs,
-                           batch_window_s=args.batch_window,
                            batch_max=args.batch_max,
                            request_deadline_s=args.request_deadline,
                            max_queue_depth=args.max_queue_depth,
@@ -833,9 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "GET /jobs/<key>, /healthz, /metrics)")
     pv.add_argument("--host", default="127.0.0.1")
     pv.add_argument("--port", type=int, default=8123)
-    pv.add_argument("--batch-window", type=float, default=0.005,
-                    metavar="SECONDS",
-                    help="micro-batch collection window (default 5ms)")
     pv.add_argument("--batch-max", type=int, default=64, metavar="N",
                     help="max jobs per dispatcher batch (default 64)")
     pv.add_argument("--max-cache-bytes", type=int, default=None,

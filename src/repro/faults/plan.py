@@ -30,7 +30,7 @@ SITES: dict[str, tuple[str, ...]] = {
     "job.execute": ("raise", "slow"),              # inside execute_job
     "cache.get": ("raise",),                       # cache lookup I/O
     "cache.put": ("raise", "torn"),                # cache store I/O
-    "service.batch": ("raise",),                   # micro-batch dispatch
+    "service.batch": ("raise",),                   # batch dispatch
     "daemon.request": ("raise",),                  # HTTP request handling
 }
 

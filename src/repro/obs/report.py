@@ -294,8 +294,8 @@ def prometheus_text(snapshot: dict) -> str:
         "dedup_inflight": "Jobs coalesced onto an in-flight compile.",
         "served_from_cache": "Jobs answered straight from the cache.",
         "compiled": "Jobs that actually compiled.",
-        "batches": "Dispatcher micro-batches executed.",
-        "batch_jobs": "Jobs across all micro-batches.",
+        "batches": "Dispatcher batches executed.",
+        "batch_jobs": "Jobs across all dispatcher batches.",
         "shed": "Requests shed on dispatcher queue depth (503).",
         "breaker_rejected": "Requests failed fast by the open breaker.",
         "breaker_trips": "Circuit-breaker transitions to open.",

@@ -64,10 +64,9 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context()
 
 
-def _run_parallel(jobs: Sequence[CompileJob], config: RunnerConfig,
-                  tick: Callable[[], None]) -> list[JobResult]:
-    """Ordered fan-out over the persistent pool, serial completion of
-    whatever the pool could not deliver.
+def _fan_out(jobs: Sequence[CompileJob], config: RunnerConfig,
+             results: list, tick: Callable[[], None]) -> None:
+    """Ordered fan-out over the persistent pool into *results*.
 
     The pool session (one per worker count) survives across ``run_jobs``
     calls: workers are initialized once with the deduplicated machine /
@@ -75,10 +74,9 @@ def _run_parallel(jobs: Sequence[CompileJob], config: RunnerConfig,
     crashes and hangs are the session's problem (watchdog + respawn +
     quarantine, the pool stays alive); only a failure of the fan-out
     machinery itself -- or of the caller's own callbacks -- still
-    discards the session.  Either way the jobs left unsettled finish on
-    the serial path below, so a sweep is never lost.
+    discards the session.  Either way :func:`compile_and_store` runs
+    the jobs left unsettled serially, so a sweep is never lost.
     """
-    results: list[Optional[JobResult]] = [None] * len(jobs)
     merge_traces = _trace.tracing_enabled()
 
     def on_result(seq: int, result: JobResult) -> None:
@@ -103,16 +101,6 @@ def _run_parallel(jobs: Sequence[CompileJob], config: RunnerConfig,
                                    len(quarantined))
     except Exception as exc:
         pool_mod.discard_session(config.n_workers, cause=exc)
-    # serial completion of the undelivered seqs -- quarantined repeat
-    # offenders, or everything unsettled after a discarded session.
-    # Settled seqs are final: a job whose result was already reported
-    # must not run twice (exactly-once accounting)
-    for seq, job in enumerate(jobs):
-        if results[seq] is None:
-            _faults.on_job_execute(job.key)
-            results[seq] = execute_job(job)
-            tick()
-    return results  # type: ignore[return-value]
 
 
 def _cache_get(cache: ShardedResultCache, key: str) -> Optional[JobResult]:
@@ -124,6 +112,37 @@ def _cache_get(cache: ShardedResultCache, key: str) -> Optional[JobResult]:
         log.warning("cache lookup failed (%s: %s); treating as a miss",
                     type(exc).__name__, exc)
         return None
+
+
+def compile_and_store(jobs: Sequence[CompileJob], config: RunnerConfig,
+                      tick: Callable[[], None] = lambda: None
+                      ) -> list[JobResult]:
+    """The compile-and-store half of :func:`run_jobs`, for jobs whose
+    cache lookup already missed; one result per job, in order."""
+    fresh: list = [None] * len(jobs)
+    if config.n_workers > 1 and len(jobs) > 1:
+        _fan_out(jobs, config, fresh, tick)
+    # serially: every job, or what the pool did not deliver (quarantined
+    # repeat offenders, everything after a discarded session).  Settled
+    # seqs are final: a reported job must not run twice (exactly-once)
+    for seq, job in enumerate(jobs):
+        if fresh[seq] is None:
+            _faults.on_job_execute(job.key)
+            fresh[seq] = execute_job(job)
+            tick()
+    if config.cache is not None:
+        # error-kind results are transient infrastructure failures,
+        # not compilation outcomes: caching one would pin the fault
+        durable = [r for r in fresh if not r.outcome.error]
+        try:
+            config.cache.put_many(durable)
+        except Exception as exc:
+            _trace.trace_count("runner.cache_errors")
+            log.warning(
+                "cache store of %d result(s) failed (%s: %s); sweep "
+                "results are unaffected", len(durable),
+                type(exc).__name__, exc)
+    return fresh
 
 
 def run_jobs(jobs: Sequence[CompileJob],
@@ -161,28 +180,8 @@ def run_jobs(jobs: Sequence[CompileJob],
         _trace.trace_count("runner.cache_misses", len(pending))
 
     if pending:
-        todo = [jobs[i] for i in pending]
-        if config.n_workers > 1 and len(todo) > 1:
-            fresh = _run_parallel(todo, config, tick)
-        else:
-            fresh = []
-            for job in todo:
-                _faults.on_job_execute(job.key)
-                fresh.append(execute_job(job))
-                tick()
+        fresh = compile_and_store([jobs[i] for i in pending], config, tick)
         for i, result in zip(pending, fresh):
             results[i] = result
-        if config.cache is not None:
-            # error-kind results are transient infrastructure failures,
-            # not compilation outcomes: caching one would pin the fault
-            durable = [r for r in fresh if not r.outcome.error]
-            try:
-                config.cache.put_many(durable)
-            except Exception as exc:
-                _trace.trace_count("runner.cache_errors")
-                log.warning(
-                    "cache store of %d result(s) failed (%s: %s); sweep "
-                    "results are unaffected", len(durable),
-                    type(exc).__name__, exc)
 
     return results  # type: ignore[return-value]

@@ -149,13 +149,20 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
             ddg, _fu_counts(machine), max_factor=UNROLL_MAX_FACTOR,
             max_ops=UNROLL_MAX_OPS).factor
         if factor > 1:
-            # a production compiler keeps whichever version wins: schedule
-            # both and fall back to the rolled loop when the unrolled
-            # schedule's per-iteration II is worse (the estimate is a
-            # bound, not a guarantee); only the kept one is allocated and
-            # verified
-            rolled = schedule_at(1)
+            # a production compiler keeps whichever version wins: fall
+            # back to the rolled loop when the unrolled per-iteration II
+            # is worse (the estimate is a bound, not a guarantee).  The
+            # rolled II is at least the rolled MII, so an unrolled II at
+            # or under it wins unseen.  Only the kept one is allocated
+            # and verified
             unrolled = schedule_at(factor)
+            rolled_work = _frontend(ddg, 1, copies, copy_strategy)[0]
+            if not unrolled.outcome.failed and (
+                    unrolled.outcome.ii_per_iteration
+                    <= _bounds(rolled_work, machine).mii + 1e-9):
+                return _finish(unrolled, machine, allocate=allocate,
+                               verify=verify)
+            rolled = schedule_at(1)
             keep_unrolled = not unrolled.outcome.failed and (
                 rolled.outcome.failed
                 or unrolled.outcome.ii_per_iteration

@@ -3,9 +3,9 @@
 The ROADMAP's "millions of users" front door: a long-running asyncio
 HTTP service that accepts loop+machine+options job specs, dedups them
 through the content-addressed fingerprints (in-flight *and* cached),
-micro-batches fresh work onto the persistent worker pools, and answers
-with the same plain-data results a direct
-:func:`~repro.runner.pipeline.compile_loop` call produces.
+batches fresh work onto the compile workers, and answers with the same
+plain-data results a direct :func:`~repro.runner.pipeline.compile_loop`
+call produces.
 
 Layers (each usable on its own):
 

@@ -1,4 +1,4 @@
-"""The sweep service core: dedup, micro-batching, metrics.
+"""The sweep service core: dedup, self-clocking batches, metrics.
 
 :class:`SweepService` is the daemon's engine, independent of HTTP so the
 in-process tests and the throughput benchmark can drive it directly.
@@ -14,18 +14,16 @@ One submission path:
    requests).
 3. **Cache** -- settled keys are served straight from the (sharded)
    result cache without touching the dispatcher.
-4. **Micro-batch** -- genuinely new jobs land on an ``asyncio.Queue``; a
-   single dispatcher task drains it into batches (up to ``batch_max``
-   jobs, or whatever arrives within ``batch_window_s`` of the first),
-   and runs each batch through :func:`~repro.runner.executor.run_jobs`
-   on a worker thread -- which fans out onto the persistent
-   :class:`~repro.runner.pool.PoolSession` exactly like a CLI sweep.
-   Batching is what lets many single-job HTTP requests amortise the
-   pool's chunked dispatch instead of paying per-request IPC.
+4. **Group commit** -- new jobs land on an ``asyncio.Queue``; one
+   dispatcher task takes the first plus whatever is *already* queued
+   (up to ``batch_max``) and dispatches at once, with no timer, so jobs
+   queued while a batch compiles ride the next batch together.  A batch
+   runs :func:`~repro.runner.executor.compile_and_store` (no second
+   cache lookup) on the one dispatcher thread.
 
 Shutdown (:meth:`stop`) drains the queue, waits for every in-flight
-future, then retires the worker pools gracefully (``close_all_sessions
-(graceful=True)``) -- nothing is silently dropped.
+future and the dispatcher thread, then retires the worker pools
+gracefully (``close_all_sessions(graceful=True)``).
 
 Overload and failure are answered at the front door rather than by
 queueing forever (DESIGN §5.10): requests carry a **deadline**
@@ -41,16 +39,20 @@ from __future__ import annotations
 
 import asyncio
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from repro import faults as _faults
 from repro.obs.trace import trace_count
 from repro.runner import pool as pool_mod
-from repro.runner.executor import RunnerConfig, run_jobs
+from repro.runner.executor import RunnerConfig, compile_and_store
 from repro.runner.job import CompileJob, JobResult
 
 #: sentinel that tells the dispatcher to finish up
 _STOP = object()
+
+#: the batch hook (tests and perfbench's tracer swap it out)
+run_jobs = compile_and_store
 
 
 def _swallow_result(fut: "asyncio.Future") -> None:
@@ -93,8 +95,7 @@ class SweepService:
     """Schedule-compilation-as-a-service over the sweep runner."""
 
     def __init__(self, cache: object = None, *, n_workers: int = 1,
-                 batch_window_s: float = 0.005, batch_max: int = 64,
-                 chunk_size: Optional[int] = None,
+                 batch_max: int = 64, chunk_size: Optional[int] = None,
                  request_deadline_s: Optional[float] = None,
                  max_queue_depth: int = 1024,
                  breaker_threshold: int = 5,
@@ -104,7 +105,6 @@ class SweepService:
                  max_retries: int = pool_mod.DEFAULT_MAX_RETRIES) -> None:
         self.cache = cache
         self.n_workers = n_workers
-        self.batch_window_s = batch_window_s
         self.batch_max = batch_max
         self.chunk_size = chunk_size
         self.request_deadline_s = request_deadline_s
@@ -116,6 +116,7 @@ class SweepService:
         self._inflight: dict[str, asyncio.Future] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.t_started = time.monotonic()
         # --------------------------------------------- breaker state
@@ -143,6 +144,8 @@ class SweepService:
         """Bind to the running event loop and start the dispatcher."""
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
+        # the dispatcher runs one batch at a time, so it gets one thread
+        self._executor = ThreadPoolExecutor(1)
         self._dispatcher = self._loop.create_task(self._dispatch())
 
     async def stop(self, drain: bool = True) -> None:
@@ -169,6 +172,8 @@ class SweepService:
         if self._inflight:  # pragma: no cover - defensive
             await asyncio.gather(*self._inflight.values(),
                                  return_exceptions=True)
+        self._executor.shutdown()
+        self._executor = None
         # retire the persistent worker pools without killing mid-task
         await asyncio.get_running_loop().run_in_executor(
             None, lambda: pool_mod.close_all_sessions(graceful=True))
@@ -286,23 +291,15 @@ class SweepService:
     # ---------------------------------------------------------- dispatcher
 
     async def _dispatch(self) -> None:
-        """Single consumer: drain the queue into micro-batches."""
+        """Single consumer: group-commit batches, never a timer."""
         stopping = False
         while not stopping:
             item = await self._queue.get()
             if item is _STOP:
                 break
             batch = [item]
-            deadline = self._loop.time() + self.batch_window_s
-            while len(batch) < self.batch_max:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(),
-                                                 remaining)
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.batch_max and not self._queue.empty():
+                nxt = self._queue.get_nowait()
                 if nxt is _STOP:
                     stopping = True
                     break
@@ -318,9 +315,9 @@ class SweepService:
         try:
             _faults.fault_point("service.batch", jobs[0].key)
             results = await self._loop.run_in_executor(
-                None, run_jobs, jobs, config)
+                self._executor, run_jobs, jobs, config)
         except Exception as exc:
-            # run_jobs contains per-job failures; landing here means the
+            # per-job failures are contained; landing here means the
             # dispatch machinery itself broke (or a fault was injected)
             # -- fail this batch's waiters and feed the breaker
             self.c_batch_failures += 1
@@ -345,7 +342,7 @@ class SweepService:
         self._breaker_open_until = None
         self.c_batches += 1
         self.c_batch_jobs += len(batch)
-        self.c_compiled += sum(1 for r in results if not r.cached)
+        self.c_compiled += len(results)
         for (job, fut), result in zip(batch, results):
             self._inflight.pop(job.key, None)
             if not fut.done():

@@ -39,8 +39,8 @@ def _request(handle, method, path, body=None):
 
 def test_circuit_breaker_trips_half_opens_and_closes(tmp_path, monkeypatch):
     service = SweepService(ShardedResultCache(tmp_path / "cache"),
-                           n_workers=1, batch_window_s=0.0,
-                           breaker_threshold=2, breaker_cooldown_s=60.0)
+                           n_workers=1, breaker_threshold=2,
+                           breaker_cooldown_s=60.0)
     real_run_jobs = engine_mod.run_jobs
 
     def broken(jobs, config=None):
@@ -84,8 +84,7 @@ def test_circuit_breaker_trips_half_opens_and_closes(tmp_path, monkeypatch):
 def test_request_deadline_returns_keys_and_work_completes(tmp_path,
                                                           monkeypatch):
     service = SweepService(ShardedResultCache(tmp_path / "cache"),
-                           n_workers=1, batch_window_s=0.0,
-                           request_deadline_s=0.05)
+                           n_workers=1, request_deadline_s=0.05)
     real_run_jobs = engine_mod.run_jobs
 
     def slow(jobs, config=None):
@@ -130,7 +129,7 @@ def test_stop_without_drain_cancels_queued_futures(tmp_path, monkeypatch):
     """Satellite: stop(drain=False) fails queued work fast while the
     in-flight batch still completes and answers its waiters."""
     service = SweepService(ShardedResultCache(tmp_path / "cache"),
-                           n_workers=1, batch_window_s=0.0, batch_max=1)
+                           n_workers=1, batch_max=1)
     real_run_jobs = engine_mod.run_jobs
 
     def slow(jobs, config=None):
@@ -192,8 +191,7 @@ def test_http_504_on_request_deadline(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine_mod, "run_jobs", slow)
     service = SweepService(ShardedResultCache(tmp_path / "cache"),
-                           n_workers=1, batch_window_s=0.0,
-                           request_deadline_s=0.05)
+                           n_workers=1, request_deadline_s=0.05)
     handle = start_in_thread(service)
     try:
         status, out, _ = _request(handle, "POST", "/jobs", _spec("iir1"))

@@ -1,8 +1,10 @@
 """The ``do_unroll`` fallback schedules both candidates and finishes one.
 
-``compile_loop(do_unroll=True)`` schedules the rolled and the unrolled
-loop, keeps the unrolled one unless its per-iteration II is worse, and
-only then allocates queues for and verifies the kept schedule.
+``compile_loop(do_unroll=True)`` schedules the unrolled loop, then the
+rolled one unless the unrolled per-iteration II already meets the
+rolled loop's MII; it keeps the unrolled schedule unless its
+per-iteration II is worse, and only then allocates queues for and
+verifies the kept schedule.
 
 ``data/unroll_fallback_outcomes.json`` holds the outcome of every
 classic kernel on the paper's QRF presets (``do_unroll=True,
@@ -84,3 +86,29 @@ def test_allocate_flag_reaches_the_kept_schedule(allocate):
     compiled = compile_loop(ddg, m, do_unroll=True, allocate=allocate)
     assert (compiled.usage is not None) is allocate
     assert (compiled.outcome.total_queues is not None) is allocate
+
+
+def test_rolled_loop_is_scheduled_only_when_it_can_win(monkeypatch):
+    scheduled = []
+    real_schedule_loop = pipeline.schedule_loop
+
+    def counting(work, machine, **kwargs):
+        scheduled.append(work.n_ops)
+        return real_schedule_loop(work, machine, **kwargs)
+
+    monkeypatch.setattr(pipeline, "schedule_loop", counting)
+    engine_calls = {}
+    for ddg, m in _fallback_jobs():
+        scheduled.clear()
+        outcome = compile_loop(ddg, m, do_unroll=True).outcome
+        rolled, _ = pipeline._frontend(ddg, 1, True, "slack")
+        shortcut = (outcome.unroll_factor > 1 and outcome.ii_per_iteration
+                    <= pipeline._bounds(rolled, m).mii)
+        assert len(scheduled) == (1 if shortcut else 2), (ddg.name, m.name)
+        engine_calls[ddg.name, m.name] = (len(scheduled),
+                                          outcome.unroll_factor)
+    # the shortcut applies: one engine call for most fallback jobs
+    assert sum(n == 1 for n, _ in engine_calls.values()) \
+        > len(engine_calls) // 2
+    # the rolled loop wins here, so both candidates were scheduled
+    assert engine_calls["synth-0049", "queu-6fu"] == (2, 1)

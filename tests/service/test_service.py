@@ -8,10 +8,12 @@ import threading
 
 import pytest
 
+from repro.cli import main
 from repro.runner import ShardedResultCache, compile_loop
 from repro.runner.job import CompileJob
 from repro.machine.presets import qrf_machine
 from repro.service import SweepService, parse_job, start_in_thread
+from repro.service import engine as engine_mod
 from repro.workloads.kernels import kernel
 
 
@@ -73,7 +75,7 @@ def test_concurrent_identical_submissions_compile_once(tmp_path):
 
 def test_micro_batching_coalesces_queued_jobs(tmp_path):
     service = SweepService(ShardedResultCache(tmp_path / "cache"),
-                           n_workers=1, batch_window_s=0.25)
+                           n_workers=1)
 
     async def scenario():
         await service.start()
@@ -88,9 +90,113 @@ def test_micro_batching_coalesces_queued_jobs(tmp_path):
     assert service.c_batch_jobs == 4
 
 
+def test_misses_queued_behind_a_running_batch_ride_the_next_one(
+        tmp_path, monkeypatch):
+    """Group commit: while batch 1 compiles, three more misses queue up;
+    the dispatcher then takes all three as one batch."""
+    release = threading.Event()
+    batches = []
+    real_run_jobs = engine_mod.run_jobs
+
+    def held(jobs, config=None):
+        batches.append([job.ddg.name for job in jobs])
+        if len(batches) == 1:
+            release.wait(60)
+        return real_run_jobs(jobs, config)
+
+    monkeypatch.setattr(engine_mod, "run_jobs", held)
+    service = SweepService(ShardedResultCache(tmp_path / "cache"),
+                           n_workers=1)
+
+    async def scenario():
+        await service.start()
+        first = asyncio.ensure_future(
+            service.submit([parse_job(_spec("daxpy"))]))
+        while not batches:             # batch 1 is inside run_jobs
+            await asyncio.sleep(0)
+        rest = [asyncio.ensure_future(service.submit([parse_job(_spec(n))]))
+                for n in ("dot", "vadd", "scale")]
+        while service._queue.qsize() < 3:
+            await asyncio.sleep(0)
+        release.set()
+        await asyncio.gather(first, *rest)
+        await service.stop()
+
+    asyncio.run(scenario())
+    assert service.c_batches == 2
+    assert batches == [["daxpy"], ["dot", "vadd", "scale"]]
+    assert service.c_batch_jobs == 4
+
+
+def test_lone_miss_is_dispatched_without_a_timer(tmp_path, monkeypatch):
+    """No linger: an idle service dispatches a single miss at once.  Every
+    timer the loop arms (``wait_for``, ``sleep``, ``call_later``) while
+    the request is served is recorded, and there must be none."""
+    service = SweepService(ShardedResultCache(tmp_path / "cache"),
+                           n_workers=1)
+    timers = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            timers.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    async def scenario():
+        await service.start()
+        loop = asyncio.get_running_loop()
+        with monkeypatch.context() as m:
+            for target, name in ((loop, "call_at"), (loop, "call_later"),
+                                 (asyncio, "wait_for"), (asyncio, "sleep")):
+                m.setattr(target, name,
+                          recorded(name, getattr(target, name)))
+            [result] = await service.submit([parse_job(_spec("iir1"))])
+        await service.stop()
+        return result
+
+    result = asyncio.run(scenario())
+    assert timers == []
+    assert result.outcome.loop == "iir1" and not result.cached
+    assert service.c_batches == 1
+
+
+def test_batch_window_is_gone(tmp_path, capsys):
+    with pytest.raises(TypeError):
+        SweepService(None, batch_window_s=0.005)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--batch-window", "0.01"])
+    assert exc.value.code == 2
+    assert "--batch-window" in capsys.readouterr().err
+
+
+def test_each_service_job_is_looked_up_once(tmp_path):
+    """Cache counters agree with the service's: a compiled job is one
+    cache miss (the front door's), a cache answer one hit."""
+    cache = ShardedResultCache(tmp_path / "cache")
+    service = SweepService(cache, n_workers=1)
+
+    async def scenario():
+        await service.start()
+        await service.submit([parse_job(_spec(n))
+                              for n in ("daxpy", "dot", "fir4")])
+        await asyncio.gather(
+            service.submit([parse_job(_spec("daxpy")),
+                            parse_job(_spec("vadd"))]),
+            service.submit([parse_job(_spec("vadd"))]),
+            service.submit([parse_job(_spec("dot"))]))
+        await service.stop()
+
+    asyncio.run(scenario())
+    assert service.c_compiled == 4
+    assert service.c_cache_hits == 2
+    assert service.c_dedup_inflight == 1
+    assert cache.misses == service.c_compiled
+    assert cache.hits == service.c_cache_hits
+
+
 def test_stop_drains_inflight_work(tmp_path):
     service = SweepService(ShardedResultCache(tmp_path / "cache"),
-                           n_workers=1, batch_window_s=0.0)
+                           n_workers=1)
 
     async def scenario():
         await service.start()
