@@ -38,9 +38,16 @@ SCHEMA_VERSION = 5
 _KIND_VALUES = tuple(kind.value for kind in KINDS)
 
 
+#: ``json.dumps`` with non-default arguments builds a new encoder per
+#: call; the canonical one is built once (it holds no per-call state)
+_encode_canonical = json.JSONEncoder(sort_keys=True,
+                                     separators=(",", ":")).encode
+
+
 def canonical_json(obj: object) -> str:
-    """Canonical (sorted-key, minimal-separator) JSON encoding."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical (sorted-key, minimal-separator) JSON encoding: the same
+    text as ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``."""
+    return _encode_canonical(obj)
 
 
 def ddg_signature(ddg: "Ddg") -> dict:

@@ -37,8 +37,7 @@ from typing import Optional, TextIO
 
 from repro import faults as _faults
 
-from .engine import (DeadlineExceeded, ServiceOverloaded, SweepService,
-                     result_to_wire)
+from .engine import DeadlineExceeded, ServiceOverloaded, SweepService
 from .jobspec import JobSpecError, parse_jobs
 
 logger = logging.getLogger("repro.service.daemon")
@@ -56,8 +55,12 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
 def _response(status: int, payload: object, *, keep_alive: bool = True,
               headers: Optional[dict] = None) -> bytes:
     """Serialise one response; a ``str`` payload goes out as Prometheus
-    text exposition, anything else as JSON."""
-    if isinstance(payload, str):
+    text exposition, ``bytes`` as an already encoded JSON body, anything
+    else as JSON."""
+    if isinstance(payload, bytes):
+        body = payload
+        content_type = "application/json"
+    elif isinstance(payload, str):
         body = payload.encode("utf-8")
         content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
@@ -138,6 +141,10 @@ class _Http:
                     await writer.drain()
                 finally:
                     self.busy.discard(task)
+                # a request may complete without suspending (all cache
+                # hits); yield so a pipelining client cannot starve the
+                # other connections
+                await asyncio.sleep(0)
                 if not keep:
                     break
         except (ConnectionError, asyncio.CancelledError):
@@ -151,7 +158,7 @@ class _Http:
                 pass
 
     async def _route(self, method: str, target: str, body: bytes
-                     ) -> "tuple[int, dict | str, Optional[dict]]":
+                     ) -> "tuple[int, dict | str | bytes, Optional[dict]]":
         """``(status, payload, extra_headers)`` for one request."""
         service = self.service
         if target == "/healthz" and method == "GET":
@@ -199,8 +206,11 @@ class _Http:
             except Exception as exc:
                 return 500, {"error": f"{type(exc).__name__}: "
                                       f"{exc}"}, None
-            return 200, {"results": [result_to_wire(r)
-                                     for r in results]}, None
+            # byte-identical to json.dumps({"results": [result_to_wire(r)
+            # ...]}, sort_keys=True) + "\n", from per-record bytes
+            parts = [service.wire_bytes(r) for r in results]
+            return 200, b'{"results": [' + b", ".join(parts) + b"]}\n", \
+                None
         if target.startswith("/jobs/") and method == "GET":
             key = target[len("/jobs/"):]
             state, record = service.status(key)

@@ -13,7 +13,12 @@ One submission path:
    many clients hammer it (``dedup_inflight`` counts the coalesced
    requests).
 3. **Cache** -- settled keys are served straight from the (sharded)
-   result cache without touching the dispatcher.
+   result cache without touching the dispatcher: a hit goes into the
+   result list as it is, with no future of its own, and a request made
+   only of hits never waits on a ``gather``.  Each service memoises the
+   encoded wire record of every cached result it has served
+   (:meth:`SweepService.wire_bytes`), reused only while the cache still
+   holds that result field for field.
 4. **Group commit** -- new jobs land on an ``asyncio.Queue``; one
    dispatcher task takes the first plus whatever is *already* queued
    (up to ``batch_max``) and dispatches at once, with no timer, so jobs
@@ -38,6 +43,7 @@ queue **sheds load** (:class:`ServiceOverloaded` -> 503 +
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
@@ -47,6 +53,8 @@ from repro.obs.trace import trace_count
 from repro.runner import pool as pool_mod
 from repro.runner.executor import RunnerConfig, compile_and_store
 from repro.runner.job import CompileJob, JobResult
+
+from .jobspec import MAX_MEMO_SPECS
 
 #: sentinel that tells the dispatcher to finish up
 _STOP = object()
@@ -91,6 +99,16 @@ def result_to_wire(result: JobResult) -> dict:
     return record
 
 
+def _encode_wire(result: JobResult) -> bytes:
+    """One wire record as it appears in a ``/jobs`` response body."""
+    return json.dumps(result_to_wire(result), sort_keys=True).encode("utf-8")
+
+
+def _same_result(a: JobResult, b: JobResult) -> bool:
+    """Field-for-field equality, including the fields ``==`` skips."""
+    return a == b and a.wall_s == b.wall_s and a.cached == b.cached
+
+
 class SweepService:
     """Schedule-compilation-as-a-service over the sweep runner."""
 
@@ -114,6 +132,9 @@ class SweepService:
         self.job_deadline_s = job_deadline_s
         self.max_retries = max_retries
         self._inflight: dict[str, asyncio.Future] = {}
+        #: key -> (cached result, its encoded wire record); bounded by
+        #: ``MAX_MEMO_SPECS`` and cleared when full
+        self._wire_memo: dict[str, tuple[JobResult, bytes]] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -235,47 +256,76 @@ class SweepService:
         t0 = time.perf_counter()
         self.c_requests += 1
         self._admit()
-        futures: list[asyncio.Future] = []
+        # a cache hit goes straight in; a miss or an in-flight key holds
+        # its slot until the futures in *pending* settle
+        results: list = []
+        pending: list[asyncio.Future] = []
+        slots: list[int] = []
         for job in jobs:
             key = job.key
             self.c_jobs += 1
             fut = self._inflight.get(key)
             if fut is not None:
                 self.c_dedup_inflight += 1
-                futures.append(fut)
-                continue
-            hit = self._cache_get(key)
-            if hit is not None:
-                self.c_cache_hits += 1
-                done: asyncio.Future = self._loop.create_future()
-                done.set_result(hit)
-                futures.append(done)
-                continue
-            fut = self._loop.create_future()
-            self._inflight[key] = fut
-            futures.append(fut)
-            await self._queue.put((job, fut))
-        if deadline_s is None:
-            deadline_s = self.request_deadline_s
-        gathered = asyncio.gather(*futures)
-        if deadline_s is None:
-            results = list(await gathered)
-        else:
-            try:
-                # shield: a timed-out request must not cancel futures
-                # other coalesced requests are still awaiting
-                results = list(await asyncio.wait_for(
-                    asyncio.shield(gathered), deadline_s))
-            except asyncio.TimeoutError:
-                self.c_deadline_exceeded += 1
-                trace_count("service.deadline_exceeded")
-                # the gather keeps running detached; swallow its
-                # eventual result so it never logs "never retrieved"
-                gathered.add_done_callback(_swallow_result)
-                raise DeadlineExceeded([job.key for job in jobs]) \
-                    from None
+            else:
+                hit = self._cache_get(key)
+                if hit is not None:
+                    self.c_cache_hits += 1
+                    results.append(hit)
+                    continue
+                fut = self._loop.create_future()
+                self._inflight[key] = fut
+                await self._queue.put((job, fut))
+            slots.append(len(results))
+            results.append(None)
+            pending.append(fut)
+        if pending:
+            for slot, result in zip(slots, await self._settle(
+                    pending, jobs, deadline_s)):
+                results[slot] = result
         self.submit_s += time.perf_counter() - t0
         return results
+
+    async def _settle(self, pending: list, jobs: Sequence[CompileJob],
+                      deadline_s: Optional[float]) -> list[JobResult]:
+        """Wait for *pending* under the request deadline."""
+        if deadline_s is None:
+            deadline_s = self.request_deadline_s
+        gathered = asyncio.gather(*pending)
+        if deadline_s is None:
+            return list(await gathered)
+        try:
+            # shield: a timed-out request must not cancel futures
+            # other coalesced requests are still awaiting
+            return list(await asyncio.wait_for(
+                asyncio.shield(gathered), deadline_s))
+        except asyncio.TimeoutError:
+            self.c_deadline_exceeded += 1
+            trace_count("service.deadline_exceeded")
+            # the gather keeps running detached; swallow its
+            # eventual result so it never logs "never retrieved"
+            gathered.add_done_callback(_swallow_result)
+            raise DeadlineExceeded([job.key for job in jobs]) from None
+
+    def wire_bytes(self, result: JobResult) -> bytes:
+        """``json.dumps(result_to_wire(result), sort_keys=True)`` as UTF-8.
+
+        A cached result is encoded once: later hits reuse the bytes
+        while they equal the encoded result field for field.  Equality,
+        not a drop on miss or store, keeps the memo exact: a shard
+        compaction can swap in another writer's record for a key with
+        no miss and no store in this process.
+        """
+        if not result.cached:
+            return _encode_wire(result)
+        entry = self._wire_memo.get(result.key)
+        if entry is not None and _same_result(entry[0], result):
+            return entry[1]
+        data = _encode_wire(result)
+        if len(self._wire_memo) >= MAX_MEMO_SPECS:
+            self._wire_memo.clear()
+        self._wire_memo[result.key] = (result, data)
+        return data
 
     def status(self, key: str) -> tuple[str, Optional[dict]]:
         """``("done", record)`` / ``("pending", None)`` /

@@ -119,3 +119,23 @@ def test_job_key_helper_matches_job_property():
     m = qrf_machine(6)
     opts = PipelineOptions(copies=True, allocate=True)
     assert CompileJob(ddg, m, opts).key == job_key(ddg, m, opts.signature())
+
+
+def test_canonical_json_matches_json_dumps():
+    """The prebuilt encoder writes exactly what ``json.dumps`` writes."""
+    import json
+
+    from repro.runner.fingerprint import canonical_json
+
+    values = [
+        {"b": [1, 2.5, None, True], "a": {"z": -0.0, "y": 1e-300,
+                                          "x": float("inf")}},
+        {"naïve": "Ωmega ☃ \"quoted\"\n", "ascii": "plain"},
+        [{"k": (1, 2)}, [], {}, 3.141592653589793, 10**30],
+        {"options": {"extras": ["sched_stats"], "verify": None},
+         "loop": {"synth": {"seed": 7, "index": 700}}},
+        "just a string", 42, None, 0.1 + 0.2,
+    ]
+    for value in values:
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"))

@@ -13,7 +13,9 @@ from repro.runner import ShardedResultCache, compile_loop
 from repro.runner.job import CompileJob
 from repro.machine.presets import qrf_machine
 from repro.service import SweepService, parse_job, start_in_thread
+from repro.service import daemon as daemon_mod
 from repro.service import engine as engine_mod
+from repro.service.engine import result_to_wire
 from repro.workloads.kernels import kernel
 
 
@@ -212,6 +214,165 @@ def test_stop_drains_inflight_work(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# hit path: no future per hit, pre-encoded wire records
+# ---------------------------------------------------------------------------
+
+def test_all_hit_submit_makes_no_future_and_no_gather(tmp_path,
+                                                      monkeypatch):
+    service = SweepService(ShardedResultCache(tmp_path / "cache"),
+                           n_workers=1)
+    calls = {"create_future": 0, "gather": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    async def scenario():
+        await service.start()
+        jobs = [parse_job(_spec(n)) for n in ("daxpy", "dot")]
+        await service.submit(jobs)                 # compile both
+        loop = asyncio.get_running_loop()
+        with monkeypatch.context() as m:
+            m.setattr(loop, "create_future",
+                      counted("create_future", loop.create_future))
+            m.setattr(engine_mod.asyncio, "gather",
+                      counted("gather", engine_mod.asyncio.gather))
+            results = await service.submit(jobs + jobs[:1])
+        await service.stop()
+        return results
+
+    results = asyncio.run(scenario())
+    assert calls == {"create_future": 0, "gather": 0}
+    assert [r.outcome.loop for r in results] == ["daxpy", "dot", "daxpy"]
+    assert all(r.cached for r in results)
+    assert service.c_cache_hits == 3
+
+
+def test_deadline_on_an_all_hit_request_still_returns(tmp_path):
+    service = SweepService(ShardedResultCache(tmp_path / "cache"),
+                           n_workers=1)
+
+    async def scenario():
+        await service.start()
+        jobs = [parse_job(_spec("vadd"))]
+        await service.submit(jobs)
+        results = await service.submit(jobs, deadline_s=0.0)
+        await service.stop()
+        return results
+
+    [result] = asyncio.run(scenario())
+    assert result.cached and result.outcome.loop == "vadd"
+    assert service.c_deadline_exceeded == 0
+
+
+def test_wire_memo_never_serves_stale_bytes(tmp_path):
+    """A shard compaction can replace a key's record with another
+    writer's (new ``wall_s``) with no miss and no store in this
+    process; the next hit must carry the new record."""
+    cache = ShardedResultCache(tmp_path / "cache")
+    service = SweepService(cache, n_workers=1)
+    job = parse_job(_spec("fir4"))
+
+    async def hit():
+        [result] = await service.submit([job])
+        assert result.cached
+        return service.wire_bytes(result)
+
+    async def scenario():
+        await service.start()
+        await service.submit([job])                # compile
+        first = await hit()
+        second = await hit()
+        assert second is first                     # served from the memo
+        other = ShardedResultCache(tmp_path / "cache")
+        stored = other.peek(job.key)
+        other.put(dataclasses.replace(stored, wall_s=stored.wall_s + 1.5))
+        misses, stores = cache.misses, cache.stores
+        cache.gc()                                 # re-reads the shard
+        assert (cache.misses, cache.stores) == (misses, stores)
+        third = await hit()
+        await service.stop()
+        return stored, first, third
+
+    stored, first, third = asyncio.run(scenario())
+    assert json.loads(first)["wall_s"] == round(stored.wall_s, 6)
+    assert json.loads(third)["wall_s"] == round(stored.wall_s + 1.5, 6)
+
+
+def test_wire_memo_belongs_to_its_service(tmp_path):
+    """Two services on different cache dirs hold the same key with
+    different ``wall_s``; each answers with its own record, from its
+    own memo."""
+    job = parse_job(_spec("iir1"))
+    caches = [ShardedResultCache(tmp_path / name) for name in "ab"]
+    services = [SweepService(cache, n_workers=1) for cache in caches]
+
+    async def scenario():
+        for service in services:
+            await service.start()
+        [fresh] = await services[0].submit([job])
+        for cache, wall_s in zip(caches, (1.25, 2.5)):
+            cache.put(dataclasses.replace(fresh, wall_s=wall_s))
+        answers = []
+        for _ in range(2):
+            for service in services:
+                [result] = await service.submit([job])
+                answers.append(service.wire_bytes(result))
+        for service in services:
+            await service.stop()
+        return answers
+
+    a1, b1, a2, b2 = asyncio.run(scenario())
+    assert json.loads(a1)["wall_s"] == 1.25
+    assert json.loads(b1)["wall_s"] == 2.5
+    assert a2 is a1 and b2 is b1
+    assert services[1].c_compiled == 0
+
+
+def test_pipelined_requests_yield_to_the_loop(tmp_path):
+    """Two buffered all-hit requests on one connection complete without
+    the connection ever waiting; a callback queued before them must
+    still run before the second response is written."""
+    service = SweepService(ShardedResultCache(tmp_path / "cache"),
+                           n_workers=1)
+    events = []
+
+    class Writer:
+        def write(self, data):
+            events.append(data.split(b"\r\n", 1)[0])
+
+        async def drain(self):
+            pass
+
+        def close(self):
+            pass
+
+        async def wait_closed(self):
+            pass
+
+    async def scenario():
+        await service.start()
+        await service.submit([parse_job(_spec("daxpy"))])
+        body = json.dumps(_spec("daxpy")).encode()
+        request = (b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                   % len(body)) + body
+        reader = asyncio.StreamReader()
+        reader.feed_data(request * 2)
+        reader.feed_eof()
+        asyncio.get_running_loop().call_soon(events.append, "marker")
+        await daemon_mod._Http(service).handle(reader, Writer())
+        await service.stop()
+
+    asyncio.run(scenario())
+    responses = [i for i, event in enumerate(events)
+                 if event == b"HTTP/1.1 200 OK"]
+    assert len(responses) == 2 and service.c_cache_hits == 2
+    assert events.index("marker") < responses[1]
+
+
+# ---------------------------------------------------------------------------
 # HTTP daemon
 # ---------------------------------------------------------------------------
 
@@ -366,3 +527,50 @@ def test_graceful_stop_flushes_cache(tmp_path):
     # after the drain, a brand-new process-view of the cache has the job
     replay = ShardedResultCache(tmp_path / "flush-cache")
     assert replay.peek(out["results"][0]["key"]) is not None
+
+
+def _post_raw(handle, body):
+    conn = http.client.HTTPConnection(handle.host, handle.port,
+                                      timeout=120)
+    try:
+        conn.request("POST", "/jobs", json.dumps(body),
+                     {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def test_http_jobs_body_is_byte_identical_to_one_dumps(server):
+    """Per-record bytes joined into the body equal one ``json.dumps`` of
+    the whole response -- for a fresh compile, an in-flight dedup and a
+    cache hit in one request, and for memo-served all-hit repeats."""
+    service = server.service
+    submitted = []
+    real_submit = service.submit
+
+    async def capture(jobs, deadline_s=None):
+        results = await real_submit(jobs, deadline_s)
+        submitted.append(results)
+        return results
+
+    service.submit = capture
+
+    def expected(results):
+        return (json.dumps({"results": [result_to_wire(r)
+                                        for r in results]},
+                           sort_keys=True) + "\n").encode()
+
+    assert _post_raw(server, _spec("dot"))[0] == 200
+    mixed = {"jobs": [_spec("daxpy"), _spec("daxpy"), _spec("dot")]}
+    status, body = _post_raw(server, mixed)
+    assert status == 200
+    assert [r.cached for r in submitted[-1]] == [False, False, True]
+    assert service.c_dedup_inflight == 1
+    assert body == expected(submitted[-1])
+
+    status, first_hit = _post_raw(server, mixed)
+    assert status == 200 and all(r.cached for r in submitted[-1])
+    assert first_hit == expected(submitted[-1])
+    status, second_hit = _post_raw(server, mixed)
+    assert status == 200 and second_hit == first_hit
