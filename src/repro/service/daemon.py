@@ -77,26 +77,43 @@ def _response(status: int, payload: object, *, keep_alive: bool = True,
     return head + body
 
 
+class _RequestError(Exception):
+    """A request the server will not read to the end: answered with
+    ``status`` and the connection closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 async def _read_request(reader: asyncio.StreamReader
                         ) -> "Optional[tuple[str, str, dict, bytes]]":
     """``(method, path, headers, body)`` or None on a closed socket."""
-    request_line = await reader.readline()
-    if not request_line:
-        return None
     try:
-        method, target, _version = request_line.decode("ascii").split()
-    except ValueError:
-        raise JobSpecError("malformed request line")
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        try:
+            method, target, _version = request_line.decode("ascii").split()
+        except ValueError:
+            raise _RequestError(400, "malformed request line")
+        headers: dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    except ValueError:      # a line over the stream's buffer limit
+        raise _RequestError(400, "request line or header too long")
+    raw = headers.get("content-length") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise _RequestError(400, f"bad Content-Length {raw[:40]!r}")
+    # int() refuses very long digit strings: past 64 digits, call it over
+    length = int(raw) if len(raw) <= 64 else MAX_BODY_BYTES + 1
     if length > MAX_BODY_BYTES:
-        raise JobSpecError("request body too large")
+        raise _RequestError(413, f"request body over the "
+                                 f"{MAX_BODY_BYTES}-byte cap")
     body = await reader.readexactly(length) if length else b""
     return method, target, headers, body
 
@@ -121,8 +138,9 @@ class _Http:
             while True:
                 try:
                     request = await _read_request(reader)
-                except JobSpecError as exc:
-                    writer.write(_response(400, {"error": str(exc)},
+                except _RequestError as exc:
+                    writer.write(_response(exc.status,
+                                           {"error": str(exc)},
                                            keep_alive=False))
                     break
                 except (asyncio.IncompleteReadError, ConnectionError):

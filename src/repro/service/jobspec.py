@@ -33,7 +33,9 @@ Each piece of per-spec work is done once per distinct spec:
   0..i-1, so the stream keeps a cursor (its rng and next index) and an
   rng-state checkpoint every ``SYNTH_CHECKPOINT_EVERY`` indices; a
   request for loop *i* resumes from the nearest saved state at or below
-  *i*.  Replay costs O(largest index asked for), not O(sum of indices).
+  *i*.  The loops on the way are only drawn, never built; loop *i*
+  alone is built and validated.  Replay costs O(largest index asked
+  for), not O(sum of indices).
 
 Malformed specs raise :class:`JobSpecError`, which the daemon maps to
 HTTP 400.  They are never memoised, so a repeat raises the same error.
@@ -61,7 +63,7 @@ from repro.sched.partitioners import check_partitioner
 from repro.sched.strategies import check_scheduler
 from repro.runner.job import CompileJob, PipelineOptions
 from repro.workloads.kernels import KERNELS
-from repro.workloads.synth import SynthConfig, generate_loop
+from repro.workloads.synth import SynthConfig, build_loop, draw_loop
 
 
 class JobSpecError(ValueError):
@@ -76,12 +78,12 @@ MAX_JOBS_PER_REQUEST = 4096
 
 #: Largest synth corpus (``n_loops``) and loop body (``max_ops``) a
 #: spec may name: 1.6x the paper's 1258 loops and the default corpus
-#: tail.  Loop *i* is reached only by generating loops 0..i-1, on the
+#: tail.  Loop *i* is reached only by drawing loops 0..i-1, on the
 #: daemon's event loop, so the two caps bound one request's replay:
-#: 2048 loops take ~1.7 s with the default knobs and ~10 s with the
-#: dearest ones found (64-op bodies, all arithmetic, binary ops) on a
-#: 2-CPU x86 box, where an unchecked index could stall every
-#: connection for hours.
+#: 2048 loops take ~0.2 s with the default knobs and ~1.2 s with the
+#: dearest ones found (64-op bodies, all arithmetic, binary ops, every
+#: loop recurrent) on a 2-CPU x86 box, where an unchecked index could
+#: stall every connection for hours.
 MAX_SYNTH_LOOPS = 2048
 MAX_SYNTH_OPS = 64
 
@@ -124,8 +126,10 @@ class _SynthStream:
     ``rng`` sits just before loop ``next_index``; ``checkpoints[j]`` is
     the rng state just before loop ``j * SYNTH_CHECKPOINT_EVERY``, its
     625 words packed into an array (a fifth of the state tuple's size).
-    Every loop on the way to the one asked for is generated -- and
-    validated by the generator -- exactly as the corpus builder does.
+    The loops on the way to the one asked for are only drawn
+    (:func:`~repro.workloads.synth.draw_loop`: the corpus builder's rng
+    draws, in its order, with no graph built); only the loop asked for
+    is built and validated.
     """
 
     def __init__(self, cfg: SynthConfig) -> None:
@@ -148,10 +152,10 @@ class _SynthStream:
                 version, words, gauss_next = rng.getstate()
                 self.checkpoints.append(
                     (version, array("L", words), gauss_next))
-            ddg = generate_loop(rng, self.cfg, i)
+            draw = draw_loop(rng, self.cfg, i)
         if rng is self.rng:
             self.next_index = index + 1
-        return ddg
+        return build_loop(draw)
 
 
 #: SynthConfig -> its stream (bounded by ``MAX_SYNTH_STREAMS``)

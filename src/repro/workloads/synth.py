@@ -18,16 +18,28 @@ distributions mimic what published studies of scientific FP loops report
 
 Generation is seeded and fully deterministic: ``generate_corpus()`` always
 returns the same 1258 loops.
+
+A loop is made in two phases.  :func:`draw_loop` makes every rng draw,
+in a fixed order, into plain lists (opcodes, names and edge-table rows);
+it is the only place the generator draws.  :func:`build_loop` turns the
+lists into a validated :class:`~repro.ir.ddg.Ddg`.  Loop *i* depends on
+the draws of loops 0..i-1 alone, so a reader that needs one loop of a
+seeded stream (the service's synth specs) draws the loops before it and
+builds only that one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
-from repro.ir.ddg import Ddg, DepKind
-from repro.ir.operations import Opcode
+from repro.ir.ddg import DATA_CODE, KIND_CODE, Ddg, DepKind, Row, keyed_rows
+from repro.ir.operations import Opcode, Operation
 from repro.ir.validate import validate_ddg
 
 #: weights of arithmetic opcodes (memory handled separately)
@@ -91,6 +103,54 @@ def _sample_clipped_lognormal(rng: random.Random, mu: float, sigma: float,
     return max(lo, min(hi, val))
 
 
+class _RecencyWeights:
+    """The operand weights ``(i + 1) ** bias`` of one ``recent_bias``:
+    their running sums, and their total per operand count.
+
+    A weighted pick over *n* operands takes the first index whose
+    running sum reaches ``r``, a bisection over ``cum[:n]``.  Both
+    numbers are the ones a linear scan computes, so the pick is the
+    same: the running sums start from ``0.0`` like the scan's
+    accumulator, and a total is ``sum`` over the same weights (which on
+    Python 3.12+ sums floats with compensation, so it is not always the
+    last running sum).  Tables only grow, and a grown table replaces the
+    old one whole, so a reader never sees a half-grown list.
+    """
+
+    __slots__ = ("bias", "cum", "totals")
+
+    def __init__(self, bias: float) -> None:
+        self.bias = bias
+        self.cum: list[float] = []
+        self.totals: dict[int, float] = {}
+
+    def lookup(self, n: int) -> tuple[list[float], float]:
+        """``(cum, total)`` for *n* operands; ``len(cum) >= n``."""
+        cum = self.cum
+        total = self.totals.get(n)
+        if total is None or len(cum) < n:
+            weights = [(i + 1) ** self.bias for i in range(n)]
+            total = self.totals[n] = sum(weights)
+            if len(cum) < n:
+                cum = self.cum = list(accumulate(weights, initial=0.0))[1:]
+        return cum, total
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _recency_weights(bias: float) -> _RecencyWeights:
+    return _RecencyWeights(bias)
+
+
+@functools.lru_cache(maxsize=16)
+def _mix_table(mix: tuple[tuple[Opcode, float], ...]
+               ) -> tuple[list[Opcode], list[float], float]:
+    """``(opcodes, running sums, total)`` of an opcode mix, summed the
+    way :class:`_RecencyWeights` sums operand weights."""
+    weights = [w for _op, w in mix]
+    return ([op for op, _w in mix],
+            list(accumulate(weights, initial=0.0))[1:], sum(weights))
+
+
 def _pick_operand(rng: random.Random, producers: list[int],
                   cfg: SynthConfig) -> int:
     """Choose a producer, biased towards recently created values (models
@@ -102,58 +162,85 @@ def _pick_operand(rng: random.Random, producers: list[int],
     if rng.random() < cfg.p_reuse_operand:
         return producers[rng.randrange(n)]
     # weight ~ (position+1)^bias
-    weights = [(i + 1) ** cfg.recent_bias for i in range(n)]
-    total = sum(weights)
-    r = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r <= acc:
-            return producers[i]
-    return producers[-1]
+    cum, total = _recency_weights(cfg.recent_bias).lookup(n)
+    i = bisect_left(cum, rng.random() * total, 0, n)
+    return producers[i if i < n else -1]
 
 
 def _weighted_opcode(rng: random.Random,
-                     mix: tuple[tuple[Opcode, float], ...]) -> Opcode:
-    total = sum(w for _op, w in mix)
-    r = rng.random() * total
-    acc = 0.0
-    for op, w in mix:
-        acc += w
-        if r <= acc:
-            return op
-    return mix[-1][0]
+                     table: tuple[list[Opcode], list[float], float]
+                     ) -> Opcode:
+    """Draw an opcode from a :func:`_mix_table`."""
+    opcodes, cum, total = table
+    i = bisect_left(cum, rng.random() * total)
+    return opcodes[i if i < len(opcodes) else -1]
 
 
-def generate_loop(rng: random.Random, cfg: SynthConfig,
-                  index: int) -> Ddg:
-    """One synthetic innermost loop (deterministic given rng state)."""
+class LoopDraw(NamedTuple):
+    """The draws of one synthetic loop, before any graph is built.
+
+    ``ops[i]`` is op *i*'s ``(opcode, name)``; ``rows`` holds the
+    dependences as ``(src, dst, seq, latency, distance, kind code)``
+    edge-table rows, where ``seq`` is the edge's arrival order (the
+    order :func:`~repro.ir.ddg.keyed_rows` numbers parallel edges by).
+    """
+
+    name: str
+    trip_count: int
+    ops: list[tuple[Opcode, str]]
+    rows: list[Row]
+
+
+def draw_loop(rng: random.Random, cfg: SynthConfig,
+              index: int) -> LoopDraw:
+    """Every rng draw of one loop, in generation order.
+
+    The structure the choices depend on (which values are consumed yet,
+    a value's producers, the LOAD ids) is read from the lists drawn so
+    far.  Skipping a loop of a seeded stream costs exactly this call.
+    """
     n_target = _sample_clipped_lognormal(
         rng, cfg.size_mu, cfg.size_sigma, cfg.min_ops, cfg.max_ops)
     trip = _sample_clipped_lognormal(
         rng, cfg.trip_mu, cfg.trip_sigma, cfg.min_trip, cfg.max_trip)
-    ddg = Ddg(f"synth-{index:04d}", trip_count=trip)
 
     n_loads = max(1, round(n_target * cfg.load_fraction))
     n_stores = max(1, round(n_target * cfg.store_fraction))
     n_arith = max(1, n_target - n_loads - n_stores)
 
-    producers: list[int] = []
-    for i in range(n_loads):
-        op = ddg.add_operation(Opcode.LOAD, name=f"ld{i}")
-        producers.append(op.op_id)
+    ops: list[tuple[Opcode, str]] = []
+    rows: list[Row] = []
+    consumed: set[int] = set()      # sources of the DATA edges so far
+    preds: dict[int, list[int]] = {}  # arith op -> its DATA sources
 
+    def add_op(opcode: Opcode, name: str) -> int:
+        ops.append((opcode, name))
+        return len(ops) - 1
+
+    def depend(src: int, dst: int, distance: int = 0,
+               kind: int = DATA_CODE) -> None:
+        latency = ops[src][0].default_latency if kind == DATA_CODE else 1
+        rows.append((src, dst, len(rows), latency, distance, kind))
+        if kind == DATA_CODE:
+            consumed.add(src)
+            if dst in preds:
+                preds[dst].append(src)
+
+    producers = [add_op(Opcode.LOAD, f"ld{i}") for i in range(n_loads)]
+
+    mix = _mix_table(cfg.arith_mix)
     arith_ids: list[int] = []
     for i in range(n_arith):
-        opcode = _weighted_opcode(rng, cfg.arith_mix)
-        op = ddg.add_operation(opcode, name=f"{opcode.mnemonic}{i}")
+        opcode = _weighted_opcode(rng, mix)
+        op = add_op(opcode, f"{opcode.mnemonic}{i}")
+        preds[op] = []
         n_operands = 2 if rng.random() < cfg.p_binary else 1
         chosen = {_pick_operand(rng, producers, cfg)
                   for _ in range(n_operands)}
         for src in sorted(chosen):
-            ddg.add_dependence(src, op, distance=0, kind=DepKind.DATA)
-        producers.append(op.op_id)
-        arith_ids.append(op.op_id)
+            depend(src, op)
+        producers.append(op)
+        arith_ids.append(op)
 
     # recurrences come *before* store placement: real reductions are
     # usually live-out only (the accumulator is not written back every
@@ -165,69 +252,76 @@ def generate_loop(rng: random.Random, cfg: SynthConfig,
         while (rng.random() < cfg.p_extra_recurrence
                and n_rec < 1 + len(arith_ids) // 6):
             n_rec += 1
-        consumed_now = {e.src for e in ddg.data_edges()}
         for _ in range(n_rec):
-            free_tails = [a for a in arith_ids if a not in consumed_now]
+            free_tails = [a for a in arith_ids if a not in consumed]
             if free_tails and rng.random() < cfg.p_pure_accumulator:
                 tail = free_tails[rng.randrange(len(free_tails))]
             else:
                 tail = arith_ids[rng.randrange(len(arith_ids))]
             # close onto the op itself (accumulator) or onto one of its
             # ancestors (deeper recurrence circuit); simple accumulators
-            # dominate real scientific loops
+            # dominate real scientific loops.  The ancestors are listed
+            # in edge-table order: by source, one entry per edge.
             if rng.random() < cfg.p_self_recurrence:
                 head = tail
             else:
-                ancestors = [e.src for e in ddg.producers(tail)
-                             if ddg.op(e.src).produces_value]
+                ancestors = sorted(preds[tail])
                 head = (ancestors[rng.randrange(len(ancestors))]
                         if ancestors else tail)
             dist = 1
             if rng.random() < cfg.p_long_distance:
                 dist = rng.randint(2, cfg.max_distance)
-            ddg.add_dependence(tail, head, distance=dist,
-                               kind=DepKind.DATA)
-            consumed_now.add(tail)
+            depend(tail, head, dist)
 
     # stores: prefer values not yet consumed (computation results get
     # written back)
-    consumed = {e.src for e in ddg.data_edges()}
     dangling = [p for p in producers if p not in consumed]
     store_ids: list[int] = []
     for i in range(n_stores):
         pool = dangling if dangling else producers
         src = pool.pop(rng.randrange(len(pool))) if pool is dangling \
             else _pick_operand(rng, producers, cfg)
-        st = ddg.add_operation(Opcode.STORE, name=f"st{i}")
-        ddg.add_dependence(src, st, distance=0, kind=DepKind.DATA)
-        store_ids.append(st.op_id)
+        st = add_op(Opcode.STORE, f"st{i}")
+        depend(src, st)
+        store_ids.append(st)
 
     # leftover dangling values: write them back or feed a later consumer
-    consumed = {e.src for e in ddg.data_edges()}
+    leftover = [p for p in producers if p not in consumed]
     extra = 0
-    for p in producers:
-        if p in consumed:
-            continue
+    for p in leftover:
         if rng.random() < cfg.p_store_dangling or not store_ids:
-            st = ddg.add_operation(Opcode.STORE, name=f"stx{extra}")
-            ddg.add_dependence(p, st, distance=0, kind=DepKind.DATA)
-            store_ids.append(st.op_id)
+            st = add_op(Opcode.STORE, f"stx{extra}")
+            depend(p, st)
+            store_ids.append(st)
             extra += 1
         else:
             # feed an existing store as an extra operand (address value)
-            ddg.add_dependence(p, store_ids[rng.randrange(len(store_ids))],
-                               distance=0, kind=DepKind.DATA)
+            depend(p, store_ids[rng.randrange(len(store_ids))])
 
-    # occasional memory recurrence (store -> load ordering)
+    # occasional memory recurrence (store -> load ordering); the loads
+    # are ops 0..n_loads-1
     if store_ids and rng.random() < cfg.p_mem_recurrence:
         st = store_ids[rng.randrange(len(store_ids))]
-        loads = [o for o in ddg.op_ids if ddg.op(o).opcode is Opcode.LOAD]
-        ld = loads[rng.randrange(len(loads))]
-        ddg.add_dependence(st, ld, distance=rng.randint(1, 2),
-                           kind=DepKind.MEM)
+        ld = rng.randrange(n_loads)
+        depend(st, ld, rng.randint(1, 2), KIND_CODE[DepKind.MEM])
 
+    return LoopDraw(f"synth-{index:04d}", trip, ops, rows)
+
+
+def build_loop(draw: LoopDraw) -> Ddg:
+    """The validated graph of one drawn loop (sorts ``draw.rows``)."""
+    ops = [Operation(i, opcode, name)
+           for i, (opcode, name) in enumerate(draw.ops)]
+    ddg = Ddg.from_table(draw.name, draw.trip_count, ops,
+                         keyed_rows(draw.rows))
     validate_ddg(ddg)
     return ddg
+
+
+def generate_loop(rng: random.Random, cfg: SynthConfig,
+                  index: int) -> Ddg:
+    """One synthetic innermost loop (deterministic given rng state)."""
+    return build_loop(draw_loop(rng, cfg, index))
 
 
 def generate_corpus(cfg: SynthConfig | None = None) -> list[Ddg]:

@@ -264,6 +264,73 @@ def test_synth_spec_matches_fresh_replay(fresh_memos):
         assert ddg_signature(got) == ddg_signature(fresh[i])
 
 
+@pytest.fixture
+def counted_phases(monkeypatch):
+    """Count the stream's ``draw_loop`` and ``build_loop`` calls."""
+    calls = {"draw": [], "build": []}
+    draw, build = jobspec.draw_loop, jobspec.build_loop
+
+    def counted_draw(rng, cfg, index):
+        calls["draw"].append(index)
+        return draw(rng, cfg, index)
+
+    def counted_build(loop_draw):
+        calls["build"].append(loop_draw.name)
+        return build(loop_draw)
+
+    monkeypatch.setattr(jobspec, "draw_loop", counted_draw)
+    monkeypatch.setattr(jobspec, "build_loop", counted_build)
+    return calls
+
+
+def _graph_doc(ddg):
+    return (ddg.name, ddg.trip_count,
+            [(o.op_id, o.opcode, o.name, o.latency)
+             for o in ddg.operations], ddg.edge_rows())
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    return [_graph_doc(d) for d in generate_corpus(SMALL)]
+
+
+@pytest.mark.parametrize("plan", [
+    # (index asked for, the draws it takes): past the cursor the draws
+    # run on from the cursor, behind it from the checkpoint at or below
+    [(150, range(0, 151)), (3, range(0, 4)), (199, range(151, 200)),
+     (64, range(64, 65)), (130, range(128, 131))],
+    [(5, range(0, 6)), (5, range(0, 6)), (6, range(6, 7)),
+     (63, range(7, 64)), (0, range(0, 1))],
+    # requests behind the cursor never move it back: 199 resumes from
+    # the checkpoint at 192, not from where the 133 request stopped
+    [(199, range(0, 200)), (133, range(128, 134)), (64, range(64, 65)),
+     (63, range(0, 64)), (199, range(192, 200))],
+])
+def test_synth_stream_builds_only_the_loop_asked_for(
+        fresh_memos, counted_phases, small_corpus, plan):
+    for index, draws in plan:
+        del counted_phases["draw"][:], counted_phases["build"][:]
+        got = jobspec._synth_loop(SMALL, index)
+        assert _graph_doc(got) == small_corpus[index]
+        assert counted_phases["draw"] == list(draws)
+        assert counted_phases["build"] == [f"synth-{index:04d}"]
+
+
+def test_bad_knob_in_a_skipped_loop_still_raises(fresh_memos,
+                                                 counted_phases):
+    """Skipped loops are only drawn, but the draws are where a knob the
+    generator cannot follow fails: loop 0 overflows its operand weights
+    on the way to loop 5, so loop 5 is never built."""
+    spec = {"synth": {"recent_bias": 1e9, "index": 5}}
+    for _ in range(2):
+        with pytest.raises(JobSpecError, match="bad synth config"):
+            parse_loop(spec)
+        assert counted_phases["draw"][-1] == 0
+        assert counted_phases["build"] == []
+        assert jobspec._SYNTH_STREAMS == {}
+        assert jobspec._LOOP_MEMO == {}
+
+
 def test_out_of_range_synth_index_is_rejected_fast(fresh_memos):
     t0 = time.perf_counter()
     with pytest.raises(JobSpecError, match="outside"):

@@ -4,6 +4,7 @@ import asyncio
 import dataclasses
 import json
 import http.client
+import socket
 import threading
 
 import pytest
@@ -491,6 +492,79 @@ def test_http_error_paths(server):
         assert conn.getresponse().status == 400
     finally:
         conn.close()
+
+
+def _raw_exchange(handle, request: bytes) -> bytes:
+    """Send *request* bytes as they are; everything the server answers
+    before it closes the connection."""
+    chunks = []
+    with socket.create_connection((handle.host, handle.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status_of(reply: bytes) -> int:
+    return int(reply.split(b" ", 2)[1])
+
+
+@pytest.mark.parametrize("length,status", [
+    (b"abc", 400),
+    (b"-5", 400),
+    (b"1e3", 400),
+    (b"+5", 400),
+    (b"5_0", 400),
+    (b"\xb2", 400),                     # a latin-1 digit, not ASCII
+    (str(daemon_mod.MAX_BODY_BYTES + 1).encode(), 413),
+    (b"9" * 5000, 413),                 # past int()'s digit limit
+], ids=["letters", "negative", "exponent", "plus", "underscore",
+        "latin1-digit", "cap+1", "5000-digits"])
+def test_http_bad_content_length_is_answered(server, length, status):
+    """A Content-Length the server cannot honour gets a status and a
+    closed connection -- not a dead handler and an empty reply -- and
+    the daemon keeps serving."""
+    reply = _raw_exchange(server, b"POST /jobs HTTP/1.1\r\n"
+                                  b"Host: test\r\n"
+                                  b"Content-Length: " + length +
+                                  b"\r\n\r\n")
+    assert _status_of(reply) == status
+    assert b"Connection: close" in reply
+    assert "error" in json.loads(reply.split(b"\r\n\r\n", 1)[1])
+    status, health = _request(server, "GET", "/healthz")
+    assert status == 200 and health["status"] == "ok"
+
+
+def test_http_zero_padded_content_length_reads_the_body(server):
+    body = json.dumps(_spec("dot")).encode()
+    reply = _raw_exchange(server, b"POST /jobs HTTP/1.1\r\n"
+                                  b"Connection: close\r\n"
+                                  b"Content-Length: 000" +
+                                  str(len(body)).encode() +
+                                  b"\r\n\r\n" + body)
+    assert _status_of(reply) == 200
+
+
+@pytest.mark.parametrize("head", [
+    b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 200 + b"\r\n\r\n",
+    b"GET /" + b"a" * 200 + b" HTTP/1.1\r\n\r\n",
+], ids=["header", "request-line"])
+def test_overlong_request_line_or_header_is_a_400(head):
+    """A line past the stream's buffer limit is a request error (400),
+    not an exception that kills the connection handler."""
+    async def read():
+        reader = asyncio.StreamReader(limit=64)
+        reader.feed_data(head)
+        reader.feed_eof()
+        with pytest.raises(daemon_mod._RequestError) as exc:
+            await daemon_mod._read_request(reader)
+        return exc.value.status
+
+    assert asyncio.run(read()) == 400
 
 
 @pytest.mark.parametrize("synth,expect", [

@@ -1,14 +1,17 @@
 """Tests for the synthetic corpus generator: determinism, validity, and
 calibration (the distributions DESIGN.md promises)."""
 
+import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.ir.validate import validate_ddg
 from repro.workloads.corpus import corpus_stats
-from repro.workloads.synth import (SynthConfig, generate_corpus,
-                                   generate_loop)
+from repro.workloads.synth import (SynthConfig, _pick_operand,
+                                   generate_corpus, generate_loop)
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +97,66 @@ class TestSingleLoop:
         arith = [op for op in ddg.operations
                  if not op.is_memory]
         assert all(op.opcode is Opcode.ADD for op in arith)
+
+
+# ---------------------------------------------------------------------------
+# the operand pick: a bisection over cached running sums
+# ---------------------------------------------------------------------------
+
+def _linear_pick(producers, cfg, u):
+    """The linear scan the cached table replaces, with ``u`` as its draw."""
+    weights = [(i + 1) ** cfg.recent_bias for i in range(len(producers))]
+    r = u * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r <= acc:
+            return producers[i]
+    return producers[-1]
+
+
+class _Draws:
+    """An rng stand-in whose ``random()`` replays fixed values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def _table_pick(producers, cfg, u):
+    # the first draw loses the reuse coin (p_reuse_operand is 0)
+    return _pick_operand(_Draws(0.5, u), producers, cfg)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=2, max_value=160),
+       bias=st.one_of(st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0]),
+                      st.floats(min_value=-40.0, max_value=40.0)),
+       u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_table_pick_matches_linear_scan(n, bias, u):
+    cfg = SynthConfig(recent_bias=bias, p_reuse_operand=0.0)
+    producers = list(range(100, 100 + n))
+    assert _table_pick(producers, cfg, u) == \
+        _linear_pick(producers, cfg, u)
+
+
+@pytest.mark.parametrize("bias", [2.0, 2, 0.37, -3.5, 9.1])
+def test_table_pick_matches_linear_scan_at_every_boundary(bias):
+    """Draws landing exactly on, just under and just over each running
+    sum, for operand counts growing and then shrinking (the table is
+    cached across counts)."""
+    cfg = SynthConfig(recent_bias=bias, p_reuse_operand=0.0)
+    for n in list(range(2, 41)) + list(range(40, 1, -3)):
+        producers = list(range(n))
+        weights = [(i + 1) ** bias for i in range(n)]
+        total = sum(weights)
+        acc = 0.0
+        for w in weights:
+            acc += w
+            u = acc / total
+            for v in (math.nextafter(u, 0.0), u, math.nextafter(u, 1.0)):
+                if 0.0 <= v < 1.0:
+                    assert _table_pick(producers, cfg, v) == \
+                        _linear_pick(producers, cfg, v), (n, v)
