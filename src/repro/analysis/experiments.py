@@ -36,7 +36,6 @@ from repro.runner import (CompileJob, PipelineOptions, RunnerConfig,
 # runner subsystem so worker processes do not depend on this module.
 from repro.runner.pipeline import (UNROLL_MAX_FACTOR, UNROLL_MAX_OPS,  # noqa: F401
                                    CompiledLoop, compile_loop)
-from repro.sched.iisearch import DEFAULT_II_SEARCH
 from repro.sched.mii import mii_report
 from repro.sched.partitioners import DEFAULT_PARTITIONER
 from repro.sched.strategies import DEFAULT_SCHEDULER
@@ -117,12 +116,11 @@ def fig3_queue_requirements(
         machines: Optional[Sequence[Machine]] = None,
         buckets: tuple[int, ...] = (4, 8, 16, 32),
         *, runner: Optional[RunnerConfig] = None,
-        scheduler: str = DEFAULT_SCHEDULER,
-        ii_search: str = DEFAULT_II_SEARCH) -> Fig3Result:
+        scheduler: str = DEFAULT_SCHEDULER) -> Fig3Result:
     machines = list(machines) if machines else paper_qrf_machines()
     results = run_jobs(
         sweep(loops, machines,
-              [dict(copies=True, allocate=True, scheduler=scheduler, ii_search=ii_search)]),
+              [dict(copies=True, allocate=True, scheduler=scheduler)]),
         runner)
     by_machine: dict[str, dict[int, float]] = {}
     counts: dict[str, list[int]] = {}
@@ -165,13 +163,12 @@ class Sec2Result:
 def sec2_copy_impact(loops: Sequence[Ddg],
                      machines: Optional[Sequence[Machine]] = None,
                      *, runner: Optional[RunnerConfig] = None,
-                     scheduler: str = DEFAULT_SCHEDULER,
-                     ii_search: str = DEFAULT_II_SEARCH) -> Sec2Result:
+                     scheduler: str = DEFAULT_SCHEDULER) -> Sec2Result:
     machines = list(machines) if machines else paper_qrf_machines()
     results = run_jobs(
         sweep(loops, machines,
-              [dict(copies=False, allocate=False, scheduler=scheduler, ii_search=ii_search),
-               dict(copies=True, allocate=False, scheduler=scheduler, ii_search=ii_search)]),
+              [dict(copies=False, allocate=False, scheduler=scheduler),
+               dict(copies=True, allocate=False, scheduler=scheduler)]),
         runner)
     same_ii: dict[str, float] = {}
     same_sc: dict[str, float] = {}
@@ -228,14 +225,13 @@ class Fig4Result:
 def fig4_unroll_speedup(loops: Sequence[Ddg],
                         machines: Optional[Sequence[Machine]] = None,
                         *, runner: Optional[RunnerConfig] = None,
-                        scheduler: str = DEFAULT_SCHEDULER,
-                        ii_search: str = DEFAULT_II_SEARCH) -> Fig4Result:
+                        scheduler: str = DEFAULT_SCHEDULER) -> Fig4Result:
     machines = list(machines) if machines else paper_qrf_machines()
     results = run_jobs(
         sweep(loops, machines,
-              [dict(copies=True, allocate=False, scheduler=scheduler, ii_search=ii_search),
+              [dict(copies=True, allocate=False, scheduler=scheduler),
                dict(do_unroll=True, copies=True, allocate=True,
-                    scheduler=scheduler, ii_search=ii_search)]),
+                    scheduler=scheduler)]),
         runner)
     gt1: dict[str, float] = {}
     mean_spd: dict[str, float] = {}
@@ -293,15 +289,14 @@ def fig6_ii_variation(loops: Sequence[Ddg],
                       partitioner: str = DEFAULT_PARTITIONER,
                       use_moves: bool = False,
                       runner: Optional[RunnerConfig] = None,
-                      scheduler: str = DEFAULT_SCHEDULER,
-                      ii_search: str = DEFAULT_II_SEARCH) -> Fig6Result:
+                      scheduler: str = DEFAULT_SCHEDULER) -> Fig6Result:
     cluster_counts = list(cluster_counts)
     cms = [clustered_machine(n) for n in cluster_counts]
     # wave 1: single-cluster baselines pick the unroll factor...
     single_results = run_jobs(
         sweep(loops, [cm.flattened() for cm in cms],
               [dict(do_unroll=do_unroll, copies=True, allocate=False,
-                    scheduler=scheduler, ii_search=ii_search)]),
+                    scheduler=scheduler)]),
         runner)
     single_blocks = _blocks(single_results, len(loops), len(cms))
     # ...wave 2 compiles the clustered machine at that same factor
@@ -310,7 +305,7 @@ def fig6_ii_variation(loops: Sequence[Ddg],
             unroll_factor=single.outcome.unroll_factor,
             copies=True, allocate=False,
             partitioner=partitioner, use_moves=use_moves,
-            scheduler=scheduler, ii_search=ii_search))
+            scheduler=scheduler))
         for cm, block in zip(cms, single_blocks)
         for ddg, single in zip(loops, block)]
     clustered_blocks = _blocks(run_jobs(clustered_jobs, runner),
@@ -369,14 +364,13 @@ def sec4_cluster_queues(loops: Sequence[Ddg],
                         *, do_unroll: bool = True,
                         partitioner: str = DEFAULT_PARTITIONER,
                         runner: Optional[RunnerConfig] = None,
-                        scheduler: str = DEFAULT_SCHEDULER,
-                        ii_search: str = DEFAULT_II_SEARCH) -> Sec4Result:
+                        scheduler: str = DEFAULT_SCHEDULER) -> Sec4Result:
     cluster_counts = list(cluster_counts)
     cms = [clustered_machine(n) for n in cluster_counts]
     results = run_jobs(
         sweep(loops, cms,
               [dict(do_unroll=do_unroll, copies=True, allocate=True,
-                    partitioner=partitioner, scheduler=scheduler, ii_search=ii_search)],
+                    partitioner=partitioner, scheduler=scheduler)],
               extras=("queue_locations",)),
         runner)
     fits: dict[int, float] = {}
@@ -449,7 +443,6 @@ def ipc_sweep(loops: Sequence[Ddg], *,
               partitioner: str = DEFAULT_PARTITIONER,
               runner: Optional[RunnerConfig] = None,
               scheduler: str = DEFAULT_SCHEDULER,
-              ii_search: str = DEFAULT_II_SEARCH,
               title: str = "Fig. 8 -- IPC, all loops") -> IpcSweepResult:
     """Shared driver of Figs. 8 and 9.
 
@@ -460,7 +453,7 @@ def ipc_sweep(loops: Sequence[Ddg], *,
                         for n in clustered_counts}
     options = PipelineOptions(do_unroll=do_unroll, copies=True,
                               allocate=False, partitioner=partitioner,
-                              scheduler=scheduler, ii_search=ii_search)
+                              scheduler=scheduler)
     jobs: list[CompileJob] = []
     spans: dict[int, tuple[int, int]] = {}       # n_fus -> (start, count)
     clustered_spans: dict[int, int] = {}          # n_fus -> start
@@ -539,12 +532,11 @@ def ablation_copy_tree(loops: Sequence[Ddg],
                        strategies: Sequence[str] = ("chain", "balanced",
                                                     "slack"),
                        *, runner: Optional[RunnerConfig] = None,
-                       scheduler: str = DEFAULT_SCHEDULER,
-                       ii_search: str = DEFAULT_II_SEARCH) -> CopyTreeAblation:
+                       scheduler: str = DEFAULT_SCHEDULER) -> CopyTreeAblation:
     m = machine or qrf_machine(12)
     base_results = run_jobs(
         sweep(loops, [m],
-              [dict(copies=False, allocate=False, scheduler=scheduler, ii_search=ii_search)]),
+              [dict(copies=False, allocate=False, scheduler=scheduler)]),
         runner)
     baselines: dict[str, int] = {
         ddg.name: r.outcome.ii
@@ -553,7 +545,7 @@ def ablation_copy_tree(loops: Sequence[Ddg],
     strategy_results = run_jobs(
         sweep(ok_loops, [m],
               [dict(copies=True, copy_strategy=s, allocate=True,
-                    scheduler=scheduler, ii_search=ii_search)
+                    scheduler=scheduler)
                for s in strategies]),
         runner)
     same: dict[str, float] = {}
@@ -596,15 +588,14 @@ class PartitionAblation:
 def ablation_partition(loops: Sequence[Ddg], n_clusters: int = 5,
                        strategies: Optional[Sequence[str]] = None,
                        *, runner: Optional[RunnerConfig] = None,
-                       scheduler: str = DEFAULT_SCHEDULER,
-                       ii_search: str = DEFAULT_II_SEARCH) -> PartitionAblation:
+                       scheduler: str = DEFAULT_SCHEDULER) -> PartitionAblation:
     """A2: Fig. 6's same-II fraction per registered partitioning engine
     (default: every engine in the registry, default engine first)."""
     same: dict[str, float] = {}
     for engine in strategies or _registered_partitioners():
         res = fig6_ii_variation(loops, cluster_counts=(n_clusters,),
                                 partitioner=engine, runner=runner,
-                                scheduler=scheduler, ii_search=ii_search)
+                                scheduler=scheduler)
         same[engine] = res.same_ii[n_clusters]
     return PartitionAblation(same_ii=same)
 
@@ -632,15 +623,14 @@ def ablation_moves(loops: Sequence[Ddg],
                    cluster_counts: Sequence[int] = (5, 6),
                    *, partitioner: str = DEFAULT_PARTITIONER,
                    runner: Optional[RunnerConfig] = None,
-                   scheduler: str = DEFAULT_SCHEDULER,
-                   ii_search: str = DEFAULT_II_SEARCH) -> MovesAblation:
+                   scheduler: str = DEFAULT_SCHEDULER) -> MovesAblation:
     base = fig6_ii_variation(loops, cluster_counts=cluster_counts,
                              partitioner=partitioner,
-                             runner=runner, scheduler=scheduler, ii_search=ii_search)
+                             runner=runner, scheduler=scheduler)
     moved = fig6_ii_variation(loops, cluster_counts=cluster_counts,
                               partitioner=partitioner,
                               use_moves=True, runner=runner,
-                              scheduler=scheduler, ii_search=ii_search)
+                              scheduler=scheduler)
     return MovesAblation(without_moves=base.same_ii,
                          with_moves=moved.same_ii)
 
@@ -688,8 +678,7 @@ class RegisterPressureResult:
 def register_pressure(loops: Sequence[Ddg],
                       machines: Optional[Sequence[Machine]] = None,
                       *, runner: Optional[RunnerConfig] = None,
-                      scheduler: str = DEFAULT_SCHEDULER,
-                      ii_search: str = DEFAULT_II_SEARCH) -> RegisterPressureResult:
+                      scheduler: str = DEFAULT_SCHEDULER) -> RegisterPressureResult:
     """Experiment S1: storage demand of QRF vs CRF on the same loops."""
     from repro.machine.machine import RfKind, make_machine
 
@@ -698,10 +687,10 @@ def register_pressure(loops: Sequence[Ddg],
     for m in machines:
         crf = make_machine(m.n_fus, rf_kind=RfKind.CONVENTIONAL)
         jobs.extend(CompileJob(ddg, m, PipelineOptions(
-            copies=True, allocate=True, scheduler=scheduler, ii_search=ii_search))
+            copies=True, allocate=True, scheduler=scheduler))
             for ddg in loops)
         jobs.extend(CompileJob(ddg, crf, PipelineOptions(
-            copies=False, allocate=False, scheduler=scheduler, ii_search=ii_search,
+            copies=False, allocate=False, scheduler=scheduler,
             extras=("crf_registers",))) for ddg in loops)
     results = run_jobs(jobs, runner)
 
@@ -767,15 +756,14 @@ def spill_budget(loops: Sequence[Ddg],
                                                        (32, 16)),
                  machine: Optional[Machine] = None,
                  *, runner: Optional[RunnerConfig] = None,
-                 scheduler: str = DEFAULT_SCHEDULER,
-                 ii_search: str = DEFAULT_II_SEARCH) -> SpillBudgetResult:
+                 scheduler: str = DEFAULT_SCHEDULER) -> SpillBudgetResult:
     """Experiment E6b: quantify the paper's "spill code will occasionally
     be required" across hardware budgets (queues x positions)."""
     m = machine or qrf_machine(12)
     spec = spill_spec(budgets)
     results = run_jobs(
         sweep(loops, [m],
-              [dict(copies=True, allocate=False, scheduler=scheduler, ii_search=ii_search)],
+              [dict(copies=True, allocate=False, scheduler=scheduler)],
               extras=(spec,)),
         runner)
     reports = [r.extras.get(spec) for r in results
@@ -818,8 +806,7 @@ def ring_latency_sensitivity(loops: Sequence[Ddg],
                              cluster_counts: Sequence[int] = (4, 6),
                              *, partitioner: str = DEFAULT_PARTITIONER,
                              runner: Optional[RunnerConfig] = None,
-                             scheduler: str = DEFAULT_SCHEDULER,
-                             ii_search: str = DEFAULT_II_SEARCH) -> RingLatencyResult:
+                             scheduler: str = DEFAULT_SCHEDULER) -> RingLatencyResult:
     """Experiment A4: how sensitive is the partitioning result to the
     ring-queue forwarding latency?"""
     from repro.machine.cluster import make_clustered
@@ -829,14 +816,14 @@ def ring_latency_sensitivity(loops: Sequence[Ddg],
     single_results = run_jobs(
         sweep(loops, [cm.flattened() for _, cm in grid],
               [dict(do_unroll=True, copies=True, allocate=False,
-                    scheduler=scheduler, ii_search=ii_search)]),
+                    scheduler=scheduler)]),
         runner)
     single_blocks = _blocks(single_results, len(loops), len(grid))
     clustered_jobs = [
         CompileJob(ddg, cm, PipelineOptions(
             unroll_factor=single.outcome.unroll_factor,
             copies=True, allocate=False, partitioner=partitioner,
-            scheduler=scheduler, ii_search=ii_search))
+            scheduler=scheduler))
         for (_, cm), block in zip(grid, single_blocks)
         for ddg, single in zip(loops, block)]
     clustered_blocks = _blocks(run_jobs(clustered_jobs, runner),
@@ -881,8 +868,7 @@ class HardwareCostResult:
 def hardware_cost(loops: Sequence[Ddg],
                   fu_sizes: Sequence[int] = (6, 12, 18),
                   *, runner: Optional[RunnerConfig] = None,
-                  scheduler: str = DEFAULT_SCHEDULER,
-                  ii_search: str = DEFAULT_II_SEARCH) -> HardwareCostResult:
+                  scheduler: str = DEFAULT_SCHEDULER) -> HardwareCostResult:
     """Experiment S2: the paper's 36-port argument, quantified.
 
     For each width: measure the corpus's p95 rotating-register demand on
@@ -897,7 +883,7 @@ def hardware_cost(loops: Sequence[Ddg],
             for n_fus in fu_sizes]
     results = run_jobs(
         sweep(loops, crfs,
-              [dict(copies=False, allocate=False, scheduler=scheduler, ii_search=ii_search)],
+              [dict(copies=False, allocate=False, scheduler=scheduler)],
               extras=("crf_registers",)),
         runner)
     registers_used: dict[int, int] = {}
@@ -970,8 +956,7 @@ class SchedulerCompareResult:
 def exp_scheduler_compare(loops: Sequence[Ddg],
                           machines: Optional[Sequence[Machine]] = None,
                           schedulers: Optional[Sequence[str]] = None,
-                          *, runner: Optional[RunnerConfig] = None,
-                          ii_search: str = DEFAULT_II_SEARCH
+                          *, runner: Optional[RunnerConfig] = None
                           ) -> SchedulerCompareResult:
     """Experiment SC: sweep every engine over loops x machine presets.
 
@@ -995,7 +980,7 @@ def exp_scheduler_compare(loops: Sequence[Ddg],
     results = run_jobs(
         sweep(loops, machines,
               [dict(copies=True, allocate=True, scheduler=s,
-                    ii_search=ii_search, extras=extras)
+                    extras=extras)
                for s in schedulers]),
         runner)
     blocks = _blocks(results, len(loops), len(machines) * len(schedulers))
@@ -1108,8 +1093,7 @@ def exp_partitioner_compare(loops: Sequence[Ddg],
                             cluster_counts: Sequence[int] = PAPER_CLUSTER_COUNTS,
                             partitioners: Optional[Sequence[str]] = None,
                             *, runner: Optional[RunnerConfig] = None,
-                            scheduler: str = DEFAULT_SCHEDULER,
-                            ii_search: str = DEFAULT_II_SEARCH
+                            scheduler: str = DEFAULT_SCHEDULER
                             ) -> PartitionerCompareResult:
     """Experiment PC: sweep every partitioning engine over loops x rings.
 
@@ -1128,7 +1112,7 @@ def exp_partitioner_compare(loops: Sequence[Ddg],
     results = run_jobs(
         sweep(loops, cms,
               [dict(copies=True, allocate=False, partitioner=p,
-                    scheduler=scheduler, ii_search=ii_search, extras=extras)
+                    scheduler=scheduler, extras=extras)
                for p in engines]),
         runner)
     blocks = _blocks(results, len(loops), len(cms) * len(engines))

@@ -36,10 +36,8 @@ byte-identical to the serial run), ``--no-cache`` and ``--cache-dir``,
 plus the supervision knobs ``--job-deadline`` / ``--retries`` and the
 chaos flag ``--faults SPEC`` (seeded fault injection, DESIGN §5.10);
 ``schedule`` and ``experiment`` take ``--scheduler`` to pick the
-scheduling engine (default ``ims``), ``--partitioner`` to pick the
-clustered engine (default ``affinity``) and ``--ii-search`` to pick the
-II search mode (``adaptive`` default, ``linear`` for the historical
-walk; both produce identical schedules).  Engine names are validated
+scheduling engine (default ``ims``) and ``--partitioner`` to pick the
+clustered engine (default ``affinity``).  Engine names are validated
 against the registries before anything compiles, so a typo lists the
 available names instead of failing mid-sweep.
 """
@@ -51,7 +49,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.machine.presets import clustered_machine, qrf_machine
-from repro.sched.iisearch import DEFAULT_II_SEARCH, II_SEARCH_MODES
 from repro.sched.partitioners import (DEFAULT_PARTITIONER,
                                       available_partitioners,
                                       partitioner_descriptions)
@@ -62,56 +59,55 @@ from repro.workloads.corpus import bench_corpus, corpus_stats, paper_corpus
 from repro.workloads.kernels import KERNELS, kernel
 
 #: experiment id -> (one-line description, driver invocation).  The lambda
-#: takes (loops, runner, scheduler, partitioner, ii_search) so
-#: ``--scheduler``, ``--partitioner`` and ``--ii-search`` thread through
-#: every driver; the compare experiments (``sc``, ``pc``) and the
-#: partition ablation sweep all engines themselves.
+#: takes (loops, runner, scheduler, partitioner) so ``--scheduler`` and
+#: ``--partitioner`` thread through every driver; the compare experiments
+#: (``sc``, ``pc``) and the partition ablation sweep all engines
+#: themselves.
 EXPERIMENTS = {
     "fig3": ("Fig. 3: loops schedulable within N queues",
-             lambda ex, l, r, s, p, i: ex.fig3_queue_requirements(
-                 l, runner=r, scheduler=s, ii_search=i)),
+             lambda ex, l, r, s, p: ex.fig3_queue_requirements(
+                 l, runner=r, scheduler=s)),
     "sec2": ("Section 2: copy-insertion impact on II / stage count",
-             lambda ex, l, r, s, p, i: ex.sec2_copy_impact(
-                 l, runner=r, scheduler=s, ii_search=i)),
+             lambda ex, l, r, s, p: ex.sec2_copy_impact(
+                 l, runner=r, scheduler=s)),
     "fig4": ("Fig. 4: II speedup from loop unrolling",
-             lambda ex, l, r, s, p, i: ex.fig4_unroll_speedup(
-                 l, runner=r, scheduler=s, ii_search=i)),
+             lambda ex, l, r, s, p: ex.fig4_unroll_speedup(
+                 l, runner=r, scheduler=s)),
     "fig6": ("Fig. 6: clustered vs single-cluster II",
-             lambda ex, l, r, s, p, i: ex.fig6_ii_variation(
-                 l, runner=r, scheduler=s, partitioner=p, ii_search=i)),
+             lambda ex, l, r, s, p: ex.fig6_ii_variation(
+                 l, runner=r, scheduler=s, partitioner=p)),
     "sec4": ("Section 4 / Fig. 7: per-cluster queue budgets",
-             lambda ex, l, r, s, p, i: ex.sec4_cluster_queues(
-                 l, runner=r, scheduler=s, partitioner=p, ii_search=i)),
+             lambda ex, l, r, s, p: ex.sec4_cluster_queues(
+                 l, runner=r, scheduler=s, partitioner=p)),
     "fig8": ("Fig. 8: IPC sweep, all loops",
-             lambda ex, l, r, s, p, i: ex.fig8_ipc(
-                 l, runner=r, scheduler=s, partitioner=p, ii_search=i)),
+             lambda ex, l, r, s, p: ex.fig8_ipc(
+                 l, runner=r, scheduler=s, partitioner=p)),
     "fig9": ("Fig. 9: IPC sweep, resource-constrained loops",
-             lambda ex, l, r, s, p, i: ex.fig9_ipc_rc(
-                 l, runner=r, scheduler=s, partitioner=p, ii_search=i)),
+             lambda ex, l, r, s, p: ex.fig9_ipc_rc(
+                 l, runner=r, scheduler=s, partitioner=p)),
     "a1": ("ablation: copy fan-out tree strategy",
-           lambda ex, l, r, s, p, i: ex.ablation_copy_tree(
-               l, runner=r, scheduler=s, ii_search=i)),
+           lambda ex, l, r, s, p: ex.ablation_copy_tree(
+               l, runner=r, scheduler=s)),
     "a2": ("ablation: cluster-partition heuristic",
-           lambda ex, l, r, s, p, i: ex.ablation_partition(
-               l, runner=r, scheduler=s, ii_search=i)),
+           lambda ex, l, r, s, p: ex.ablation_partition(
+               l, runner=r, scheduler=s)),
     "a3": ("ablation: explicit inter-cluster MOVE ops",
-           lambda ex, l, r, s, p, i: ex.ablation_moves(
-               l, runner=r, scheduler=s, partitioner=p, ii_search=i)),
+           lambda ex, l, r, s, p: ex.ablation_moves(
+               l, runner=r, scheduler=s, partitioner=p)),
     "a4": ("sensitivity: inter-cluster ring latency",
-           lambda ex, l, r, s, p, i: ex.ring_latency_sensitivity(
-               l, runner=r, scheduler=s, partitioner=p, ii_search=i)),
+           lambda ex, l, r, s, p: ex.ring_latency_sensitivity(
+               l, runner=r, scheduler=s, partitioner=p)),
     "s1": ("supplementary: register pressure, QRF vs conventional RF",
-           lambda ex, l, r, s, p, i: ex.register_pressure(
-               l, runner=r, scheduler=s, ii_search=i)),
+           lambda ex, l, r, s, p: ex.register_pressure(
+               l, runner=r, scheduler=s)),
     "e6b": ("spill code under finite queue files",
-            lambda ex, l, r, s, p, i: ex.spill_budget(
-                l, runner=r, scheduler=s, ii_search=i)),
+            lambda ex, l, r, s, p: ex.spill_budget(
+                l, runner=r, scheduler=s)),
     "sc": ("scheduler comparison: all registered engines head to head",
-           lambda ex, l, r, s, p, i: ex.exp_scheduler_compare(
-               l, runner=r, ii_search=i)),
+           lambda ex, l, r, s, p: ex.exp_scheduler_compare(l, runner=r)),
     "pc": ("partitioner comparison: all registered engines head to head",
-           lambda ex, l, r, s, p, i: ex.exp_partitioner_compare(
-               l, runner=r, scheduler=s, ii_search=i)),
+           lambda ex, l, r, s, p: ex.exp_partitioner_compare(
+               l, runner=r, scheduler=s)),
 }
 
 
@@ -187,8 +183,7 @@ def cmd_schedule(args) -> int:
     res = run_pipeline(ddg, machine, unroll_factor=args.unroll,
                        iterations=args.iterations,
                        scheduler=args.scheduler,
-                       partitioner=args.partitioner,
-                       ii_search=args.ii_search)
+                       partitioner=args.partitioner)
     wall = time.perf_counter() - t0
     print(res.schedule.render())
     if args.asm:
@@ -230,8 +225,7 @@ def cmd_trace(args) -> int:
     res = run_pipeline(ddg, machine, unroll_factor=args.unroll,
                        iterations=args.iterations,
                        scheduler=args.scheduler,
-                       partitioner=args.partitioner,
-                       ii_search=args.ii_search)
+                       partitioner=args.partitioner)
     wall = time.perf_counter() - t0
     print(f"{args.kernel}: II={res.schedule.ii} "
           f"stages={res.schedule.stage_count} "
@@ -257,7 +251,7 @@ def cmd_experiment(args) -> int:
         return 2
     _, drive = EXPERIMENTS[args.id]
     print(drive(ex, _loops(args), _runner(args), args.scheduler,
-                args.partitioner, args.ii_search).render())
+                args.partitioner).render())
     return 0
 
 
@@ -703,12 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cluster-partitioning engine, used with "
                                  "--clusters (see `repro-vliw "
                                  "partitioners`)")
-        parser.add_argument("--ii-search", default=DEFAULT_II_SEARCH,
-                            choices=II_SEARCH_MODES,
-                            help="II search mode: adaptive bracketing "
-                                 "(default) or the historical linear "
-                                 "walk -- identical schedules either "
-                                 "way")
 
     ps = sub.add_parser("schedule", help="schedule one named kernel")
     kernel_flags(ps)
@@ -737,11 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cluster-partitioning engine used by clustered "
                          "sweeps (`pc` and `a2` always compare all "
                          "engines)")
-    pe.add_argument("--ii-search", default=DEFAULT_II_SEARCH,
-                    choices=II_SEARCH_MODES,
-                    help="II search mode used by every engine in the "
-                         "sweep (adaptive default; linear preserves the "
-                         "historical walk)")
 
     sub.add_parser("schedulers",
                    help="list the registered scheduling engines")

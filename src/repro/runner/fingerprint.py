@@ -27,11 +27,13 @@ from repro.machine.machine import Machine
 #: v3: ``partition_strategy`` became the registry-backed ``partitioner``
 #:     (same default, new field name and engine set -- keys must never
 #:     alias against v2 entries).
-#: v4: options signature gained ``ii_search`` (the II search mode) and
+#: v4: options signature gained the II search mode and
 #:     cached records gained the optional ``wall_s`` cost estimate.
 #: v5: options signature gained ``verify`` (the static schedule proof);
 #:     a verified and an unverified compile must never share a record.
-SCHEMA_VERSION = 5
+#: v6: options signature lost the II search mode (each engine has one
+#:     walk); v5 keys carry the field and must not alias the new ones.
+SCHEMA_VERSION = 6
 
 
 #: ``DepKind.value`` by edge-table kind code.

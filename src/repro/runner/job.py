@@ -21,7 +21,6 @@ from typing import Optional
 
 from repro.analysis.metrics import LoopOutcome
 from repro.ir.ddg import Ddg
-from repro.sched.iisearch import DEFAULT_II_SEARCH
 from repro.sched.partitioners import DEFAULT_PARTITIONER
 from repro.sched.strategies import DEFAULT_SCHEDULER
 
@@ -51,7 +50,6 @@ class PipelineOptions:
     partitioner: str = DEFAULT_PARTITIONER
     use_moves: bool = False
     scheduler: str = DEFAULT_SCHEDULER
-    ii_search: str = DEFAULT_II_SEARCH
     #: prove the schedule with the independent verifier
     #: (:mod:`repro.verify`) before the result leaves the worker; a
     #: failed proof raises instead of producing a result

@@ -34,7 +34,6 @@ from repro.machine.machine import Machine
 from repro.obs.trace import (job_capture, span, trace_count,
                              tracing_enabled)
 from repro.regalloc.queues import ScheduleQueueUsage, allocate_for_schedule
-from repro.sched.iisearch import DEFAULT_II_SEARCH, check_ii_search
 from repro.sched.mii import MiiReport, mii_report
 from repro.sched.partition import (PartitionConfig, partitioned_schedule,
                                    schedule_with_moves)
@@ -107,7 +106,6 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
                  partitioner: str = DEFAULT_PARTITIONER,
                  use_moves: bool = False,
                  scheduler: str = DEFAULT_SCHEDULER,
-                 ii_search: str = DEFAULT_II_SEARCH,
                  verify: bool = False) -> CompiledLoop:
     """Run (unroll ->) (copy-insert ->) schedule (-> allocate queues).
 
@@ -116,11 +114,10 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
     through a partitioning engine, selected by name from the
     :mod:`repro.sched.partitioners` registry via ``partitioner`` (the
     space/time search embeds IMS's eviction machinery -- see DESIGN.md
-    §6).  ``ii_search`` picks the II search mode for either engine kind
-    (see :mod:`repro.sched.iisearch`).  Scheduling failures produce a
-    ``failed`` outcome instead of raising, so corpus sweeps always
-    complete; the outcome's MII bounds are those of the graph the engine
-    scheduled (after the machine's latency model).
+    §6).  Scheduling failures produce a ``failed`` outcome instead of
+    raising, so corpus sweeps always complete; the outcome's MII bounds
+    are those of the graph the engine scheduled (after the machine's
+    latency model).
 
     ``verify`` runs the independent checker (:mod:`repro.verify`) over
     the finished schedule and raises
@@ -133,13 +130,12 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
     # caller, and before any scheduling work is spent
     check_scheduler(scheduler)
     check_partitioner(partitioner)
-    check_ii_search(ii_search)
 
     def schedule_at(factor: int) -> CompiledLoop:
         return _schedule(ddg, machine, factor, copies=copies,
                          copy_strategy=copy_strategy,
                          partitioner=partitioner, use_moves=use_moves,
-                         scheduler=scheduler, ii_search=ii_search)
+                         scheduler=scheduler)
 
     factor = 1
     if unroll_factor is not None:
@@ -176,25 +172,22 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
 def schedule_loop(work: Ddg, machine: "Machine | ClusteredMachine", *,
                   scheduler: str = DEFAULT_SCHEDULER,
                   partitioner: str = DEFAULT_PARTITIONER,
-                  ii_search: str = DEFAULT_II_SEARCH,
                   use_moves: bool = False) -> ModuloSchedule:
     """Schedule the front-end graph *work*: the one engine dispatch point.
 
     Clustered machines go through the ``partitioner`` engine (with ring
     MOVEs when ``use_moves``), single-cluster machines through the
-    ``scheduler`` strategy; ``ii_search`` is the II search mode of
-    either.  Raises :class:`SchedulingError` with the engine's message
-    when no II up to the engine's limit admits a schedule.
+    ``scheduler`` strategy.  Raises :class:`SchedulingError` with the
+    engine's message when no II up to the engine's limit admits a
+    schedule.
     """
     if isinstance(machine, ClusteredMachine):
-        config = PartitionConfig(partitioner=partitioner,
-                                 ii_search=ii_search)
+        config = PartitionConfig(partitioner=partitioner)
         if use_moves:
             return schedule_with_moves(work, machine,
                                        config=config).schedule
         return partitioned_schedule(work, machine, config=config)
-    return get_scheduler(scheduler).schedule(
-        work, machine, ii_search=ii_search).schedule
+    return get_scheduler(scheduler).schedule(work, machine).schedule
 
 
 def _bounds(work: Ddg, machine: "Machine | ClusteredMachine") -> MiiReport:
@@ -208,8 +201,8 @@ def _bounds(work: Ddg, machine: "Machine | ClusteredMachine") -> MiiReport:
 
 def _schedule(ddg: Ddg, machine: "Machine | ClusteredMachine",
               factor: int, *, copies: bool, copy_strategy: str,
-              partitioner: str, use_moves: bool, scheduler: str,
-              ii_search: str) -> CompiledLoop:
+              partitioner: str, use_moves: bool,
+              scheduler: str) -> CompiledLoop:
     """(unroll ->) (copy-insert ->) schedule at a fixed unroll *factor*;
     the outcome carries no queue figures yet (see :func:`_finish`)."""
     with span("pipeline.frontend"):
@@ -232,7 +225,7 @@ def _schedule(ddg: Ddg, machine: "Machine | ClusteredMachine",
         with span("pipeline.schedule"):
             sched = schedule_loop(work, machine, scheduler=scheduler,
                                   partitioner=partitioner,
-                                  ii_search=ii_search, use_moves=use_moves)
+                                  use_moves=use_moves)
             if not (use_moves and isinstance(machine, ClusteredMachine)):
                 return compiled(sched, MiiReport(res=sched.stats.res_mii,
                                                  rec=sched.stats.rec_mii))

@@ -3,8 +3,7 @@
 balance, first, random, agglomerative)."""
 
 from .arena import SchedArena, arena_counters, global_arena
-from .iisearch import (DEFAULT_II_SEARCH, II_SEARCH_MODES, check_ii_search,
-                       search_ii)
+from .iisearch import search_ii
 from .ims import (DEFAULT_BUDGET_RATIO, ImsConfig, modulo_schedule,
                   try_schedule_at_ii)
 from .strategies import (DEFAULT_SCHEDULER, SchedulerResult,
@@ -26,7 +25,7 @@ from .schedule import (ModuloSchedule, ScheduleStats,
 
 __all__ = [
     "SchedArena", "arena_counters", "global_arena",
-    "DEFAULT_II_SEARCH", "II_SEARCH_MODES", "check_ii_search", "search_ii",
+    "search_ii",
     "DEFAULT_BUDGET_RATIO", "ImsConfig", "modulo_schedule",
     "try_schedule_at_ii",
     "DEFAULT_SCHEDULER", "SchedulerResult", "SchedulerStrategy",

@@ -8,11 +8,11 @@ placement budget before giving up), a loop whose first feasible II sits
 far above MII pays for every infeasible probe in between.
 
 :func:`search_ii` centralises the walk for all registered schedulers and
-partitioners.  Two modes:
+partitioners.  Two walks:
 
-* ``"linear"`` -- the historical walk, preserved verbatim behind the
-  ``--ii-search linear`` flag.
-* ``"adaptive"`` (default) -- three phases:
+* linear (``linear=True``) -- the historical walk, kept as the
+  stochastic engines' walk.
+* adaptive (the default) -- three phases:
 
   1. **Near-MII window**: probe ``first_ii .. first_ii + near_window``
      linearly.  The paper's own observation (Fig. 6: II increases are
@@ -31,7 +31,7 @@ partitioners.  Two modes:
 Adaptive search assumes feasibility is monotone in II above the near-MII
 window (the standard modulo-scheduling assumption; the regression suite
 checks linear == adaptive over the full kernel corpus).  Probes are
-deterministic functions of ``(loop, machine, II)``, so whichever mode
+deterministic functions of ``(loop, machine, II)``, so whichever walk
 finds an II produces the identical schedule at that II.
 """
 
@@ -44,12 +44,6 @@ from repro.obs import trace as _trace
 
 T = TypeVar("T")
 
-#: Search-mode names (the ``--ii-search`` CLI choices).
-II_SEARCH_MODES = ("adaptive", "linear")
-
-#: The default for every registered scheduler and partitioner.
-DEFAULT_II_SEARCH = "adaptive"
-
 #: Linear probes above ``first_ii`` before overshooting.  Covers the
 #: paper's "increases of one cycle only" regime probe-for-probe
 #: identically to the linear walk.
@@ -57,16 +51,6 @@ NEAR_WINDOW = 2
 
 #: Bisection probe allowance; hitting it falls back to the linear scan.
 DEFAULT_PROBE_BUDGET = 32
-
-
-def check_ii_search(mode: str) -> str:
-    """Validate a search-mode name (raises ``ValueError`` listing the
-    known modes); returns it unchanged."""
-    if mode not in II_SEARCH_MODES:
-        raise ValueError(
-            f"unknown II search mode {mode!r}; "
-            f"known: {', '.join(II_SEARCH_MODES)}")
-    return mode
 
 
 def _traced_probe(probe: Callable[[int], Optional[T]],
@@ -85,7 +69,7 @@ def _traced_probe(probe: Callable[[int], Optional[T]],
 
 def search_ii(probe: Callable[[int], Optional[T]],
               first_ii: int, limit: int, *,
-              mode: str = DEFAULT_II_SEARCH,
+              linear: bool = False,
               near_window: int = NEAR_WINDOW,
               probe_budget: int = DEFAULT_PROBE_BUDGET,
               ) -> Optional[tuple[int, T]]:
@@ -95,9 +79,8 @@ def search_ii(probe: Callable[[int], Optional[T]],
     result object (sigma / partition state) or ``None`` on failure; it is
     called at most once per II.  Returns ``(ii, result)`` for the chosen
     II or ``None`` when the range is exhausted (``limit < first_ii``
-    included).
+    included).  ``linear=True`` probes every II from *first_ii* up.
     """
-    check_ii_search(mode)
     if limit < first_ii:
         return None
     if _trace.tracing_enabled():
@@ -105,7 +88,7 @@ def search_ii(probe: Callable[[int], Optional[T]],
         # per *search*, never per probe
         probe = _traced_probe(probe)
 
-    if mode == "linear":
+    if linear:
         for ii in range(first_ii, limit + 1):
             result = probe(ii)
             if result is not None:

@@ -31,7 +31,7 @@ from repro.ir.validate import validate_ddg
 from repro.machine.machine import Machine
 
 from .arena import SchedArena, global_arena
-from .iisearch import DEFAULT_II_SEARCH, search_ii
+from .iisearch import search_ii
 from .mii import mii_report
 from .mrt import PackedMRT
 from .priority import priority_order_idx
@@ -47,9 +47,6 @@ class ImsConfig:
 
     budget_ratio: int = DEFAULT_BUDGET_RATIO
     max_ii: Optional[int] = None      # default: mii + n_ops + sum latency
-    validate_input: bool = True
-    validate_output: bool = True
-    ii_search: str = DEFAULT_II_SEARCH
 
     def budget_for(self, n_ops: int) -> int:
         return max(1, self.budget_ratio * n_ops)
@@ -211,19 +208,16 @@ def try_schedule_at_ii(ddg: Ddg, machine: Machine, ii: int, *,
 
 def modulo_schedule(ddg: Ddg, machine: Machine, *,
                     config: Optional[ImsConfig] = None,
-                    start_ii: Optional[int] = None,
-                    ii_search: Optional[str] = None) -> ModuloSchedule:
+                    start_ii: Optional[int] = None) -> ModuloSchedule:
     """Schedule *ddg* on a single-cluster *machine* with IMS.
 
     Raises :class:`SchedulingError` if no II up to the limit admits a
     schedule (in practice only malformed inputs do).  The machine's latency
-    model, if any, is applied first.  ``ii_search`` overrides the
-    config's II search mode (see :mod:`repro.sched.iisearch`).
+    model, if any, is applied first.
     """
     cfg = config or ImsConfig()
     ddg = machine.retime(ddg)
-    if cfg.validate_input:
-        validate_ddg(ddg)
+    validate_ddg(ddg)
     if not machine.can_execute(ddg):
         raise SchedulingError(
             f"machine {machine.name} lacks FU classes for {ddg.name!r}")
@@ -241,8 +235,7 @@ def modulo_schedule(ddg: Ddg, machine: Machine, *,
         return try_schedule_at_ii(ddg, machine, ii, budget=stats.budget,
                                   stats=stats, arena=arena)
 
-    found = search_ii(probe, first_ii, limit,
-                      mode=ii_search or cfg.ii_search)
+    found = search_ii(probe, first_ii, limit)
     if found is None:
         raise SchedulingError(
             f"no schedule for {ddg.name!r} on {machine.name} "
@@ -256,6 +249,5 @@ def modulo_schedule(ddg: Ddg, machine: Machine, *,
     sched = ModuloSchedule(
         ddg=ddg, ii=ii, sigma=sigma, machine_name=machine.name,
         stats=stats)
-    if cfg.validate_output:
-        sched.validate(machine.fus.pool_caps)
+    sched.validate(machine.fus.pool_caps)
     return sched

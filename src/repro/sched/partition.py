@@ -36,7 +36,8 @@ from repro.machine.cluster import ClusteredMachine
 from repro.obs import trace as _trace
 
 from .arena import global_arena
-from .iisearch import DEFAULT_II_SEARCH, search_ii
+from .iisearch import search_ii
+from .ims import DEFAULT_BUDGET_RATIO
 from .mii import mii_report
 from .partitioners import (DEFAULT_PARTITIONER, PartitionState,
                            get_partitioner)
@@ -50,16 +51,11 @@ class PartitionConfig:
     :mod:`repro.sched.partitioners` registry.
     """
 
-    budget_ratio: int = 6
     max_ii: Optional[int] = None
     partitioner: str = DEFAULT_PARTITIONER
-    validate_input: bool = True
-    validate_output: bool = True
-    seed: int = 0
-    ii_search: str = DEFAULT_II_SEARCH
 
     def budget_for(self, n_ops: int) -> int:
-        return max(1, self.budget_ratio * n_ops)
+        return max(1, DEFAULT_BUDGET_RATIO * n_ops)
 
     def ii_limit(self, ddg: Ddg, start_ii: int) -> int:
         if self.max_ii is not None:
@@ -83,15 +79,14 @@ def partitioned_schedule(ddg: Ddg, cm: ClusteredMachine, *,
     cfg = config or PartitionConfig()
     engine = get_partitioner(cfg.partitioner)
     ddg = cm.cluster.retime(ddg)
-    if cfg.validate_input:
-        validate_ddg(ddg)
+    validate_ddg(ddg)
 
     report = mii_report(ddg, cm)
     first_ii = max(report.mii, start_ii or 1)
     stats = ScheduleStats(mii=report.mii, res_mii=report.res,
                           rec_mii=report.rec)
     limit = cfg.ii_limit(ddg, first_ii)
-    rng = _random.Random(cfg.seed)
+    rng = _random.Random(0)
     arena = global_arena()
 
     def probe(ii: int) -> Optional[PartitionState]:
@@ -117,10 +112,9 @@ def partitioned_schedule(ddg: Ddg, cm: ClusteredMachine, *,
             arena=arena)
 
     # stochastic engines consume one seeded stream across probes, so
-    # only the sequential walk gives reproducible (and linear-identical)
-    # results; deterministic engines honour the configured mode
-    mode = "linear" if engine.stochastic else cfg.ii_search
-    found = search_ii(probe, first_ii, limit, mode=mode)
+    # only the sequential walk gives reproducible results; deterministic
+    # engines search adaptively
+    found = search_ii(probe, first_ii, limit, linear=engine.stochastic)
     if found is None:
         raise SchedulingError(
             f"no partitioned schedule for {ddg.name!r} on {cm.name} "
@@ -134,10 +128,8 @@ def partitioned_schedule(ddg: Ddg, cm: ClusteredMachine, *,
     sched = ModuloSchedule(
         ddg=ddg, ii=ii, sigma=sigma, cluster_of=state.cluster_of,
         n_clusters=cm.n_clusters, machine_name=cm.name, stats=stats)
-    if cfg.validate_output:
-        sched.validate(
-            cm.cluster.fus.pool_caps,
-            adjacency=None if relax_adjacency else cm)
+    sched.validate(cm.cluster.fus.pool_caps,
+                   adjacency=None if relax_adjacency else cm)
     return sched
 
 

@@ -65,15 +65,11 @@ class SchedulerStrategy(abc.ABC):
 
     @abc.abstractmethod
     def schedule(self, ddg: "Ddg", machine: "Machine", *,
-                 start_ii: Optional[int] = None,
-                 ii_search: Optional[str] = None) -> SchedulerResult:
+                 start_ii: Optional[int] = None) -> SchedulerResult:
         """Schedule *ddg* on a single-cluster *machine*.
 
-        ``ii_search`` overrides the engine config's II search mode
-        (``"adaptive"`` / ``"linear"``, see :mod:`repro.sched.iisearch`);
-        ``None`` keeps the config's choice.  Raises
-        :class:`~repro.sched.schedule.SchedulingError` when no II up to
-        the engine's limit admits a schedule.
+        Raises :class:`~repro.sched.schedule.SchedulingError` when no II
+        up to the engine's limit admits a schedule.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -31,8 +31,7 @@ class ImsStrategy(SchedulerStrategy):
         self.config = config or ImsConfig()
 
     def schedule(self, ddg: Ddg, machine: Machine, *,
-                 start_ii: Optional[int] = None,
-                 ii_search: Optional[str] = None) -> SchedulerResult:
+                 start_ii: Optional[int] = None) -> SchedulerResult:
         sched = modulo_schedule(ddg, machine, config=self.config,
-                                start_ii=start_ii, ii_search=ii_search)
+                                start_ii=start_ii)
         return SchedulerResult(schedule=sched, scheduler=self.name)

@@ -54,7 +54,7 @@ from repro.kernels import earliest_starts
 from repro.machine.machine import Machine
 
 from ..arena import SchedArena, global_arena
-from ..iisearch import DEFAULT_II_SEARCH, search_ii
+from ..iisearch import search_ii
 from ..mii import mii_report
 from ..mrt import PackedMRT
 from ..priority import heights_list
@@ -68,9 +68,6 @@ class SmsConfig:
     """Tunables of the SMS search (mirrors :class:`ImsConfig`)."""
 
     max_ii: Optional[int] = None      # default: mii + n_ops + sum latency
-    validate_input: bool = True
-    validate_output: bool = True
-    ii_search: str = DEFAULT_II_SEARCH
 
     def ii_limit(self, ddg: Ddg, start_ii: int) -> int:
         if self.max_ii is not None:
@@ -332,21 +329,19 @@ def try_sms_at_ii(ddg: Ddg, machine: Machine, ii: int, *,
 
 def sms_schedule(ddg: Ddg, machine: Machine, *,
                  config: Optional[SmsConfig] = None,
-                 start_ii: Optional[int] = None,
-                 ii_search: Optional[str] = None) -> ModuloSchedule:
+                 start_ii: Optional[int] = None) -> ModuloSchedule:
     """Schedule *ddg* on a single-cluster *machine* with SMS.
 
     Mirrors :func:`repro.sched.ims.modulo_schedule`: the machine's latency
-    model is applied first, IIs are tried from MII upward (linear or
-    adaptive per ``ii_search`` / the config) and :class:`SchedulingError`
+    model is applied first, IIs are tried from MII upward (see
+    :mod:`repro.sched.iisearch`) and :class:`SchedulingError`
     is raised when the limit is exceeded (in practice only malformed
     inputs get there -- at ``II = n_ops * max-latency`` a fully serial
     placement always fits).
     """
     cfg = config or SmsConfig()
     ddg = machine.retime(ddg)
-    if cfg.validate_input:
-        validate_ddg(ddg)
+    validate_ddg(ddg)
     if not machine.can_execute(ddg):
         raise SchedulingError(
             f"machine {machine.name} lacks FU classes for {ddg.name!r}")
@@ -362,8 +357,7 @@ def sms_schedule(ddg: Ddg, machine: Machine, *,
         stats.iis_tried += 1
         return try_sms_at_ii(ddg, machine, ii, stats=stats, arena=arena)
 
-    found = search_ii(probe, first_ii, limit,
-                      mode=ii_search or cfg.ii_search)
+    found = search_ii(probe, first_ii, limit)
     if found is None:
         raise SchedulingError(
             f"no SMS schedule for {ddg.name!r} on {machine.name} "
@@ -375,8 +369,7 @@ def sms_schedule(ddg: Ddg, machine: Machine, *,
     sched = ModuloSchedule(
         ddg=ddg, ii=ii, sigma=sigma, machine_name=machine.name,
         stats=stats)
-    if cfg.validate_output:
-        sched.validate(machine.fus.pool_caps)
+    sched.validate(machine.fus.pool_caps)
     return sched
 
 
@@ -393,8 +386,7 @@ class SmsStrategy(SchedulerStrategy):
         self.config = config or SmsConfig()
 
     def schedule(self, ddg: Ddg, machine: Machine, *,
-                 start_ii: Optional[int] = None,
-                 ii_search: Optional[str] = None) -> SchedulerResult:
+                 start_ii: Optional[int] = None) -> SchedulerResult:
         sched = sms_schedule(ddg, machine, config=self.config,
-                             start_ii=start_ii, ii_search=ii_search)
+                             start_ii=start_ii)
         return SchedulerResult(schedule=sched, scheduler=self.name)

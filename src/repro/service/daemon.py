@@ -46,6 +46,13 @@ logger = logging.getLogger("repro.service.daemon")
 #: anything bigger is a client bug, not a workload
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: after an error reply to a request it did not read to the end, the
+#: server reads and drops at most this many bytes for at most this long
+#: before it closes: closing on unread input makes the kernel reset the
+#: connection, which can destroy the reply before the client reads it
+DISCARD_BYTES = 1 << 20
+DISCARD_S = 1.0
+
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
             413: "Payload Too Large", 500: "Internal Server Error",
@@ -118,6 +125,16 @@ async def _read_request(reader: asyncio.StreamReader
     return method, target, headers, body
 
 
+async def _discard_input(reader: asyncio.StreamReader) -> None:
+    """Read and drop the client's input until EOF or ``DISCARD_BYTES``."""
+    left = DISCARD_BYTES
+    while left > 0:
+        chunk = await reader.read(min(left, 65536))
+        if not chunk:
+            return
+        left -= len(chunk)
+
+
 class _Http:
     """Connection handler bound to one :class:`SweepService`."""
 
@@ -142,6 +159,13 @@ class _Http:
                     writer.write(_response(exc.status,
                                            {"error": str(exc)},
                                            keep_alive=False))
+                    await writer.drain()
+                    writer.write_eof()
+                    try:
+                        await asyncio.wait_for(_discard_input(reader),
+                                               DISCARD_S)
+                    except asyncio.TimeoutError:
+                        pass
                     break
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break

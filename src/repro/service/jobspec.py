@@ -58,7 +58,6 @@ from typing import Optional
 from repro.ir.ddg import Ddg
 from repro.machine.presets import clustered_machine, crf_machine, qrf_machine
 from repro.runner.fingerprint import canonical_json
-from repro.sched.iisearch import check_ii_search
 from repro.sched.partitioners import check_partitioner
 from repro.sched.strategies import check_scheduler
 from repro.runner.job import CompileJob, PipelineOptions
@@ -292,10 +291,10 @@ def parse_machine(spec: object) -> object:
 def parse_options(spec: object) -> PipelineOptions:
     """Options spec -> :class:`PipelineOptions`.
 
-    Engine names (``scheduler``/``partitioner``/``ii_search``) are
-    validated here, at the request boundary, so a typo comes back as a
-    400 listing the registered engines -- the same message the registry
-    raises for library callers -- instead of a worker-side 500.
+    Engine names (``scheduler``/``partitioner``) are validated here, at
+    the request boundary, so a typo comes back as a 400 listing the
+    registered engines -- the same message the registry raises for
+    library callers -- instead of a worker-side 500.
     """
     if spec is None:
         return PipelineOptions()
@@ -317,8 +316,7 @@ def parse_options(spec: object) -> PipelineOptions:
     try:
         check_scheduler(options.scheduler)
         check_partitioner(options.partitioner)
-        check_ii_search(options.ii_search)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise JobSpecError(str(exc.args[0]) if exc.args
                            else str(exc)) from None
     return options

@@ -23,7 +23,6 @@ from repro.machine.cluster import ClusteredMachine
 from repro.machine.machine import Machine
 from repro.obs.trace import span
 from repro.regalloc.queues import ScheduleQueueUsage
-from repro.sched.iisearch import DEFAULT_II_SEARCH
 from repro.sched.partitioners import DEFAULT_PARTITIONER
 from repro.sched.schedule import ModuloSchedule
 from repro.sched.strategies import DEFAULT_SCHEDULER
@@ -71,15 +70,13 @@ def run_pipeline(ddg: Ddg, machine: AnyMachine, *,
                  copy_strategy: str = "slack",
                  iterations: Optional[int] = None,
                  scheduler: str = DEFAULT_SCHEDULER,
-                 partitioner: str = DEFAULT_PARTITIONER,
-                 ii_search: str = DEFAULT_II_SEARCH) -> PipelineResult:
+                 partitioner: str = DEFAULT_PARTITIONER) -> PipelineResult:
     """Full paper pipeline with end-to-end verification.
 
     ``scheduler`` picks the single-cluster engine from the strategy
     registry and ``partitioner`` the clustered engine from the
-    partitioner registry; ``ii_search`` the II search mode for either
-    (engines needing a custom config are reachable directly through
-    ``get_scheduler(name, config=...)`` and
+    partitioner registry (engines needing a custom config are reachable
+    directly through ``get_scheduler(name, config=...)`` and
     ``partitioned_schedule(config=...)``).  Raises
     :class:`repro.sim.vliwsim.SimulationError`,
     :class:`repro.sched.schedule.SchedulingError`,
@@ -94,8 +91,7 @@ def run_pipeline(ddg: Ddg, machine: AnyMachine, *,
     compiled = compile_loop(ddg, machine, unroll_factor=unroll_factor,
                             copies=queues, copy_strategy=copy_strategy,
                             allocate=queues, scheduler=scheduler,
-                            partitioner=partitioner, ii_search=ii_search,
-                            verify=True)
+                            partitioner=partitioner, verify=True)
     if compiled.error is not None:
         raise compiled.error
     sched, usage = compiled.schedule, compiled.usage

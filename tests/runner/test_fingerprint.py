@@ -87,7 +87,7 @@ def test_key_never_aliases_across_partitioners():
 
 def test_schema_version_is_current():
     from repro.runner import SCHEMA_VERSION
-    assert SCHEMA_VERSION == 5
+    assert SCHEMA_VERSION == 6
 
 
 def test_key_changes_with_trip_count():

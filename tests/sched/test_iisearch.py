@@ -1,17 +1,20 @@
 """The II search driver: adaptive == linear, and every edge case.
 
 The acceptance bar of the adaptive driver is *bit-identical schedules*:
-whatever mode finds an II, the probe at that II is deterministic, so the
-only way the modes can diverge is by choosing different IIs.  The corpus
+whatever walk finds an II, the probe at that II is deterministic, so the
+only way the walks can diverge is by choosing different IIs.  The corpus
 parity test at the bottom pins that they never do.
 """
 
 import pytest
 
+import repro.sched.ims
+import repro.sched.partition
+import repro.sched.strategies.sms
+
 from repro.ir.copyins import insert_copies
 from repro.machine.presets import clustered_machine, qrf_machine
-from repro.sched.iisearch import (DEFAULT_II_SEARCH, NEAR_WINDOW,
-                                  check_ii_search, search_ii)
+from repro.sched.iisearch import NEAR_WINDOW, search_ii
 from repro.sched.ims import ImsConfig, modulo_schedule
 from repro.sched.partition import PartitionConfig, partitioned_schedule
 from repro.sched.partitioners import available_partitioners
@@ -31,22 +34,39 @@ def make_probe(feasible_from, limit=None, log=None):
     return probe
 
 
+def force_linear_walk(monkeypatch):
+    """Make every engine module's ``search_ii`` take the linear walk.
+
+    ``functools.partial(search_ii, linear=True)`` would not do: the
+    partitioned driver passes ``linear=`` itself, which a partial's
+    keyword gives way to.  Returns the list of forced calls."""
+    calls = []
+
+    def linear_search_ii(*args, **kwargs):
+        calls.append(args[1:3])
+        return search_ii(*args, **{**kwargs, "linear": True})
+
+    for module in (repro.sched.ims, repro.sched.strategies.sms,
+                   repro.sched.partition):
+        monkeypatch.setattr(module, "search_ii", linear_search_ii)
+    return calls
+
+
 class TestSearchDriver:
     def test_default_mode_is_adaptive(self):
-        assert DEFAULT_II_SEARCH == "adaptive"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown II search mode"):
-            check_ii_search("bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            search_ii(make_probe(1), 1, 10, mode="bogus")
+        """Without ``linear=True`` a far-feasible loop is bracketed, not
+        walked II by II."""
+        log = []
+        assert search_ii(make_probe(40, log=log), 1, 100) \
+            == (40, "sched@40")
+        assert len(log) < 40 - 1
 
     def test_mii_feasible_means_single_probe(self):
-        """MII already feasible: exactly one probe, both modes."""
-        for mode in ("linear", "adaptive"):
+        """MII already feasible: exactly one probe, both walks."""
+        for linear in (True, False):
             log = []
             assert search_ii(make_probe(4, log=log), 4, 50,
-                             mode=mode) == (4, "sched@4")
+                             linear=linear) == (4, "sched@4")
             assert log == [4]
 
     def test_near_window_is_probe_identical_to_linear(self):
@@ -56,17 +76,16 @@ class TestSearchDriver:
             lin, ada = [], []
             first = 5
             r_lin = search_ii(make_probe(first + gap, log=lin),
-                              first, 60, mode="linear")
+                              first, 60, linear=True)
             r_ada = search_ii(make_probe(first + gap, log=ada),
-                              first, 60, mode="adaptive")
+                              first, 60)
             assert r_lin == r_ada == (first + gap, f"sched@{first + gap}")
             assert lin == ada
 
     def test_far_feasible_probes_logarithmically(self):
         log = []
         first, target, limit = 3, 200, 400
-        got = search_ii(make_probe(target, log=log), first, limit,
-                        mode="adaptive")
+        got = search_ii(make_probe(target, log=log), first, limit)
         assert got == (200, "sched@200")
         # the linear walk would probe 198 IIs; bracketing stays small
         assert len(log) < 25
@@ -75,16 +94,15 @@ class TestSearchDriver:
         for first in (1, 4):
             for target_gap in (0, 1, 2, 3, 5, 9, 17, 40):
                 lin = search_ii(make_probe(first + target_gap), first, 200,
-                                mode="linear")
-                ada = search_ii(make_probe(first + target_gap), first, 200,
-                                mode="adaptive")
+                                linear=True)
+                ada = search_ii(make_probe(first + target_gap), first, 200)
                 assert lin == ada
 
     def test_infeasible_range_returns_none(self):
-        for mode in ("linear", "adaptive"):
-            assert search_ii(make_probe(None), 2, 40, mode=mode) is None
+        for linear in (True, False):
+            assert search_ii(make_probe(None), 2, 40, linear=linear) is None
             # feasible only beyond the limit
-            assert search_ii(make_probe(50), 2, 40, mode=mode) is None
+            assert search_ii(make_probe(50), 2, 40, linear=linear) is None
 
     def test_empty_range_returns_none(self):
         assert search_ii(make_probe(1), 5, 4) is None
@@ -93,8 +111,8 @@ class TestSearchDriver:
         """Overshoot clamps to the limit, so a loop feasible exactly at
         the limit is still found."""
         log = []
-        assert search_ii(make_probe(40, log=log), 2, 40,
-                         mode="adaptive") == (40, "sched@40")
+        assert search_ii(make_probe(40, log=log), 2, 40) \
+            == (40, "sched@40")
         assert 40 in log
 
     def test_budget_exhaustion_falls_back_to_linear(self):
@@ -103,7 +121,7 @@ class TestSearchDriver:
         minimal feasible II."""
         log = []
         got = search_ii(make_probe(100, log=log), 1, 1000,
-                        mode="adaptive", probe_budget=8)
+                        probe_budget=8)
         assert got == (100, "sched@100")
         # the fallback scan runs upward: the probes after the bracket
         # phase are a strictly increasing run ending at 100
@@ -117,24 +135,26 @@ class TestSearchDriver:
         def probe(ii):
             return "ok" if ii >= 64 else None
 
-        got = search_ii(probe, 1, 1000, mode="adaptive", probe_budget=4)
+        got = search_ii(probe, 1, 1000, probe_budget=4)
         assert got is not None
         assert probe(got[0]) == "ok"
         assert got[0] == 64
 
 
 class TestEngineEdgeCases:
-    def test_infeasible_loop_hits_max_ii(self):
+    def test_infeasible_loop_hits_max_ii(self, monkeypatch):
         """A kernel on a machine lacking its FU mix cannot schedule; the
         adaptive driver must exhaust [MII, max_ii] and raise, exactly
         like the linear walk."""
         from repro.machine.presets import narrow_test_machine
 
         work = insert_copies(kernel("wide8")).ddg
-        for mode in ("linear", "adaptive"):
-            cfg = ImsConfig(max_ii=4, ii_search=mode)
-            with pytest.raises(SchedulingError, match="II <= 4"):
-                modulo_schedule(work, narrow_test_machine(), config=cfg)
+        cfg = ImsConfig(max_ii=4)
+        with pytest.raises(SchedulingError, match="II <= 4"):
+            modulo_schedule(work, narrow_test_machine(), config=cfg)
+        force_linear_walk(monkeypatch)
+        with pytest.raises(SchedulingError, match="II <= 4"):
+            modulo_schedule(work, narrow_test_machine(), config=cfg)
 
     def test_mii_feasible_loop_probes_once(self):
         work = insert_copies(kernel("daxpy")).ddg
@@ -144,7 +164,7 @@ class TestEngineEdgeCases:
 
     def test_partitioned_infeasible_raises_at_limit(self):
         work = insert_copies(kernel("dot")).ddg
-        cfg = PartitionConfig(max_ii=1, ii_search="adaptive")
+        cfg = PartitionConfig(max_ii=1)
         cm = clustered_machine(4)
         try:
             s = partitioned_schedule(work, cm, config=cfg)
@@ -154,33 +174,38 @@ class TestEngineEdgeCases:
 
 
 class TestCorpusParity:
-    """Acceptance: ``--ii-search linear`` and ``adaptive`` produce
+    """Acceptance: the linear walk and the adaptive default produce
     identical schedules over the full kernel corpus, every engine."""
 
     @pytest.mark.parametrize("scheduler", available_schedulers())
-    def test_schedulers_identical_across_modes(self, scheduler):
+    def test_schedulers_identical_across_modes(self, scheduler,
+                                               monkeypatch):
         m = qrf_machine(12)
-        for name in sorted(KERNELS):
-            work = insert_copies(kernel(name)).ddg
-            a = get_scheduler(scheduler).schedule(
-                work, m, ii_search="adaptive").schedule
-            b = get_scheduler(scheduler).schedule(
-                work, m, ii_search="linear").schedule
+        works = [insert_copies(kernel(name)).ddg for name in sorted(KERNELS)]
+        adaptive = [get_scheduler(scheduler).schedule(w, m).schedule
+                    for w in works]
+        calls = force_linear_walk(monkeypatch)
+        linear = [get_scheduler(scheduler).schedule(w, m).schedule
+                  for w in works]
+        assert len(calls) == len(works) == 30
+        for work, a, b in zip(works, adaptive, linear):
             assert (a.ii, a.sigma) == (b.ii, b.sigma), \
-                f"{scheduler}/{name} diverges between II search modes"
+                f"{scheduler}/{work.name} diverges between II walks"
 
     @pytest.mark.parametrize("partitioner", available_partitioners())
-    def test_partitioners_identical_across_modes(self, partitioner):
+    def test_partitioners_identical_across_modes(self, partitioner,
+                                                 monkeypatch):
         cm = clustered_machine(4)
-        for name in sorted(KERNELS):
-            work = insert_copies(kernel(name)).ddg
-            a = partitioned_schedule(work, cm, config=PartitionConfig(
-                partitioner=partitioner, ii_search="adaptive"))
-            b = partitioned_schedule(work, cm, config=PartitionConfig(
-                partitioner=partitioner, ii_search="linear"))
+        cfg = PartitionConfig(partitioner=partitioner)
+        works = [insert_copies(kernel(name)).ddg for name in sorted(KERNELS)]
+        adaptive = [partitioned_schedule(w, cm, config=cfg) for w in works]
+        calls = force_linear_walk(monkeypatch)
+        linear = [partitioned_schedule(w, cm, config=cfg) for w in works]
+        assert len(calls) == len(works) == 30
+        for work, a, b in zip(works, adaptive, linear):
             assert (a.ii, a.sigma, a.cluster_of) \
                 == (b.ii, b.sigma, b.cluster_of), \
-                f"{partitioner}/{name} diverges between II search modes"
+                f"{partitioner}/{work.name} diverges between II walks"
 
 
 def test_stochastic_engines_pin_the_linear_walk():
@@ -193,14 +218,3 @@ def test_stochastic_engines_pin_the_linear_walk():
         engine = get_partitioner(name)
         assert engine.stochastic == (name == "random"), name
 
-
-def test_ii_search_is_part_of_the_job_signature():
-    """Cached results can never alias across search modes."""
-    from repro.runner import CompileJob, PipelineOptions
-
-    ddg = kernel("daxpy")
-    m = qrf_machine(4)
-    adaptive = CompileJob(ddg, m, PipelineOptions(ii_search="adaptive"))
-    linear = CompileJob(ddg, m, PipelineOptions(ii_search="linear"))
-    assert adaptive.key != linear.key
-    assert CompileJob(ddg, m, PipelineOptions()).key == adaptive.key

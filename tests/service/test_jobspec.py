@@ -127,11 +127,13 @@ def test_kernel_job_spec_builder():
 @pytest.mark.parametrize("field,expect", [
     ("scheduler", "unknown scheduler 'bogus'; available:"),
     ("partitioner", "unknown partitioner 'bogus'; available:"),
-    ("ii_search", "unknown II search mode 'bogus'; known:"),
+    # the II search mode is no longer an option: an unknown field
+    ("ii_search", "unknown option fields"),
 ])
 def test_engine_name_typos_are_spec_errors(field, expect):
     """A typo'd engine name is rejected at the request boundary (HTTP
-    400) with the registry-listing message, never a worker-side 500."""
+    400) with the registry-listing message, never a worker-side 500;
+    so is a retired engine field."""
     with pytest.raises(JobSpecError) as exc:
         parse_job({"loop": {"kernel": "daxpy"},
                    "options": {field: "bogus"}})

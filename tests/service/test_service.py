@@ -567,6 +567,41 @@ def test_overlong_request_line_or_header_is_a_400(head):
     assert asyncio.run(read()) == 400
 
 
+def _exchange_unread(handle, request: bytes) -> bytes:
+    """Like :func:`_raw_exchange`, but *request* carries bytes the server
+    answers before reading; the reply must still arrive whole."""
+    with socket.create_connection((handle.host, handle.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        return b"".join(iter(lambda: sock.recv(65536), b""))
+
+
+def test_http_overlong_header_reply_survives_unread_bytes(server):
+    """A 128 KiB header line overruns the stream's buffer; the 400 goes
+    out before the server has read the line, and closing on the unread
+    rest must not reset the connection under the reply."""
+    reply = _exchange_unread(server, b"GET /healthz HTTP/1.1\r\n"
+                                     b"X-Pad: " + b"a" * (128 << 10) +
+                                     b"\r\n\r\n")
+    assert _status_of(reply) == 400
+    assert b"too long" in reply
+    status, health = _request(server, "GET", "/healthz")
+    assert status == 200 and health["status"] == "ok"
+
+
+def test_http_oversized_body_reply_survives_unread_body(server):
+    """A Content-Length over the cap gets its 413 even though the body
+    bytes that follow it are never read."""
+    reply = _exchange_unread(
+        server, b"POST /jobs HTTP/1.1\r\nContent-Length: " +
+        str(daemon_mod.MAX_BODY_BYTES + 1).encode() +
+        b"\r\n\r\n" + b"x" * (256 << 10))
+    assert _status_of(reply) == 413
+    assert b"Connection: close" in reply
+    status, health = _request(server, "GET", "/healthz")
+    assert status == 200 and health["status"] == "ok"
+
+
 @pytest.mark.parametrize("synth,expect", [
     ({"index": 100_000_000}, "outside"),
     ({"n_loops": 1, "min_ops": 200_000, "max_ops": 200_000}, "max_ops"),

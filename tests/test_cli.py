@@ -279,31 +279,18 @@ def test_submit_against_thread_server(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# II search flag
+# retired II search flag
 # ---------------------------------------------------------------------------
 
-def test_schedule_ii_search_modes_agree(capsys):
-    code, adaptive, _ = run_cli(capsys, "schedule", "fir4")
-    assert code == 0
-    code, linear, _ = run_cli(capsys, "schedule", "fir4",
-                              "--ii-search", "linear")
-    assert code == 0
-    assert linear == adaptive
-
-def test_experiment_accepts_ii_search(capsys):
-    code, adaptive, _ = run_cli(capsys, "--sample", "6", "--no-cache",
-                                "experiment", "fig3")
-    assert code == 0
-    code, linear, _ = run_cli(capsys, "--sample", "6", "--no-cache",
-                              "experiment", "fig3",
-                              "--ii-search", "linear")
-    assert code == 0
-    assert linear == adaptive
-
 def test_unknown_ii_search_rejected(capsys):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["schedule", "daxpy",
-                                   "--ii-search", "bogus"])
+    """``--ii-search`` is gone: every subcommand that took it now
+    rejects it as an unrecognised argument."""
+    for argv in (["schedule", "daxpy"], ["trace", "daxpy"],
+                 ["experiment", "fig3"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--ii-search", "linear"])
+        assert "unrecognized arguments: --ii-search" \
+            in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

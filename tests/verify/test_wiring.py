@@ -58,5 +58,6 @@ def test_compile_loop_rejects_engine_typos_upfront(kwargs, match):
 
 
 def test_compile_loop_rejects_ii_search_typos_upfront():
-    with pytest.raises(ValueError, match="unknown II search mode"):
-        compile_loop(kernel("daxpy"), qrf_machine(4), ii_search="bogus")
+    """The II search mode is no longer a pipeline option."""
+    with pytest.raises(TypeError, match="ii_search"):
+        compile_loop(kernel("daxpy"), qrf_machine(4), ii_search="adaptive")
