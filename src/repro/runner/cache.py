@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 from repro.faults import fault_point, torn_payload
 
 from .fingerprint import SCHEMA_VERSION
-from .job import JobResult
+from .job import JobResult, read_only_json
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -42,6 +42,10 @@ SHARD_DIR = "shards"
 
 #: Default shard count (2^4; must be a power of two <= 256).
 N_SHARDS = 16
+
+#: Stored records whose shared hit result is memoised before the memo
+#: starts over (the service's job-spec memo bound).
+MAX_SHARED_HITS = 4096
 
 try:  # pragma: no cover - always available on the POSIX CI hosts
     import fcntl
@@ -72,10 +76,14 @@ def _parse_lines(raw: str, entries: dict) -> int:
             if record.get("v") != SCHEMA_VERSION:
                 raise ValueError("schema version mismatch")
             key = record["key"]
+            # stored extras refuse writes, so every hit on the record
+            # shares them instead of copying them
+            if record.get("extras"):
+                record["extras"] = read_only_json(record["extras"])
             # validate eagerly so a malformed outcome is counted as
             # corrupt now rather than crashing a later get()
             JobResult.from_record(record)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             corrupt += 1
             continue
         entries[key] = record
@@ -249,6 +257,9 @@ class ShardedResultCache:
         self.max_bytes = max_bytes
         self._entries: Optional[dict[str, dict]] = None
         self._shard_of_key: dict[str, int] = {}
+        #: key -> (stored record, its shared read-only result); bounded
+        #: by ``MAX_SHARED_HITS`` and cleared when full
+        self._hits: dict[str, tuple[dict, JobResult]] = {}
         self._unwritable = False
         self._mutex = threading.RLock()
         self.n_corrupt = 0
@@ -321,19 +332,37 @@ class ShardedResultCache:
 
     # ------------------------------------------------------------ get/put
 
+    def _shared(self, key: str, record: dict) -> JobResult:
+        """The read-only result of *record*, the record stored under
+        *key*: built once per record, then shared by every lookup.
+
+        A hit costs one dict lookup and one ``is`` test.  Identity is
+        exact because stores and compactions replace records whole and
+        nothing edits a stored record in place.
+        """
+        entry = self._hits.get(key)
+        if entry is not None and entry[0] is record:
+            return entry[1]
+        result = JobResult.from_record(record, cached=True)
+        if len(self._hits) >= MAX_SHARED_HITS:
+            self._hits.clear()
+        self._hits[key] = (record, result)
+        return result
+
     def peek(self, key: str) -> Optional[JobResult]:
         """Like :meth:`get` but without touching the hit/miss counters
         (status probes must not skew the telemetry)."""
         with self._mutex:
             record = self._load().get(key)
-        return None if record is None else \
-            JobResult.from_record(record, cached=True)
+            return None if record is None else self._shared(key, record)
 
     def get(self, key: str) -> Optional[JobResult]:
         """Cached result for *key*, or None (and count the hit/miss).
 
-        May raise on I/O failure (or an injected ``cache.get`` fault);
-        callers treat a failed lookup as a miss.
+        A hit is the record's shared, immutable result: the same object
+        for every lookup until a store or compaction replaces the
+        record.  May raise on I/O failure (or an injected ``cache.get``
+        fault); callers treat a failed lookup as a miss.
         """
         fault_point("cache.get", key)
         t0 = time.perf_counter()
@@ -344,8 +373,9 @@ class ShardedResultCache:
                 self.get_s += time.perf_counter() - t0
                 return None
             self.hits += 1
+            result = self._shared(key, record)
             self.get_s += time.perf_counter() - t0
-        return JobResult.from_record(record, cached=True)
+        return result
 
     def put(self, result: JobResult) -> None:
         self.put_many([result])
@@ -375,6 +405,7 @@ class ShardedResultCache:
             for result in results:
                 record = result.to_record()
                 record["v"] = SCHEMA_VERSION
+                record["extras"] = read_only_json(record["extras"])
                 shard = self._shard(result.key)
                 by_shard.setdefault(shard, []).append(
                     json.dumps(record, sort_keys=True))
@@ -508,6 +539,7 @@ class ShardedResultCache:
                         self._shard_path(shard).unlink(missing_ok=True)
             self._entries = None
             self._shard_of_key = {}
+            self._hits.clear()
             self.n_corrupt = 0
 
     def total_bytes(self) -> int:

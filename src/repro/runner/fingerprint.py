@@ -107,6 +107,17 @@ def machine_signature(machine: "Machine | ClusteredMachine") -> dict:
     return _single_machine_signature(machine)
 
 
+def ddg_json(ddg: "Ddg") -> str:
+    """Canonical JSON of :func:`ddg_signature`: the loop's part of the
+    job key, memoised alongside the signature (a mutation clears both).
+    Equal strings mean loops that compile alike."""
+    js = ddg._edge_cache.get("fingerprint_json")
+    if js is None:
+        js = canonical_json(ddg_signature(ddg))
+        ddg._edge_cache["fingerprint_json"] = js
+    return js
+
+
 def job_key(ddg: "Ddg", machine: "Machine | ClusteredMachine",
             options_signature: dict) -> str:
     """SHA-256 content hash identifying one compile job.
@@ -114,15 +125,11 @@ def job_key(ddg: "Ddg", machine: "Machine | ClusteredMachine",
     The document is composed textually from per-part canonical JSON --
     identical bytes to ``canonical_json({"v": ..., "ddg": ..., ...})``
     ("ddg" < "machine" < "options" < "v" is already sorted order) -- so
-    the DDG fragment, by far the largest, can be serialised once per
-    graph and memoised alongside :func:`ddg_signature`.
+    the DDG fragment, by far the largest, is serialised once per graph
+    (:func:`ddg_json`).
     """
-    ddg_json = ddg._edge_cache.get("fingerprint_json")
-    if ddg_json is None:
-        ddg_json = canonical_json(ddg_signature(ddg))
-        ddg._edge_cache["fingerprint_json"] = ddg_json
     doc = '{"ddg":%s,"machine":%s,"options":%s,"v":%d}' % (
-        ddg_json, _machine_json(machine),
+        ddg_json(ddg), machine_json(machine),
         canonical_json(options_signature), SCHEMA_VERSION)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
@@ -136,7 +143,9 @@ def job_key(ddg: "Ddg", machine: "Machine | ClusteredMachine",
 _MACHINE_JSON: dict[int, tuple[object, str]] = {}
 
 
-def _machine_json(machine: "Machine | ClusteredMachine") -> str:
+def machine_json(machine: "Machine | ClusteredMachine") -> str:
+    """Canonical JSON of :func:`machine_signature` (memoised per
+    machine object): the machine's part of the job key."""
     entry = _MACHINE_JSON.get(id(machine))
     if entry is not None:
         return entry[1]

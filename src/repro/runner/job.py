@@ -93,7 +93,50 @@ class CompileJob:
                 f"{getattr(self.machine, 'name', self.machine)!r})")
 
 
-@dataclass
+def _refuse(self: object, *args: object, **kwargs: object) -> None:
+    raise TypeError("a cached result's extras are read-only; "
+                    "copy them (dict(...), copy.deepcopy) to edit")
+
+
+class _ReadOnlyDict(dict):
+    """A JSON object of a shared cached result: reads as a ``dict``,
+    refuses writes.  Copies (``dict(d)``, ``copy``, ``deepcopy``,
+    pickle) are plain dicts."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self) -> tuple:
+        return dict, (dict(self),)
+
+
+class _ReadOnlyList(list):
+    """The ``list`` twin of :class:`_ReadOnlyDict`."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = _refuse
+    sort = reverse = _refuse
+
+    def __reduce__(self) -> tuple:
+        return list, (list(self),)
+
+
+def read_only_json(value: object) -> object:
+    """JSON-shaped *value* with every dict and list refusing writes: a
+    deep copy of its plain dicts and lists (one that already refuses
+    writes is kept as it is)."""
+    kind = type(value)
+    if kind is dict:
+        return _ReadOnlyDict({k: read_only_json(v)
+                              for k, v in value.items()})
+    if kind is list:
+        return _ReadOnlyList([read_only_json(v) for v in value])
+    return value
+
+
+@dataclass(frozen=True)
 class JobResult:
     """Plain-data outcome of one job.
 
@@ -102,6 +145,12 @@ class JobResult:
     time (the job-cost estimate future sweeps use to balance chunked
     dispatch).  Neither participates in equality, so cached and fresh
     runs compare identical.
+
+    Results are immutable: ``dataclasses.replace`` gives a modified
+    copy.  A cache hit is one object shared by every lookup of its
+    stored record (:meth:`~repro.runner.cache.ShardedResultCache.get`),
+    and a result rebuilt from a record has ``extras`` that refuse
+    writes as well.
     """
 
     key: str
@@ -131,9 +180,14 @@ class JobResult:
 
         Raises ``KeyError``/``TypeError`` on malformed records; the cache
         treats those as corrupt entries and recompiles.  ``wall_s`` is
-        optional so pre-existing records stay readable.
+        optional so pre-existing records stay readable.  ``extras``
+        refuses writes (:func:`read_only_json`); read-only record extras
+        are shared, not copied.
         """
         outcome = LoopOutcome(**record["outcome"])
+        extras = record.get("extras") or {}
+        if not isinstance(extras, dict):
+            raise TypeError("record extras must be a JSON object")
         return cls(key=record["key"], outcome=outcome,
-                   extras=dict(record.get("extras") or {}), cached=cached,
-                   wall_s=float(record.get("wall_s") or 0.0))
+                   extras=read_only_json(extras),
+                   cached=cached, wall_s=float(record.get("wall_s") or 0.0))

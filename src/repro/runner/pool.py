@@ -44,7 +44,7 @@ log = logging.getLogger("repro.runner.pool")
 
 from repro import faults as _faults
 
-from .fingerprint import canonical_json, machine_signature
+from .fingerprint import ddg_json, machine_json
 from .job import CompileJob, JobResult
 from .pipeline import execute_job
 
@@ -123,7 +123,7 @@ class PoolSession:
         self._pool = None
         self._ddgs: list = []
         self._machines: list = []
-        self._ddg_idx: dict[int, int] = {}       # id(ddg) -> table index
+        self._ddg_idx: dict[str, int] = {}       # content sig -> index
         self._machine_idx: dict[str, int] = {}   # content sig -> index
         self.spawns = 0        # pools (re)created
         self.reuses = 0        # run_jobs calls served by a live pool
@@ -137,11 +137,11 @@ class PoolSession:
                   key: object) -> tuple[int, bool]:
         """Table index of *obj* under *key*; True when newly added.
 
-        Loops are keyed by identity (the table's strong reference keeps
-        the id stable); machines by content signature -- drivers rebuild
-        behaviourally identical machine objects every call, and the
-        signature is exactly the machine part of the cache key, so
-        substituting the first-seen equivalent cannot change results.
+        Loops and machines are keyed by content signature: callers
+        rebuild behaviourally identical objects (the service's loop
+        memo may drop a loop and build it again), and each signature
+        is exactly that object's part of the cache key, so substituting
+        the first-seen equivalent cannot change results.
         """
         i = idx.get(key)
         if i is not None:
@@ -195,14 +195,14 @@ class PoolSession:
         grew = False
         pending: dict[int, tuple] = {}
         for seq, job in enumerate(jobs):
-            # loops are keyed by identity AND structural version: a DDG
-            # mutated since the workers forked must not be served from
-            # their stale snapshot (the fresh entry restarts the pool)
+            # a DDG mutated since the workers forked has a new signature
+            # (mutation clears its memo), so it is never served from
+            # their stale snapshot: the fresh entry restarts the pool
             di, new_d = self._index_of(job.ddg, self._ddg_idx, self._ddgs,
-                                       (id(job.ddg), job.ddg._version))
-            mi, new_m = self._index_of(
-                job.machine, self._machine_idx, self._machines,
-                canonical_json(machine_signature(job.machine)))
+                                       ddg_json(job.ddg))
+            mi, new_m = self._index_of(job.machine, self._machine_idx,
+                                       self._machines,
+                                       machine_json(job.machine))
             grew = grew or new_d or new_m
             pending[seq] = (seq, di, mi, job.options, job.key)
         attempts: dict[int, int] = {}

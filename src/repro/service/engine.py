@@ -15,10 +15,11 @@ One submission path:
 3. **Cache** -- settled keys are served straight from the (sharded)
    result cache without touching the dispatcher: a hit goes into the
    result list as it is, with no future of its own, and a request made
-   only of hits never waits on a ``gather``.  Each service memoises the
-   encoded wire record of every cached result it has served
-   (:meth:`SweepService.wire_bytes`), reused only while the cache still
-   holds that result field for field.
+   only of hits never waits on a ``gather``.  A hit is the cache's
+   shared, immutable result for the stored record, so each service
+   memoises the encoded wire record of every hit it has served
+   (:meth:`SweepService.wire_bytes`) and finds it again by the hit's
+   identity.
 4. **Group commit** -- new jobs land on an ``asyncio.Queue``; one
    dispatcher task takes the first plus whatever is *already* queued
    (up to ``batch_max``) and dispatches at once, with no timer, so jobs
@@ -104,11 +105,6 @@ def _encode_wire(result: JobResult) -> bytes:
     return json.dumps(result_to_wire(result), sort_keys=True).encode("utf-8")
 
 
-def _same_result(a: JobResult, b: JobResult) -> bool:
-    """Field-for-field equality, including the fields ``==`` skips."""
-    return a == b and a.wall_s == b.wall_s and a.cached == b.cached
-
-
 class SweepService:
     """Schedule-compilation-as-a-service over the sweep runner."""
 
@@ -132,8 +128,8 @@ class SweepService:
         self.job_deadline_s = job_deadline_s
         self.max_retries = max_retries
         self._inflight: dict[str, asyncio.Future] = {}
-        #: key -> (cached result, its encoded wire record); bounded by
-        #: ``MAX_MEMO_SPECS`` and cleared when full
+        #: key -> (shared cache hit, its encoded wire record); bounded
+        #: by ``MAX_MEMO_SPECS`` and cleared when full
         self._wire_memo: dict[str, tuple[JobResult, bytes]] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -310,16 +306,17 @@ class SweepService:
     def wire_bytes(self, result: JobResult) -> bytes:
         """``json.dumps(result_to_wire(result), sort_keys=True)`` as UTF-8.
 
-        A cached result is encoded once: later hits reuse the bytes
-        while they equal the encoded result field for field.  Equality,
-        not a drop on miss or store, keeps the memo exact: a shard
-        compaction can swap in another writer's record for a key with
-        no miss and no store in this process.
+        A cache hit is encoded once: the cache hands out one immutable
+        result per stored record, so later hits that are the *same
+        object* reuse the bytes.  Identity, not a drop on miss or store,
+        keeps the memo exact: a shard compaction can swap in another
+        writer's record for a key with no miss and no store in this
+        process, and the cache then hands out a new object.
         """
         if not result.cached:
             return _encode_wire(result)
         entry = self._wire_memo.get(result.key)
-        if entry is not None and _same_result(entry[0], result):
+        if entry is not None and entry[0] is result:
             return entry[1]
         data = _encode_wire(result)
         if len(self._wire_memo) >= MAX_MEMO_SPECS:

@@ -17,17 +17,21 @@ single-cluster machines (``n_fus``) or the ring-``clustered`` machine
 
 Each piece of per-spec work is done once per distinct spec:
 
-* **Jobs** are memoised by the canonical JSON of the whole job spec, so
-  a repeated spec -- however its keys are ordered -- returns the same
+* **Jobs** are memoised, so a repeated spec returns the same
   :class:`CompileJob`, whose fingerprint is computed on first use and
-  then reused.  The memo holds at most ``MAX_MEMO_SPECS`` specs and is
-  cleared when full.  Returned jobs are shared: treat them as
-  read-only.
-* **Loops** are memoised by canonical loop spec, which matters beyond
-  speed: the persistent worker pool keys its payload tables by DDG
-  *identity*, so serving every request a fresh copy of the same loop
-  would restart the pool (and defeat the front-end memo) on every
-  submission.
+  then reused.  A raw request body (what the daemon passes to
+  :func:`parse_jobs`) is decoded once into a hashable form -- objects
+  as tuples of ``(key, value)`` pairs, numbers tagged with their JSON
+  type -- and each spec in it keys the memo as it is, with no
+  re-encoding; a library caller's dict is keyed by its canonical JSON.
+  Either way a memo miss runs the one validation path below.  The memo
+  holds at most ``MAX_MEMO_SPECS`` specs and is cleared when full.
+  Returned jobs are shared: treat them as read-only.
+* **Loops** and **machines** are memoised by canonical spec (at most
+  ``MAX_MEMO_LOOPS`` and ``MAX_MEMO_MACHINES``, cleared when full), so
+  one DDG carries the front-end memo for every job on that loop.  The
+  worker pool keys its payload tables by content, so a loop built
+  again after a clear costs one rebuild, never a wrong payload.
 * **Synth loops** come from one resumable generator stream per
   :class:`SynthConfig`.  Loop *i* depends on the draws of loops
   0..i-1, so the stream keeps a cursor (its rng and next index) and an
@@ -39,6 +43,9 @@ Each piece of per-spec work is done once per distinct spec:
 
 Malformed specs raise :class:`JobSpecError`, which the daemon maps to
 HTTP 400.  They are never memoised, so a repeat raises the same error.
+Option and machine fields are type-checked against the annotations of
+:class:`PipelineOptions` and of the machine presets' parameters, so a
+wrongly typed value is a 400 rather than a failed job.
 A synth index must lie inside its corpus (``index < n_loops``);
 ``n_loops`` and ``max_ops`` are capped at ``MAX_SYNTH_LOOPS`` and
 ``MAX_SYNTH_OPS``, int knobs take ints only and float knobs finite
@@ -48,12 +55,14 @@ deadline applies.
 
 from __future__ import annotations
 
-import dataclasses
+import json
 import math
 import random
+import sys
 import threading
+import typing
 from array import array
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from repro.ir.ddg import Ddg
 from repro.machine.presets import clustered_machine, crf_machine, qrf_machine
@@ -95,21 +104,54 @@ SYNTH_CHECKPOINT_EVERY = 64
 #: Synth configs with a live stream before the streams start over.
 MAX_SYNTH_STREAMS = 8
 
-#: canonical job spec -> CompileJob (bounded by ``MAX_MEMO_SPECS``)
-_JOB_MEMO: dict[str, CompileJob] = {}
+#: Distinct loop and machine specs memoised before each memo starts
+#: over.
+MAX_MEMO_LOOPS = 1024
+MAX_MEMO_MACHINES = 256
 
-#: canonical loop spec -> Ddg; grow-only, bounded by the spec space the
-#: clients actually use (kernel names x synth configs)
+#: job spec -> CompileJob (bounded by ``MAX_MEMO_SPECS``); keyed by a
+#: decoded spec as it is, or by a library dict's canonical JSON
+_JOB_MEMO: dict[object, CompileJob] = {}
+
+#: canonical loop spec -> Ddg (bounded by ``MAX_MEMO_LOOPS``)
 _LOOP_MEMO: dict[str, Ddg] = {}
 
-#: canonical machine spec -> machine object
+#: canonical machine spec -> machine object (``MAX_MEMO_MACHINES``)
 _MACHINE_MEMO: dict[str, object] = {}
 
 #: synth knob -> its type (int or float); ``arith_mix`` is not a knob
 _SYNTH_KNOBS = {name: type(value)
                 for name, value in vars(SynthConfig()).items()
                 if isinstance(value, (int, float))}
-_OPTION_FIELDS = {f.name for f in dataclasses.fields(PipelineOptions)}
+
+#: option field -> its annotated type
+_OPTION_TYPES = typing.get_type_hints(PipelineOptions)
+
+
+def _parameters(builder: Callable) -> dict:
+    """Annotated parameters of a machine preset: its spec fields."""
+    hints = typing.get_type_hints(builder)
+    hints.pop("return", None)
+    return hints
+
+
+#: machine kind -> (preset, its spec fields' types, spec defaults)
+_MACHINE_KINDS = {
+    kind: (builder, _parameters(builder), defaults)
+    for kind, builder, defaults in (
+        ("qrf", qrf_machine, {"n_fus": 4}),
+        ("crf", crf_machine, {"n_fus": 4}),
+        ("clustered", clustered_machine, {"n_clusters": 4}))}
+
+#: smallest legal value of the int machine fields
+_MACHINE_MINIMA = {"n_fus": 1, "n_clusters": 2}
+
+
+def _remember(memo: dict, key: object, value: object, cap: int) -> None:
+    """Store *value* in *memo*, clearing it first when it holds *cap*."""
+    if len(memo) >= cap:
+        memo.clear()
+    memo[key] = value
 
 
 def _require_mapping(spec: object, what: str) -> dict:
@@ -117,6 +159,54 @@ def _require_mapping(spec: object, what: str) -> dict:
         raise JobSpecError(f"{what} spec must be a JSON object, "
                            f"not {type(spec).__name__}")
     return spec
+
+
+def _has_type(value: object, hint: object) -> bool:
+    """Whether JSON-shaped *value* is of the annotated type *hint*.
+
+    A bool is not an int here, and ``tuple[X, ...]`` is a JSON array
+    of X.  An annotation with no JSON reading raises ``TypeError``.
+    """
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is str:
+        return isinstance(value, str)
+    if hint is type(None):
+        return value is None
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        return any(_has_type(value, arg) for arg in args)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return isinstance(value, (list, tuple)) and \
+            all(_has_type(item, args[0]) for item in value)
+    raise TypeError(f"no JSON reading of the annotation {hint!r}")
+
+
+def _describe(hint: object) -> str:
+    names = {bool: "a bool", int: "an int", str: "a string",
+             type(None): "null"}
+    if hint in names:
+        return names[hint]
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union:
+        return " or ".join(_describe(arg) for arg in args)
+    return f"a list, each {_describe(args[0])}"
+
+
+def _check_fields(spec: dict, types: dict, what: str) -> None:
+    """Every field of *spec* is one of *types* and holds a value of its
+    annotated type -- the one type check of the request boundary."""
+    unknown = set(spec) - set(types)
+    if unknown:
+        raise JobSpecError(f"unknown {what} fields: {sorted(unknown)}; "
+                           f"known: {sorted(types)}")
+    for name, value in spec.items():
+        if not _has_type(value, types[name]):
+            raise JobSpecError(f"{what} {name!r} must be "
+                               f"{_describe(types[name])}, not "
+                               f"{type(value).__name__}")
 
 
 class _SynthStream:
@@ -229,6 +319,9 @@ def parse_loop(spec: object) -> Ddg:
         extra = set(spec) - {"kernel"}
         if extra:
             raise JobSpecError(f"unknown loop spec fields: {sorted(extra)}")
+        if not isinstance(name, str):
+            raise JobSpecError(f"'kernel' must be a string, "
+                               f"not {type(name).__name__}")
         factory = KERNELS.get(name)
         if factory is None:
             raise JobSpecError(f"unknown kernel {name!r}; available: "
@@ -250,7 +343,7 @@ def parse_loop(spec: object) -> Ddg:
             raise JobSpecError(f"bad synth config: {exc}") from None
     else:
         raise JobSpecError("loop spec needs 'kernel' or 'synth'")
-    _LOOP_MEMO[memo_key] = ddg
+    _remember(_LOOP_MEMO, memo_key, ddg, MAX_MEMO_LOOPS)
     return ddg
 
 
@@ -261,30 +354,19 @@ def parse_machine(spec: object) -> object:
     hit = _MACHINE_MEMO.get(memo_key)
     if hit is not None:
         return hit
-    kind = spec.get("kind", "qrf")
-    if kind in ("qrf", "crf"):
-        extra = set(spec) - {"kind", "n_fus"}
-        if extra:
-            raise JobSpecError(
-                f"unknown machine spec fields: {sorted(extra)}")
-        n_fus = spec.get("n_fus", 4)
-        if not isinstance(n_fus, int) or n_fus < 1:
-            raise JobSpecError("'n_fus' must be a positive int")
-        machine = (qrf_machine if kind == "qrf" else crf_machine)(n_fus)
-    elif kind == "clustered":
-        extra = set(spec) - {"kind", "n_clusters", "allow_moves"}
-        if extra:
-            raise JobSpecError(
-                f"unknown machine spec fields: {sorted(extra)}")
-        n_clusters = spec.get("n_clusters", 4)
-        if not isinstance(n_clusters, int) or n_clusters < 2:
-            raise JobSpecError("'n_clusters' must be an int >= 2")
-        machine = clustered_machine(
-            n_clusters, allow_moves=bool(spec.get("allow_moves", False)))
-    else:
+    fields = dict(spec)
+    kind = fields.pop("kind", "qrf")
+    if not (isinstance(kind, str) and kind in _MACHINE_KINDS):
         raise JobSpecError(f"unknown machine kind {kind!r}; "
-                           f"use 'qrf', 'crf' or 'clustered'")
-    _MACHINE_MEMO[memo_key] = machine
+                           f"use {', '.join(map(repr, _MACHINE_KINDS))}")
+    builder, types, defaults = _MACHINE_KINDS[kind]
+    _check_fields(fields, types, "machine spec")
+    args = {**defaults, **fields}
+    for name, least in _MACHINE_MINIMA.items():
+        if args.get(name, least) < least:
+            raise JobSpecError(f"{name!r} must be an int >= {least}")
+    machine = builder(**args)
+    _remember(_MACHINE_MEMO, memo_key, machine, MAX_MEMO_MACHINES)
     return machine
 
 
@@ -299,20 +381,10 @@ def parse_options(spec: object) -> PipelineOptions:
     if spec is None:
         return PipelineOptions()
     spec = dict(_require_mapping(spec, "options"))
-    unknown = set(spec) - _OPTION_FIELDS
-    if unknown:
-        raise JobSpecError(f"unknown option fields: {sorted(unknown)}; "
-                           f"known: {sorted(_OPTION_FIELDS)}")
+    _check_fields(spec, _OPTION_TYPES, "option")
     if "extras" in spec:
-        extras = spec["extras"]
-        if not isinstance(extras, (list, tuple)) or \
-                not all(isinstance(e, str) for e in extras):
-            raise JobSpecError("'extras' must be a list of strings")
-        spec["extras"] = tuple(extras)
-    try:
-        options = PipelineOptions(**spec)
-    except TypeError as exc:
-        raise JobSpecError(f"bad options: {exc}") from None
+        spec["extras"] = tuple(spec["extras"])
+    options = PipelineOptions(**spec)
     try:
         check_scheduler(options.scheduler)
         check_partitioner(options.partitioner)
@@ -322,17 +394,10 @@ def parse_options(spec: object) -> PipelineOptions:
     return options
 
 
-def parse_job(spec: object) -> CompileJob:
-    """Full job spec -> :class:`CompileJob` (memoised by canonical spec;
-    fingerprinted lazily, once per distinct spec)."""
+def _build_job(memo_key: object, spec: object) -> CompileJob:
+    """Validate JSON-shaped *spec*, build its job and memoise it under
+    *memo_key*: the one parse path behind both kinds of memo key."""
     spec = _require_mapping(spec, "job")
-    try:
-        memo_key = canonical_json(spec)
-    except (TypeError, ValueError) as exc:
-        raise JobSpecError(f"job spec is not JSON-shaped: {exc}") from None
-    job = _JOB_MEMO.get(memo_key)
-    if job is not None:
-        return job
     unknown = set(spec) - {"loop", "machine", "options"}
     if unknown:
         raise JobSpecError(f"unknown job spec fields: {sorted(unknown)}")
@@ -341,25 +406,140 @@ def parse_job(spec: object) -> CompileJob:
     job = CompileJob(ddg=parse_loop(spec["loop"]),
                      machine=parse_machine(spec.get("machine", {})),
                      options=parse_options(spec.get("options")))
-    if len(_JOB_MEMO) >= MAX_MEMO_SPECS:
-        _JOB_MEMO.clear()
-    _JOB_MEMO[memo_key] = job
+    _remember(_JOB_MEMO, memo_key, job, MAX_MEMO_SPECS)
     return job
 
 
+def parse_job(spec: object) -> CompileJob:
+    """Full job spec -> :class:`CompileJob` (memoised by canonical spec;
+    fingerprinted lazily, once per distinct spec)."""
+    spec = _require_mapping(spec, "job")
+    try:
+        memo_key = canonical_json(spec)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise JobSpecError(f"job spec is not JSON-shaped: {exc}") from None
+    job = _JOB_MEMO.get(memo_key)
+    return job if job is not None else _build_job(memo_key, spec)
+
+
+# ---------------------------------------------------------------------------
+# raw request bodies
+# ---------------------------------------------------------------------------
+#
+# A body is decoded once into hashable values: a JSON object becomes the
+# tuple of its (name, value) pairs in body order, and a number the pair
+# (_INT or _FLOAT, its JSON text).  The tags keep 1, 1.0 and true apart:
+# they are equal Python values, and a memo hit across them would pass a
+# mistyped spec.  Arrays stay lists, so a spec holding one is frozen
+# (arrays as (_ARRAY, *items)) before it keys the memo; a stored key
+# is frozen too, which also interns its strings.
+
+_INT = object()
+_FLOAT = object()
+_ARRAY = object()
+
+
+def _tag_int(text: str) -> tuple:
+    return _INT, text
+
+
+def _tag_float(text: str) -> tuple:
+    return _FLOAT, text
+
+
+_decode = json.JSONDecoder(object_pairs_hook=tuple, parse_int=_tag_int,
+                           parse_float=_tag_float,
+                           parse_constant=_tag_float).decode
+
+
+def _is_object(value: object) -> bool:
+    """Whether a decoded value is a JSON object (a tuple of pairs)."""
+    return type(value) is tuple and (not value or type(value[0]) is tuple)
+
+
+def _frozen(value: object) -> object:
+    """A decoded value as a memo key: every array a hashable tuple and
+    every string interned, so the memo's keys share one copy of each
+    field name."""
+    kind = type(value)
+    if kind is str:
+        return sys.intern(value)
+    if kind is list:
+        return (_ARRAY, *map(_frozen, value))
+    if kind is tuple:
+        return tuple([_frozen(item) for item in value])
+    return value
+
+
+def _plain(value: object) -> object:
+    """A decoded or frozen value as JSON-shaped Python (the last of
+    duplicate object keys wins, as in ``json.loads``)."""
+    if type(value) is list:
+        return [_plain(item) for item in value]
+    if type(value) is not tuple:
+        return value
+    if _is_object(value):
+        return {name: _plain(item) for name, item in value}
+    tag, rest = value[0], value[1:]
+    if tag is _ARRAY:
+        return [_plain(item) for item in rest]
+    if tag is _FLOAT:
+        return float(rest[0])
+    try:
+        return int(rest[0])
+    except ValueError:      # past the interpreter's int-digit limit
+        raise JobSpecError(f"a {len(rest[0])}-digit integer is too "
+                           f"long") from None
+
+
+def _decoded_job(spec: object) -> CompileJob:
+    """The job of one spec of a decoded body: a memo hit costs one hash
+    of the spec as decoded, with no re-encoding."""
+    try:
+        job = _JOB_MEMO.get(spec)
+    except TypeError:       # an array inside
+        spec = _frozen(spec)
+        job = _JOB_MEMO.get(spec)
+    if job is not None:
+        return job
+    return _build_job(_frozen(spec), _plain(spec))
+
+
+def _spec_list(fields: dict) -> Optional[list]:
+    """A request's ``jobs`` list, or None for a single-spec request."""
+    if "jobs" not in fields:
+        return None
+    specs = fields["jobs"]
+    if not isinstance(specs, list) or not specs:
+        raise JobSpecError("'jobs' must be a non-empty list")
+    if len(specs) > MAX_JOBS_PER_REQUEST:
+        raise JobSpecError(
+            f"'jobs' lists {len(specs)} specs; the per-request "
+            f"bound is {MAX_JOBS_PER_REQUEST} -- split the sweep")
+    return specs
+
+
 def parse_jobs(body: object) -> list[CompileJob]:
-    """Request body -> job list: one spec object, or ``{"jobs": [...]}``."""
-    body = _require_mapping(body, "request")
-    if "jobs" in body:
-        specs = body["jobs"]
-        if not isinstance(specs, list) or not specs:
-            raise JobSpecError("'jobs' must be a non-empty list")
-        if len(specs) > MAX_JOBS_PER_REQUEST:
-            raise JobSpecError(
-                f"'jobs' lists {len(specs)} specs; the per-request "
-                f"bound is {MAX_JOBS_PER_REQUEST} -- split the sweep")
-        return [parse_job(s) for s in specs]
-    return [parse_job(body)]
+    """Request body -> job list: one spec object, or ``{"jobs": [...]}``.
+
+    *body* is a JSON-shaped dict, or the raw bytes of a ``POST /jobs``
+    body, which are decoded here, once, into the memo's hashable form.
+    """
+    try:
+        if not isinstance(body, bytes):
+            specs = _spec_list(_require_mapping(body, "request"))
+            return [parse_job(s) for s in specs or [body]]
+        try:
+            decoded = _decode(body.decode("utf-8"))
+        except ValueError as exc:   # bad UTF-8 or bad JSON
+            raise JobSpecError(f"request body is not JSON: {exc}") \
+                from None
+        fields = (dict(decoded) if _is_object(decoded)
+                  else _require_mapping(_plain(decoded), "request"))
+        specs = _spec_list(fields)
+        return [_decoded_job(s) for s in specs or [decoded]]
+    except RecursionError:
+        raise JobSpecError("request body nests too deeply") from None
 
 
 def kernel_job_spec(kernel: str, *, n_fus: Optional[int] = None,

@@ -69,9 +69,10 @@ def test_corrupt_lines_are_skipped_not_fatal(cache):
         fh.write(json.dumps({"v": SCHEMA_VERSION}) + "\n")  # missing fields
         fh.write(json.dumps({"v": SCHEMA_VERSION - 1, "key": "k",
                              "outcome": {}}) + "\n")        # old schema
+        fh.write("[1, 2]\n")                                # not an object
     reopened = ShardedResultCache(cache.directory)
     assert len(reopened) == 1
-    assert reopened.n_corrupt == 3
+    assert reopened.n_corrupt == 4
     assert reopened.get(good.key) == good
 
 

@@ -1,5 +1,6 @@
 """Sharded result cache: concurrency, eviction, layout."""
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -280,9 +281,9 @@ def test_daemon_plus_cli_shape_sharing(tmp_path):
 def test_json_round_trip_matches_legacy_wire_format(cache):
     """Shard lines carry the record schema the single-file store wrote,
     so cost estimation (and any external reader) works unchanged."""
-    result = _fake_result("wire")
-    result.extras = {"sched_stats": {"attempts": 7}}
-    result.wall_s = 0.25
+    result = dataclasses.replace(_fake_result("wire"),
+                                 extras={"sched_stats": {"attempts": 7}},
+                                 wall_s=0.25)
     cache.put(result)
     assert cache._shard_path(cache._shard(result.key)).read_text() == (
         '{"extras": {"sched_stats": {"attempts": 7}}, "key": "%s", '
@@ -298,8 +299,7 @@ def test_cost_estimator_reads_sharded_cache(cache):
     from repro.runner.pool import cost_estimator
 
     job = _job("fir4")
-    result = execute_job(job)
-    result.wall_s = 0.25
+    result = dataclasses.replace(execute_job(job), wall_s=0.25)
     cache.put(result)
     cost = cost_estimator(ShardedResultCache(cache.directory))
     assert cost(job) == pytest.approx(0.25)

@@ -28,7 +28,7 @@ def test_kernel_spec_matches_library_fingerprint(qrf4):
 def test_loops_are_memoised_by_spec():
     a = parse_loop({"kernel": "dot"})
     b = parse_loop({"kernel": "dot"})
-    assert a is b           # identity matters: pool tables key by id()
+    assert a is b           # one DDG carries the front-end memo
 
 
 def test_synth_spec_is_deterministic():
