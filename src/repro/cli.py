@@ -606,7 +606,8 @@ def cmd_verify(args) -> int:
             for mut in mutation_corpus(sched, machine, seed=args.seed,
                                        rounds=args.mutations):
                 n_mutations += 1
-                got = verify_schedule(mut.schedule, mut.machine).kinds()
+                got = verify_schedule(mut.schedule, mut.machine,
+                                     usage=mut.usage).kinds()
                 if not (got & mut.expected):
                     mutation_misses += 1
                     print(f"MISS  {label}: {mut.name} survived "

@@ -112,6 +112,9 @@ _BUILDERS = {
     "slack": _tree_huffman,
 }
 
+#: the copy-tree strategies :func:`insert_copies` accepts
+COPY_STRATEGIES = tuple(_BUILDERS)
+
 
 # ------------------------------------------------------------- transform
 

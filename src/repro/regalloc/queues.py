@@ -11,18 +11,28 @@ would collide two writes, ``L_b - L_a == II - delta`` two reads.
 
 :func:`fifo_order_consistent` is the brute-force reference (explicit event
 simulation over enough periods); the property tests check both agree on
-random lifetimes, and the allocator only ever uses the closed form.
+random lifetimes.
 
-Allocation is greedy first-fit over lifetimes sorted by (start, length):
-pairwise compatibility within a queue is *sufficient* for a global FIFO
-order because the write order of a set of periodic lifetimes is a total
-cyclic order and each pair's read order matching its write order makes the
-full read order match too (tested against the simulator in
-``tests/sim/test_end_to_end.py``).
+For a whole queue the pairwise test collapses to one sorted-order test
+(DESIGN.md §5.2): with residues ``r = S mod II`` and ends ``e = r + L``,
+a set of lifetimes can share one FIFO iff their residues are distinct,
+sorted by residue their ends strictly increase, and the last end minus
+the first is below II.  Allocation is greedy first-fit over lifetimes
+sorted by (start, length); each queue keeps its members' residues and
+ends sorted, so an incoming lifetime is tested against its two
+neighbours and the queue's spread instead of against every member.
+The packing is the one the pairwise scan builds.  Pairwise
+compatibility within a queue is *sufficient* for a global FIFO order
+because the write order of a set of periodic lifetimes is a total cyclic
+order and each pair's read order matching its write order makes the full
+read order match too (tested against the simulator in
+``tests/sim/test_end_to_end.py``).  The schedule verifier
+(:mod:`repro.verify.verifier`) proves the packing that ships.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -55,9 +65,12 @@ def fifo_order_consistent(a: Lifetime, b: Lifetime, ii: int, *,
 
     Writes happen before reads within a cycle (same-cycle bypass).  Two
     writes or two reads in the same cycle violate the single-port queue.
+    The default simulates until a few periods after the later first read,
+    so both lifetimes are checked in steady state however far apart
+    their starts are.
     """
     if periods is None:
-        periods = max(a.length, b.length) // ii + 4
+        periods = max(a.end, b.end) // ii + 4
     events: list[tuple[int, int, int, object]] = []
     for idx, lt in enumerate((a, b)):
         for k in range(periods):
@@ -127,16 +140,6 @@ class QueueAllocation:
                 out[(lt.producer, lt.consumer, lt.edge_key)] = i
         return out
 
-    def verify(self) -> None:
-        """Re-check pairwise compatibility of every queue (test hook)."""
-        for q in self.queues:
-            for i, a in enumerate(q):
-                for b in q[i + 1:]:
-                    if not q_compatible(a, b, self.ii):
-                        raise AssertionError(
-                            f"incompatible lifetimes share a queue: "
-                            f"{a.describe()} / {b.describe()}")
-
 
 #: Allocation order of lifetimes: (start, length, producer, consumer,
 #: edge key) -- total, so first-fit is deterministic.
@@ -146,31 +149,56 @@ _ORDER = attrgetter("start", "length", "producer", "consumer", "edge_key")
 def _first_fit(ordered: list[Lifetime], ii: int) -> list[list[Lifetime]]:
     """Queues of first-fit packing *ordered* (already in :data:`_ORDER`).
 
-    Each queue keeps a bitmask of the ``start mod II`` residues of its
-    members.  Theorem 1.1 rejects every same-residue pair (``delta ==
-    0``), so a queue whose mask holds the incoming residue is skipped
-    without any pairwise test: first-fit picks the same queue as the
-    plain scan (DESIGN.md §5.2).
+    Each queue keeps a bitmask of its members' ``start mod II``
+    residues, and the residues and ends (``residue + length``) of its
+    members sorted by residue.  A queue whose mask holds the incoming
+    residue is skipped (Theorem 1.1 rejects ``delta == 0``).  Otherwise
+    the lifetime joins iff its end lies strictly between its sorted
+    neighbours' ends and the queue's ends still span less than II: the
+    sorted-order form of "Q-compatible with every member"
+    (DESIGN.md §5.2), so first-fit picks the queue the pairwise scan
+    picks.
     """
     if ii < 1:
         raise ValueError("II must be >= 1")
     queues: list[list[Lifetime]] = []
-    residues: list[int] = []   # per queue: bit r set <=> a member has r
+    residues: list[int] = []        # per queue: bit r set <=> a member has r
+    rs: list[list[int]] = []        # per queue: member residues, sorted
+    es: list[list[int]] = []        # per queue: their ends, increasing
     for lt in ordered:
-        bit = 1 << (lt.start % ii)
+        r = lt.start % ii
+        e = r + lt.length
+        bit = 1 << r
         for i, q in enumerate(queues):
             if residues[i] & bit:
                 continue
-            for other in q:
-                if not q_compatible(lt, other, ii):
-                    break
-            else:  # compatible with every member: join this queue
-                q.append(lt)
-                residues[i] |= bit
-                break
+            qr = rs[i]
+            qe = es[i]
+            p = bisect_left(qr, r)
+            if p:
+                if qe[p - 1] >= e:
+                    continue
+                low = qe[0]
+            else:
+                low = e
+            if p < len(qr):
+                if qe[p] <= e:
+                    continue
+                high = qe[-1]
+            else:
+                high = e
+            if high - low >= ii:
+                continue
+            q.append(lt)
+            residues[i] |= bit
+            qr.insert(p, r)
+            qe.insert(p, e)
+            break
         else:
             queues.append([lt])
             residues.append(bit)
+            rs.append([r])
+            es.append([e])
     return queues
 
 
@@ -180,7 +208,8 @@ def allocate_queues(lifetimes: Iterable[Lifetime], ii: int, *,
 
     Lifetimes are processed by (start, length, producer, consumer); each
     goes to the first queue whose members are all Q-compatible with it, or
-    opens a new queue.  Zero-length lifetimes (same-cycle bypass) still
+    opens a new queue (decided by the sorted-order test, see
+    :func:`_first_fit`).  Zero-length lifetimes (same-cycle bypass) still
     take a queue slot assignment (the datum flows through the queue's
     bypass path) but never occupy a position.
     """
@@ -228,10 +257,6 @@ class ScheduleQueueUsage:
             if alloc.n_queues > limit:
                 return False
         return True
-
-    def verify(self) -> None:
-        for alloc in self.by_location.values():
-            alloc.verify()
 
 
 def allocate_for_schedule(sched: "ModuloSchedule",

@@ -254,7 +254,7 @@ def _finish(compiled: CompiledLoop, machine: "Machine | ClusteredMachine",
 
     if verify:
         with span("pipeline.verify"):
-            verdict = verify_schedule(sched, machine)
+            verdict = verify_schedule(sched, machine, usage=compiled.usage)
         if not verdict.ok:
             raise VerificationError(verdict)
     return compiled

@@ -45,7 +45,8 @@ Malformed specs raise :class:`JobSpecError`, which the daemon maps to
 HTTP 400.  They are never memoised, so a repeat raises the same error.
 Option and machine fields are type-checked against the annotations of
 :class:`PipelineOptions` and of the machine presets' parameters, so a
-wrongly typed value is a 400 rather than a failed job.
+wrongly typed value is a 400 rather than a failed job; so is an unknown
+engine, copy strategy or extras name.
 A synth index must lie inside its corpus (``index < n_loops``);
 ``n_loops`` and ``max_ops`` are capped at ``MAX_SYNTH_LOOPS`` and
 ``MAX_SYNTH_OPS``, int knobs take ints only and float knobs finite
@@ -64,12 +65,14 @@ import typing
 from array import array
 from typing import Callable, Optional, Union
 
+from repro.ir.copyins import COPY_STRATEGIES
 from repro.ir.ddg import Ddg
 from repro.machine.presets import clustered_machine, crf_machine, qrf_machine
 from repro.runner.fingerprint import canonical_json
 from repro.sched.partitioners import check_partitioner
 from repro.sched.strategies import check_scheduler
 from repro.runner.job import CompileJob, PipelineOptions
+from repro.runner.pipeline import EXTRA_EXTRACTORS
 from repro.workloads.kernels import KERNELS
 from repro.workloads.synth import SynthConfig, build_loop, draw_loop
 
@@ -376,7 +379,9 @@ def parse_options(spec: object) -> PipelineOptions:
     Engine names (``scheduler``/``partitioner``) are validated here, at
     the request boundary, so a typo comes back as a 400 listing the
     registered engines -- the same message the registry raises for
-    library callers -- instead of a worker-side 500.
+    library callers -- instead of a worker-side 500.  So are the copy
+    strategy and the name of each extras spec: an unknown one would
+    compile into a failed job.
     """
     if spec is None:
         return PipelineOptions()
@@ -391,6 +396,14 @@ def parse_options(spec: object) -> PipelineOptions:
     except KeyError as exc:
         raise JobSpecError(str(exc.args[0]) if exc.args
                            else str(exc)) from None
+    if options.copy_strategy not in COPY_STRATEGIES:
+        raise JobSpecError(f"unknown copy strategy "
+                           f"{options.copy_strategy!r}; known: "
+                           f"{', '.join(COPY_STRATEGIES)}")
+    for extra in options.extras:
+        if extra.partition(":")[0] not in EXTRA_EXTRACTORS:
+            raise JobSpecError(f"unknown extras spec {extra!r}; known: "
+                               f"{', '.join(sorted(EXTRA_EXTRACTORS))}")
     return options
 
 

@@ -9,8 +9,9 @@ first inconsistency.
 The compile stages are :func:`repro.runner.pipeline.compile_loop`'s, the
 same ones every sweep job runs (DESIGN §3); this module adds only what a
 one-off check wants on top: a raised :class:`SchedulingError` instead of
-a failed outcome, the allocation's own consistency check, the
-conventional-RF register report and the cycle-level simulation.
+a failed outcome, the conventional-RF register report and the
+cycle-level simulation.  The verifier inside ``compile_loop`` proves the
+queue allocation that the simulator then replays.
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ def run_pipeline(ddg: Ddg, machine: AnyMachine, *,
             unroll_factor=unroll_factor, n_copies=0,
             registers=registers)
 
-    with span("pipeline.verify"):
-        usage.verify()
     with span("pipeline.simulate"):
         fus = machine.cluster.fus if isinstance(machine, ClusteredMachine) \
             else machine.fus

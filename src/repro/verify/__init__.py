@@ -13,8 +13,10 @@ Unlike :meth:`repro.sched.schedule.ModuloSchedule.validate` (a scheduler
 self-audit) and :mod:`repro.sim.reference` (dynamic replay), the
 verifier shares no state with the engines: it walks the public DDG edge
 objects, recomputes pool capacities from the machine description, and
-re-implements the Q-compatibility closed form locally, so a bug in the
-packed scheduling core cannot silently vouch for itself.
+re-implements the Q-compatibility test locally, so a bug in the packed
+scheduling core cannot silently vouch for itself.  It proves the queue
+allocation that ships with a schedule (``usage=``) rather than one of
+its own.
 
 The seeded mutation corpus (:func:`mutation_corpus`) is the verifier's
 own test: corrupt a proved schedule in a known way and the verdict must

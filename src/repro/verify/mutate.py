@@ -7,7 +7,10 @@ ones proves nothing.  Each mutator here takes a valid
 together with the :class:`~repro.verify.verdict.ViolationKind` the
 verifier is required to name -- shift one sigma below an edge's slack,
 reassign a cluster across the ring, drop a copy op, overload a modulo
-row, shrink the queue depth below the measured peak.
+row, shrink the queue depth below the measured peak.  The last two
+corrupt the queue allocation that ships with the schedule instead:
+merge two queues that cannot share a FIFO, or drop one lifetime from
+the packing or file it under another location.
 
 Everything is deterministic in ``seed``; the golden-fixture mutation
 tests and ``repro-vliw verify --mutations`` both run this corpus and
@@ -19,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.machine.cluster import ClusteredMachine
 from repro.machine.machine import Machine
@@ -27,6 +30,9 @@ from repro.machine.resources import pool_for
 from repro.sched.schedule import ModuloSchedule
 
 from .verdict import ViolationKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.regalloc.queues import ScheduleQueueUsage
 
 AnyMachine = Union[Machine, ClusteredMachine]
 
@@ -41,6 +47,10 @@ class AppliedMutation:
     expected: frozenset[ViolationKind]
     schedule: ModuloSchedule
     machine: AnyMachine
+    #: the corrupted queue allocation to verify with the schedule
+    #: (``verify_schedule(..., usage=...)``); None for corruptions of
+    #: the schedule or the machine
+    usage: Optional["ScheduleQueueUsage"] = None
 
 
 def _clone(sched: ModuloSchedule, **changes: object) -> ModuloSchedule:
@@ -164,20 +174,26 @@ def _mut_overload_row(sched: ModuloSchedule, machine: AnyMachine,
         schedule=mutated, machine=machine)
 
 
-def _mut_shrink_queue(sched: ModuloSchedule, machine: AnyMachine,
-                      rng: random.Random) -> Optional[AppliedMutation]:
-    """Shrink every queue's position count below the measured peak."""
+def _allocation(sched: ModuloSchedule, machine: AnyMachine
+                ) -> Optional["ScheduleQueueUsage"]:
+    """The queue allocation that ships with *sched*, or None on a
+    machine without queues."""
     if not machine.has_queues:
         return None
     from repro.regalloc.queues import allocate_for_schedule
 
-    clustered = isinstance(machine, ClusteredMachine)
-    usage = allocate_for_schedule(sched,
-                                 machine if clustered else None)
-    depth = usage.max_depth
-    if depth < 1:
+    return allocate_for_schedule(
+        sched, machine if isinstance(machine, ClusteredMachine) else None)
+
+
+def _mut_shrink_queue(sched: ModuloSchedule, machine: AnyMachine,
+                      rng: random.Random) -> Optional[AppliedMutation]:
+    """Shrink every queue's position count below the measured peak."""
+    usage = _allocation(sched, machine)
+    if usage is None or usage.max_depth < 1:
         return None
-    if clustered:
+    depth = usage.max_depth
+    if isinstance(machine, ClusteredMachine):
         shrunk: AnyMachine = dataclasses.replace(
             machine, cluster=dataclasses.replace(
                 machine.cluster,
@@ -195,6 +211,70 @@ def _mut_shrink_queue(sched: ModuloSchedule, machine: AnyMachine,
         schedule=_clone(sched), machine=shrunk)
 
 
+def _mut_merge_queues(sched: ModuloSchedule, machine: AnyMachine,
+                      rng: random.Random) -> Optional[AppliedMutation]:
+    """Union two queues of one location that cannot share a FIFO."""
+    from repro.regalloc.queues import q_compatible
+
+    usage = _allocation(sched, machine)
+    if usage is None:
+        return None
+    candidates = []
+    for loc, alloc in usage.by_location.items():
+        for i, qa in enumerate(alloc.queues):
+            for j in range(i + 1, len(alloc.queues)):
+                if not all(q_compatible(a, b, usage.ii)
+                           for a in qa for b in alloc.queues[j]):
+                    candidates.append((loc, i, j))
+    if not candidates:
+        return None
+    loc, i, j = candidates[rng.randrange(len(candidates))]
+    alloc = usage.by_location[loc]
+    queues = [list(q) for q in alloc.queues]
+    queues[i] += queues.pop(j)
+    usage.by_location[loc] = dataclasses.replace(alloc, queues=queues)
+    return AppliedMutation(
+        name="merge-queues",
+        description=(f"merged queues {i} and {j} of {loc.describe()}, "
+                     f"which hold Q-incompatible lifetimes"),
+        expected=frozenset({ViolationKind.QUEUE_ORDER}),
+        schedule=_clone(sched), machine=machine, usage=usage)
+
+
+def _mut_misfile_lifetime(sched: ModuloSchedule, machine: AnyMachine,
+                          rng: random.Random) -> Optional[AppliedMutation]:
+    """Drop one lifetime from the packing, or move it to a new queue of
+    another location."""
+    usage = _allocation(sched, machine)
+    if usage is None:
+        return None
+    slots = [(loc, qi, n)
+             for loc, alloc in usage.by_location.items()
+             for qi, q in enumerate(alloc.queues) for n in range(len(q))]
+    if not slots:
+        return None
+    loc, qi, n = slots[rng.randrange(len(slots))]
+    alloc = usage.by_location[loc]
+    queues = [list(q) for q in alloc.queues]
+    victim = queues[qi].pop(n)
+    usage.by_location[loc] = dataclasses.replace(alloc, queues=queues)
+    others = [other for other in usage.by_location if other != loc]
+    tag = f"lifetime {victim.producer}->{victim.consumer}"
+    if others and rng.random() < 0.5:
+        dest = others[rng.randrange(len(others))]
+        moved = usage.by_location[dest]
+        usage.by_location[dest] = dataclasses.replace(
+            moved, queues=moved.queues + [[victim._replace(location=dest)]])
+        description = (f"moved {tag} from {loc.describe()} to a new "
+                       f"queue of {dest.describe()}")
+    else:
+        description = f"dropped {tag} from {loc.describe()} queue {qi}"
+    return AppliedMutation(
+        name="misfile-lifetime", description=description,
+        expected=frozenset({ViolationKind.QUEUE_ALLOCATION}),
+        schedule=_clone(sched), machine=machine, usage=usage)
+
+
 #: The mutator catalogue, in reporting order.
 MUTATORS: tuple[tuple[str, Mutator], ...] = (
     ("shift-sigma", _mut_shift_sigma),
@@ -202,6 +282,8 @@ MUTATORS: tuple[tuple[str, Mutator], ...] = (
     ("drop-op", _mut_drop_op),
     ("overload-row", _mut_overload_row),
     ("shrink-queue", _mut_shrink_queue),
+    ("merge-queues", _mut_merge_queues),
+    ("misfile-lifetime", _mut_misfile_lifetime),
 )
 
 

@@ -41,6 +41,9 @@ class ViolationKind(enum.Enum):
     QUEUE_DEPTH = "queue-depth"
     #: a location needs more queues than the hardware budget provides
     QUEUE_COUNT = "queue-count"
+    #: the queue packing does not match the schedule's lifetimes (one
+    #: missing, packed twice, in another location, or mistimed)
+    QUEUE_ALLOCATION = "queue-allocation"
 
 
 @dataclass(frozen=True)

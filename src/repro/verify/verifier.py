@@ -13,16 +13,22 @@ invariant the paper defines and return a :class:`Verdict`:
    stays within the pool's unit count (the MRT re-derived from scratch).
 4. **Topology** -- every DATA edge connects ring-adjacent clusters
    (hop count <= 1, re-derived from modular arithmetic).
-5. **Queues** (QRF machines) -- lifetimes grouped per queue location,
-   greedily packed under the locally re-implemented Q-compatibility
-   closed form (Theorem 1.1); every queue's peak occupancy (prologue
-   preloads included) must fit the per-queue position count, and --
-   under ``enforce_queue_budget`` -- each location's queue count must
-   fit the hardware budget.  The budget check is opt-in because the
-   paper's Fig. 3/Fig. 7 methodology *measures* queue demand rather
-   than failing schedules that exceed one budget point.
+5. **Queues** (QRF machines) -- the queue packing that ships with the
+   schedule (``usage``) is proved, not rebuilt: every DATA lifetime the
+   verifier derives sits in exactly one queue of its location with its
+   start and length, and no queue holds anything else; every queue
+   passes the locally re-implemented sorted-order form of Theorem 1.1
+   (DESIGN.md §5.2; the pairwise closed form names the offending pairs
+   when it fails); every queue's peak occupancy (prologue preloads
+   included) fits the per-queue position count; and -- under
+   ``enforce_queue_budget`` -- each location's queue count fits the
+   hardware budget.  The budget check is opt-in because the paper's
+   Fig. 3/Fig. 7 methodology *measures* queue demand rather than
+   failing schedules that exceed one budget point.  Without a packing,
+   the verifier proves ``allocate_queues``' packing of the lifetimes it
+   derived; the proof never trusts the packer.
 
-The verifier deliberately re-derives everything from public,
+The verifier deliberately re-derives every check from public,
 object-level APIs (edge dataclasses, ``FuSet.capacity``, modular ring
 arithmetic) rather than the packed ``arrays()`` lowering the schedulers
 use: it is the independent half of a translation-validation pair, so it
@@ -31,7 +37,7 @@ must not share representation bugs with the engines it checks.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.ir.ddg import DATA_CODE, KINDS, Ddg, DepKind, Row
 from repro.ir.operations import FuType, Opcode, Operation
@@ -41,6 +47,10 @@ from repro.machine.resources import FuSet, pool_for
 from repro.sched.schedule import ModuloSchedule
 
 from .verdict import Verdict, Violation, ViolationKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.regalloc.lifetimes import Lifetime, Location
+    from repro.regalloc.queues import QueueAllocation, ScheduleQueueUsage
 
 AnyMachine = Union[Machine, ClusteredMachine]
 
@@ -52,9 +62,16 @@ INVARIANT_FAMILIES = ("structure", "dependence", "resource", "topology",
 
 def verify_schedule(sched: ModuloSchedule, machine: AnyMachine, *,
                     ddg: Optional[Ddg] = None,
-                    enforce_queue_budget: bool = False) -> Verdict:
+                    enforce_queue_budget: bool = False,
+                    usage: Optional["ScheduleQueueUsage"] = None
+                    ) -> Verdict:
     """Prove one schedule against its machine; never raises on a bad
-    schedule -- the :class:`Verdict` carries the violations."""
+    schedule -- the :class:`Verdict` carries the violations.
+
+    *usage* is the queue packing that ships with the schedule (the
+    allocator's ``ScheduleQueueUsage``); on a QRF machine the verifier
+    proves it.  Without one, it proves ``allocate_queues``' packing of
+    the lifetimes it derives itself."""
     ddg = ddg if ddg is not None else sched.ddg
     clustered = isinstance(machine, ClusteredMachine)
     cluster_fus = machine.cluster.fus if clustered else machine.fus
@@ -77,7 +94,7 @@ def verify_schedule(sched: ModuloSchedule, machine: AnyMachine, *,
     if machine.has_queues:
         checked.append("queues")
         _check_queues(sched, ddg, ok_ops, n_clusters,
-                      machine.queue_budget, enforce_queue_budget,
+                      machine.queue_budget, enforce_queue_budget, usage,
                       violations, proved)
 
     return Verdict(
@@ -332,12 +349,31 @@ def _queue_positions(queue: list[int], starts: list[int],
     return every + max(folded)
 
 
-def _fifo_proved(q: list[int], edges: list[Row], starts: list[int],
-                 lengths: list[int], ii: int, where: str,
-                 out: list[Violation]) -> bool:
-    """Whether every pair sharing queue *q* is Q-compatible; reports
-    each pair that is not."""
-    ok = True
+def _fifo_ordered(q: list[int], starts: list[int], lengths: list[int],
+                  ii: int) -> bool:
+    """Whether the lifetimes of queue *q* can share one FIFO: Theorem 1.1
+    for a whole queue (DESIGN.md §5.2).  With residues ``r = S mod II``
+    and ends ``e = r + L``: the residues are distinct, sorted by residue
+    the ends strictly increase, and the last end minus the first is
+    below II (re-derived locally, like :func:`_q_compatible`)."""
+    if len(q) < 2:
+        return True
+    order = sorted((starts[i] % ii, lengths[i]) for i in q)
+    prev_r, first_e = order[0]
+    first_e += prev_r
+    prev_e = first_e
+    for r, length in order[1:]:
+        e = r + length
+        if r == prev_r or e <= prev_e:
+            return False
+        prev_r, prev_e = r, e
+    return prev_e - first_e < ii
+
+
+def _report_pairs(q: list[int], edges: list[Row], starts: list[int],
+                  lengths: list[int], ii: int, where: str,
+                  out: list[Violation]) -> None:
+    """Report every pair sharing queue *q* that is not Q-compatible."""
     for n, i in enumerate(q):
         for j in q[n + 1:]:
             if not _q_compatible(starts[i], lengths[i], starts[j],
@@ -348,27 +384,57 @@ def _fifo_proved(q: list[int], edges: list[Row], starts: list[int],
                     f"{where}: lifetimes {a[0]}->{a[1]} and "
                     f"{b[0]}->{b[1]} cannot share a FIFO at II={ii}",
                     ops=(a[0], a[1], b[0], b[1])))
-                ok = False
-    return ok
+
+
+#: location kind name -> its index in :data:`_KINDS`
+_KIND_INDEX = {kind: k for k, kind in enumerate(_KINDS)}
+
+
+def _own_packing(edges: list[Row], starts: list[int], lengths: list[int],
+                 codes: list[int], n_clusters: int, ii: int
+                 ) -> dict["Location", "QueueAllocation"]:
+    """The allocator's packing of the lifetimes the verifier derived,
+    for a caller that passes none: it is proved like any other."""
+    from repro.regalloc.lifetimes import Lifetime, Location, LocationKind
+    from repro.regalloc.queues import allocate_queues
+
+    locations: dict[int, Location] = {}
+    groups: dict[int, list[Lifetime]] = {}
+    for i, e in enumerate(edges):
+        code = codes[i]
+        loc = locations.get(code)
+        if loc is None:
+            k, cl = divmod(code, n_clusters)
+            loc = locations[code] = Location(LocationKind(_KINDS[k]), cl)
+            groups[code] = []
+        groups[code].append(Lifetime(e[0], e[1], e[2], starts[i],
+                                     lengths[i], e[4], loc))
+    return {locations[code]: allocate_queues(group, ii,
+                                             location=locations[code])
+            for code, group in groups.items()}
 
 
 def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
                   n_clusters: int, budget: QueueBudget,
-                  enforce_budget: bool, out: list[Violation],
-                  proved: dict[str, int]) -> None:
+                  enforce_budget: bool,
+                  usage: Optional["ScheduleQueueUsage"],
+                  out: list[Violation], proved: dict[str, int]) -> None:
     ii = sched.ii
     sigma = sched.sigma
     cluster_of = sched.cluster_of
-    # lifetime i: DATA edge edges[i], written at starts[i] and read
-    # lengths[i] cycles later -- flat lists, not an object per lifetime
+    # lifetime i: DATA edge edges[i] in location codes[i], written at
+    # starts[i] and read lengths[i] cycles later -- flat lists, not an
+    # object per lifetime.  A location code is kind index * n_clusters +
+    # producer cluster, so codes sort in report order.
     edges: list[Row] = []
+    codes: list[int] = []
     starts: list[int] = []
     lengths: list[int] = []
-    # location code -> its lifetimes; the code is kind index *
-    # n_clusters + producer cluster, so codes sort in report order
-    per_loc: dict[int, list[int]] = {}
+    # (src, dst, key, start, length) -> i: a packed lifetime that
+    # matches the schedule is found with one lookup
+    index: dict[tuple[int, ...], int] = {}
     for e in ddg.edge_rows(DepKind.DATA):
-        src, dst, _key, lat, dist, _kind = e
+        src, dst, key, lat, dist, _kind = e
         if src not in ok_ops or dst not in ok_ops:
             continue
         start = sigma[src] + lat
@@ -385,51 +451,68 @@ def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
             code = n_clusters + ca
         else:
             continue  # already reported as an adjacency violation
-        group = per_loc.get(code)
-        if group is None:
-            per_loc[code] = [len(edges)]
-        else:
-            group.append(len(edges))
+        index[(src, dst, key, start, length)] = len(edges)
         edges.append(e)
+        codes.append(code)
         starts.append(start)
         lengths.append(length)
 
+    if usage is None:
+        by_location = _own_packing(edges, starts, lengths, codes,
+                                   n_clusters, ii)
+    else:
+        by_location = usage.by_location
+
+    # coverage: every derived lifetime sits in exactly one queue of its
+    # location, with its start and length, and no queue holds anything
+    # else.  Each queue keeps only its matching members for the proof.
+    placed = [False] * len(edges)
+    by_edge: Optional[dict[tuple[int, ...], int]] = None  # on a mismatch
+    packing: list[tuple[int, str, list[list[int]]]] = []
+    for loc, alloc in by_location.items():
+        where = f"{loc.kind.value}[{loc.cluster}]"
+        k = _KIND_INDEX.get(loc.kind.value)
+        code = (k * n_clusters + loc.cluster
+                if k is not None and 0 <= loc.cluster < n_clusters else -1)
+        queues: list[list[int]] = []
+        for qi, q in enumerate(alloc.queues):
+            members: list[int] = []
+            for lt in q:
+                i = index.get(lt[:5])
+                if i is not None and not placed[i] and codes[i] == code:
+                    placed[i] = True
+                    members.append(i)
+                    continue
+                if by_edge is None:
+                    by_edge = {e[:3]: n for n, e in enumerate(edges)}
+                i = by_edge.get(lt[:3])
+                out.append(_misfiled(lt, i, placed, code, codes, starts,
+                                     lengths, n_clusters,
+                                     f"{where} queue {qi}"))
+                if i is not None:
+                    placed[i] = True
+            queues.append(members)
+        if code >= 0:
+            packing.append((code, where, queues))
+    for i, done in enumerate(placed):
+        if not done:
+            e = edges[i]
+            out.append(Violation(
+                ViolationKind.QUEUE_ALLOCATION,
+                f"lifetime {e[0]}->{e[1]} (key {e[2]}) "
+                f"[{starts[i]}, {starts[i] + lengths[i]}) of "
+                f"{_where(codes[i], n_clusters)} is in no queue",
+                ops=(e[0], e[1])))
+
     limits = (budget.private, budget.ring_out_ccw, budget.ring_out_cw)
     passed = 0
-    for code in sorted(per_loc):
-        k, cl = divmod(code, n_clusters)
-        where = f"{_KINDS[k]}[{cl}]"
-        lifetimes = per_loc[code]
-        if len(lifetimes) > 1:
-            # the hardware allocator's order: (start, length, edge)
-            lifetimes.sort(key=lambda i: (starts[i], lengths[i],
-                                          edges[i][:3]))
-        # deterministic greedy first-fit, as the hardware allocator packs;
-        # a queue already holding the incoming start residue is skipped
-        # untested (delta == 0 is never Q-compatible)
-        queues: list[list[int]] = []
-        residues: list[int] = []
-        for i in lifetimes:
-            si, li = starts[i], lengths[i]
-            bit = 1 << (si % ii)
-            for qi, q in enumerate(queues):
-                if residues[qi] & bit:
-                    continue
-                for j in q:
-                    if not _q_compatible(si, li, starts[j], lengths[j], ii):
-                        break
-                else:  # compatible with every member: join this queue
-                    q.append(i)
-                    residues[qi] |= bit
-                    break
-            else:
-                queues.append([i])
-                residues.append(bit)
+    for code, where, queues in sorted(packing):
         for qi, q in enumerate(queues):
-            # FIFO-sharing proof: pairwise Q-compatibility of the packing
-            if len(q) > 1 and not _fifo_proved(q, edges, starts, lengths,
-                                               ii, f"{where} queue {qi}",
-                                               out):
+            # FIFO-sharing proof: the sorted-order test; the pairwise
+            # closed form names the offending pairs when it fails
+            if not _fifo_ordered(q, starts, lengths, ii):
+                _report_pairs(q, edges, starts, lengths, ii,
+                              f"{where} queue {qi}", out)
                 continue
             depth = _queue_positions(q, starts, lengths, ii)
             if depth > budget.positions:
@@ -442,6 +525,7 @@ def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
                     ops=tuple(edges[i][0] for i in q)))
             else:
                 passed += 1
+        k = code // n_clusters
         if enforce_budget and len(queues) > limits[k]:
             out.append(Violation(
                 ViolationKind.QUEUE_COUNT,
@@ -449,3 +533,34 @@ def _check_queues(sched: ModuloSchedule, ddg: Ddg, ok_ops: set[int],
                 inequality=(f"{len(queues)} <= {_KINDS[k]} budget "
                             f"{limits[k]}")))
     proved["queues"] = passed
+
+
+def _where(code: int, n_clusters: int) -> str:
+    k, cl = divmod(code, n_clusters)
+    return f"{_KINDS[k]}[{cl}]"
+
+
+def _misfiled(lt: "Lifetime", i: Optional[int], placed: list[bool],
+              code: int, codes: list[int], starts: list[int],
+              lengths: list[int], n_clusters: int, where: str) -> Violation:
+    """A packed lifetime that does not match the schedule: not one of
+    its lifetimes, packed twice, in another location than its edge's,
+    or with another start or length."""
+    tag = f"lifetime {lt[0]}->{lt[1]} (key {lt[2]})"
+    inequality = ""
+    if i is None:
+        message = f"{where} holds {tag}, which matches no lifetime of " \
+                  f"the schedule"
+    elif placed[i]:
+        message = f"{where} holds {tag} a second time"
+    elif codes[i] != code:
+        message = (f"{where} holds {tag}, whose edge runs through "
+                   f"{_where(codes[i], n_clusters)}")
+    else:
+        message = (f"{where} holds {tag} as [{lt.start}, "
+                   f"{lt.start + lt.length}); the schedule writes it at "
+                   f"{starts[i]} and reads it at {starts[i] + lengths[i]}")
+        inequality = (f"start {lt.start} == {starts[i]}, length "
+                      f"{lt.length} == {lengths[i]}")
+    return Violation(ViolationKind.QUEUE_ALLOCATION, message,
+                     inequality=inequality, ops=(lt[0], lt[1]))

@@ -6,11 +6,22 @@ from repro.ir.copyins import insert_copies
 from repro.machine.cluster import make_clustered
 from repro.machine.presets import qrf_machine
 from repro.regalloc.lifetimes import Lifetime, Location, LocationKind
-from repro.regalloc.queues import (QueueAllocation, allocate_for_schedule,
-                                   allocate_queues, queue_depth)
+from repro.regalloc.queues import (allocate_for_schedule, allocate_queues,
+                                   q_compatible, queue_depth)
 from repro.sched.ims import modulo_schedule
 from repro.sched.partition import partitioned_schedule
+from repro.verify import ViolationKind, verify_schedule
 from repro.workloads.kernels import all_kernels, daxpy, dot_product
+
+
+def _assert_pairwise_compatible(*allocs):
+    """Every pair sharing a queue passes Theorem 1.1's closed form."""
+    for alloc in allocs:
+        for q in alloc.queues:
+            for i, a in enumerate(q):
+                for b in q[i + 1:]:
+                    assert q_compatible(a, b, alloc.ii), \
+                        f"{a.describe()} / {b.describe()}"
 
 
 class TestAllocateQueues:
@@ -36,7 +47,7 @@ class TestAllocateQueues:
         b = Lifetime(2, 3, 0, 1, 2)
         alloc = allocate_queues([a, b], 4)
         assert alloc.n_queues == 1
-        alloc.verify()
+        _assert_pairwise_compatible(alloc)
 
     def test_assignment_mapping(self):
         a = Lifetime(0, 1, 0, 0, 2)
@@ -58,13 +69,18 @@ class TestAllocateQueues:
             alloc.queue_of(Lifetime(9, 9, 0, 0, 1))
 
     def test_verify_catches_corruption(self):
-        a = Lifetime(0, 1, 0, 0, 2)
-        b = Lifetime(2, 3, 0, 4, 3)   # incompatible with a
-        alloc = QueueAllocation(ii=4,
-                                location=Location(LocationKind.PRIVATE, 0),
-                                queues=[[a, b]])
-        with pytest.raises(AssertionError):
-            alloc.verify()
+        # two queues of a real packing merged: the verifier, which
+        # proves the packing it is given, names the FIFO-order breach
+        m = qrf_machine(4)
+        s = modulo_schedule(insert_copies(daxpy()).ddg, m)
+        usage = allocate_for_schedule(s)
+        alloc = usage.by_location[Location(LocationKind.PRIVATE, 0)]
+        assert alloc.n_queues >= 2
+        assert not all(q_compatible(a, b, s.ii)
+                       for a in alloc.queues[0] for b in alloc.queues[1])
+        alloc.queues[0] += alloc.queues.pop(1)
+        verdict = verify_schedule(s, m, usage=usage)
+        assert verdict.first.kind is ViolationKind.QUEUE_ORDER
 
 
 class TestQueueDepth:
@@ -91,7 +107,7 @@ class TestScheduleAllocation:
         assert list(usage.by_location) == \
             [Location(LocationKind.PRIVATE, 0)]
         assert usage.total_queues >= 1
-        usage.verify()
+        _assert_pairwise_compatible(*usage.by_location.values())
 
     def test_every_kernel_allocates(self):
         m = qrf_machine(6)
@@ -99,7 +115,7 @@ class TestScheduleAllocation:
             work = insert_copies(ddg).ddg
             s = modulo_schedule(work, m)
             usage = allocate_for_schedule(s)
-            usage.verify()
+            _assert_pairwise_compatible(*usage.by_location.values())
             # every DATA edge covered
             n_edges = sum(1 for _ in work.data_edges())
             assert sum(len(q) for a in usage.by_location.values()
@@ -112,7 +128,7 @@ class TestScheduleAllocation:
         work = insert_copies(unroll(dot_product(), 4)).ddg
         s = partitioned_schedule(work, cm)
         usage = allocate_for_schedule(s, cm)
-        usage.verify()
+        _assert_pairwise_compatible(*usage.by_location.values())
         kinds = {loc.kind for loc in usage.by_location}
         assert LocationKind.PRIVATE in kinds
 

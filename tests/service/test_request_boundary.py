@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import http.client
 import json
+import re
 import socket
 import time
 
@@ -19,12 +20,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.ir.copyins import COPY_STRATEGIES
 from repro.runner import cache as cache_mod
 from repro.runner import fingerprint as fingerprint_mod
 from repro.runner import pool as pool_mod
 from repro.runner.cache import ShardedResultCache
 from repro.runner.executor import _pool_context, execute_job
 from repro.runner.job import CompileJob, JobResult, PipelineOptions
+from repro.runner.pipeline import EXTRA_EXTRACTORS
 from repro.service import JobSpecError, parse_job, parse_jobs, parse_loop
 from repro.service import daemon as daemon_mod
 from repro.service import engine as engine_mod
@@ -102,6 +105,33 @@ def test_every_option_annotation_has_a_json_reading():
 def test_non_string_kernel_name_is_a_spec_error():
     with pytest.raises(JobSpecError, match="'kernel' must be a string"):
         parse_jobs(_body({"loop": {"kernel": ["daxpy"]}}))
+
+
+#: well-typed option values naming no copy strategy or extras extractor:
+#: each must be a spec error, never a job that compiles into a failure
+UNKNOWN_NAMES = [
+    ({"copy_strategy": "bogus"}, "unknown copy strategy 'bogus'"),
+    ({"extras": ["bogus"]}, "unknown extras spec 'bogus'"),
+    ({"extras": ["sched_stats", "bogus:8x16"]},
+     "unknown extras spec 'bogus:8x16'"),
+]
+
+
+@pytest.mark.parametrize("options,expect", UNKNOWN_NAMES)
+def test_unknown_copy_strategy_or_extras_is_a_spec_error(options, expect):
+    for parse in (parse_job, lambda s: parse_jobs(_body(s))[0]):
+        with pytest.raises(JobSpecError, match=re.escape(expect)):
+            parse(_spec(options=options))
+
+
+def test_every_copy_strategy_and_extras_name_parses():
+    extras = [f"{name}:8x16" if name == "spills" else name
+              for name in EXTRA_EXTRACTORS]
+    for strategy in COPY_STRATEGIES:
+        job = parse_job(_spec(options={"copy_strategy": strategy,
+                                       "extras": extras}))
+        assert job.options.copy_strategy == strategy
+        assert job.options.extras == tuple(extras)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +394,14 @@ def _healthy(handle) -> bool:
 
 @pytest.mark.parametrize("options,machine,expect", MISTYPED[:4])
 def test_http_mistyped_option_is_a_400(daemon, options, machine, expect):
+    status, body = _post(daemon, _body(_spec(options=options)))
+    assert status == 400 and expect in json.loads(body)["error"]
+    assert _healthy(daemon)
+
+
+@pytest.mark.parametrize("options,expect", UNKNOWN_NAMES)
+def test_http_unknown_copy_strategy_or_extras_is_a_400(daemon, options,
+                                                       expect):
     status, body = _post(daemon, _body(_spec(options=options)))
     assert status == 400 and expect in json.loads(body)["error"]
     assert _healthy(daemon)

@@ -33,7 +33,8 @@ def test_single_cluster_corruptions_rejected(scheduler, kernel_name):
     sched = get_scheduler(scheduler).schedule(work, machine).schedule
     assert verify_schedule(sched, machine).ok
     for mut in _corpus_for(sched, machine):
-        verdict = verify_schedule(mut.schedule, mut.machine)
+        verdict = verify_schedule(mut.schedule, mut.machine,
+                                  usage=mut.usage)
         assert verdict.kinds() & mut.expected, \
             f"{mut.name} survived: {mut.description}"
 
@@ -49,7 +50,8 @@ def test_clustered_corruptions_rejected(partitioner, kernel_name):
     names = set()
     for mut in _corpus_for(sched, machine):
         names.add(mut.name)
-        verdict = verify_schedule(mut.schedule, mut.machine)
+        verdict = verify_schedule(mut.schedule, mut.machine,
+                                  usage=mut.usage)
         assert verdict.kinds() & mut.expected, \
             f"{mut.name} survived: {mut.description}"
     # the ring machine shape admits the cluster-swap corruption too
@@ -83,7 +85,7 @@ def test_mutations_never_touch_the_original():
     sigma_before = dict(sched.sigma)
     clusters_before = dict(sched.cluster_of)
     for mut in mutation_corpus(sched, machine, seed=1, rounds=2):
-        verify_schedule(mut.schedule, mut.machine)
+        verify_schedule(mut.schedule, mut.machine, usage=mut.usage)
     assert sched.sigma == sigma_before
     assert sched.cluster_of == clusters_before
 

@@ -111,7 +111,8 @@ def mutation_cases() -> dict:
             out[f"{engine}/{name}"] = {
                 "verdict": _verdict(sched, machine),
                 "mutations": [
-                    [mut.name, _verdict(mut.schedule, mut.machine)]
+                    [mut.name, _verdict(mut.schedule, mut.machine,
+                                        usage=mut.usage)]
                     for mut in mutation_corpus(sched, machine, seed=0,
                                                rounds=1)],
             }
@@ -139,7 +140,7 @@ def test_mutation_corpus_verdicts_match_golden(golden):
     assert sorted(got) == sorted(golden["mutations"])
     for case, want in golden["mutations"].items():
         assert got[case] == want, case
-    assert sum(len(c["mutations"]) for c in got.values()) == 765
+    assert sum(len(c["mutations"]) for c in got.values()) == 1131
 
 
 if __name__ == "__main__":

@@ -148,9 +148,11 @@ def test_verifier_is_engine_agnostic(scheduler):
     assert verify_schedule(sched, m).ok
 
 
-def test_verifier_imports_no_allocator_or_engine():
+def test_verifier_proves_with_no_allocator_check_or_engine():
     """The verifier re-derives what it proves: it may use the schedule
-    and machine types, never the allocator or a scheduling engine."""
+    and machine types, and the allocator's packer and lifetime types
+    (a packing to prove when the caller passes none), never one of the
+    allocator's checks or a scheduling engine."""
     import ast
     import pathlib
 
@@ -161,6 +163,90 @@ def test_verifier_imports_no_allocator_or_engine():
                 if isinstance(node, ast.ImportFrom) and node.module}
     imported |= {alias.name for node in ast.walk(tree)
                  if isinstance(node, ast.Import) for alias in node.names}
-    assert not any(m.startswith("repro.regalloc") for m in imported)
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("repro.regalloc")
+             for alias in node.names}
+    assert names <= {"Lifetime", "Location", "LocationKind",
+                     "allocate_queues", "QueueAllocation",
+                     "ScheduleQueueUsage"}
     assert {m for m in imported if m.startswith("repro.sched")} == \
         {"repro.sched.schedule"}
+
+
+# ---------------------------------------------------------------------------
+# the queue packing that ships: coverage
+# ---------------------------------------------------------------------------
+
+def _packed(sched, m):
+    from repro.machine.cluster import ClusteredMachine
+    from repro.regalloc.queues import allocate_for_schedule
+
+    return allocate_for_schedule(
+        sched, m if isinstance(m, ClusteredMachine) else None)
+
+
+def _only_allocation_violation(sched, m, usage, text):
+    verdict = verify_schedule(sched, m, usage=usage)
+    assert [v.kind for v in verdict.violations] == \
+        [ViolationKind.QUEUE_ALLOCATION], verdict.describe()
+    assert text in verdict.first.message, verdict.first.message
+    return verdict.first
+
+
+def test_default_packing_is_the_allocators():
+    """Without a packing the verifier proves ``allocate_queues``' own:
+    the same verdict as proving the allocation that ships."""
+    for sched, m in (_qrf_schedule("cmul"), _ring_schedule("fir4")):
+        assert verify_schedule(sched, m) == \
+            verify_schedule(sched, m, usage=_packed(sched, m))
+
+
+def test_missing_lifetime_is_an_allocation_violation():
+    sched, m = _qrf_schedule()
+    usage = _packed(sched, m)
+    queue = next(iter(usage.by_location.values())).queues[0]
+    lost = queue.pop()
+    v = _only_allocation_violation(sched, m, usage, "is in no queue")
+    assert v.ops == (lost.producer, lost.consumer)
+
+
+def test_duplicate_lifetime_is_an_allocation_violation():
+    sched, m = _qrf_schedule()
+    usage = _packed(sched, m)
+    alloc = next(iter(usage.by_location.values()))
+    alloc.queues.append([alloc.queues[0][0]])
+    _only_allocation_violation(sched, m, usage, "a second time")
+
+
+def test_mistimed_lifetime_is_an_allocation_violation():
+    sched, m = _qrf_schedule()
+    usage = _packed(sched, m)
+    alloc = next(iter(usage.by_location.values()))
+    lt = alloc.queues[0][0]
+    alloc.queues[0][0] = lt._replace(start=lt.start + sched.ii)
+    v = _only_allocation_violation(sched, m, usage, "the schedule writes")
+    assert v.inequality == (f"start {lt.start + sched.ii} == {lt.start}, "
+                            f"length {lt.length} == {lt.length}")
+
+
+def test_lifetime_in_another_location_is_an_allocation_violation():
+    sched, m = _ring_schedule()
+    usage = _packed(sched, m)
+    here, there = list(usage.by_location)[:2]
+    lt = usage.by_location[here].queues[0].pop(0)
+    usage.by_location[there].queues.append([lt._replace(location=there)])
+    _only_allocation_violation(sched, m, usage,
+                               f"whose edge runs through {here.describe()}")
+
+
+def test_foreign_lifetime_is_an_allocation_violation():
+    from repro.regalloc.lifetimes import Lifetime
+
+    sched, m = _qrf_schedule()
+    usage = _packed(sched, m)
+    alloc = next(iter(usage.by_location.values()))
+    alloc.queues.append([Lifetime(900, 901, 0, 0, 1,
+                                  location=alloc.location)])
+    _only_allocation_violation(sched, m, usage,
+                               "matches no lifetime of the schedule")

@@ -15,6 +15,28 @@ def test_compile_loop_verify_flag_proves_the_schedule():
     assert not compiled.outcome.failed
 
 
+@pytest.mark.parametrize("machine", [qrf_machine(4), clustered_machine(4)],
+                         ids=lambda m: m.name)
+def test_compile_loop_proves_the_allocation_it_ships(monkeypatch, machine):
+    """The verifier checks the packing the pipeline ships, not one of
+    its own: a corrupted allocation fails ``verify=True``."""
+    from repro.runner import pipeline
+    from repro.verify import VerificationError, ViolationKind
+
+    real = pipeline.allocate_for_schedule
+
+    def corrupted(sched, machine=None):
+        usage = real(sched, machine)
+        alloc = max(usage.by_location.values(), key=lambda a: a.n_queues)
+        alloc.queues[0] = alloc.queues[0][1:]   # lose one lifetime
+        return usage
+
+    monkeypatch.setattr(pipeline, "allocate_for_schedule", corrupted)
+    with pytest.raises(VerificationError) as info:
+        compile_loop(kernel("cmul"), machine, verify=True)
+    assert info.value.verdict.kinds() == {ViolationKind.QUEUE_ALLOCATION}
+
+
 def test_pipeline_options_thread_verify_through_jobs():
     opts = PipelineOptions(verify=True)
     assert opts.compile_kwargs()["verify"] is True
