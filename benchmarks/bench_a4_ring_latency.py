@@ -6,6 +6,9 @@ cluster.  This sensitivity study re-runs the Fig. 6 experiment with 1 and
 2 extra cycles per crossing: if the headline results held only at exactly
 zero, the architecture would be fragile; a graceful decline validates the
 design margin.
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -25,14 +28,3 @@ def test_a4_ring_latency(benchmark):
         metrics=lambda r: {f"same_ii_xlat{x}_4cl": r.same_ii[x][4]
                            for x in (0, 1, 2)})
     record("a4_ring_latency", result.render())
-
-    same = result.same_ii
-    for n in (4, 6):
-        # more latency can only hurt (same or worse), and the decline is
-        # graceful, not a cliff
-        assert same[0][n] >= same[1][n] - 1e-9
-        assert same[1][n] >= same[2][n] - 0.05
-        assert same[2][n] >= same[0][n] - 0.35
-    # the cluster-count ordering from Fig. 6 survives added latency
-    for xlat in (0, 1, 2):
-        assert same[xlat][4] >= same[xlat][6]

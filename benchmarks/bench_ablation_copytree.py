@@ -5,6 +5,9 @@ Compares the three tree shapes on the 12-FU machine: a linear chain
 default slack-aware Huffman tree (recurrence-circuit edges shallowest).
 The slack strategy should preserve the no-copy II at least as often as the
 alternatives.
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -24,13 +27,3 @@ def test_ablation_copy_tree(benchmark):
         metrics=lambda r: {f"same_ii_{s}": v
                            for s, v in r.same_ii.items()})
     record("ablation_copytree", result.render())
-
-    assert set(result.same_ii) == {"chain", "balanced", "slack"}
-    # finding: with realistic fan-outs (mostly 2-3 consumers) the tree
-    # shape barely matters -- all strategies land within a couple of
-    # points of each other; the slack-aware tree must not be *worse*
-    # than the naive chain beyond noise
-    assert result.same_ii["slack"] >= result.same_ii["chain"] - 0.03
-    assert result.same_ii["slack"] >= result.same_ii["balanced"] - 0.03
-    # and never needs more queues on average than the chain beyond noise
-    assert result.mean_queues["slack"] <= result.mean_queues["chain"] + 1.0

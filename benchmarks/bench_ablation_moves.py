@@ -6,6 +6,9 @@ clusters" and proposes "a more sophisticated scheme using move operations"
 as future work.  This ablation implements that scheme (relaxed cluster
 assignment -> MOVE chains on every multi-hop edge -> pinned re-schedule)
 and measures how much of the loss it recovers on 5 and 6 clusters.
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -25,8 +28,3 @@ def test_ablation_moves(benchmark):
         metrics=lambda r: {f"with_moves_{n}cl": r.with_moves[n]
                            for n in (5, 6)})
     record("ablation_moves", result.render())
-
-    for n in (5, 6):
-        # moves never hurt: the scheduler keeps the strict schedule when
-        # it is at least as good
-        assert result.with_moves[n] >= result.without_moves[n] - 1e-9

@@ -6,6 +6,9 @@ ablation compares cluster-choice policies on the 5-cluster machine:
 neighbour affinity (our default), load balancing, naive first-fit, and a
 random baseline.  Affinity must beat random; the gap is the value of the
 heuristic.
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -25,18 +28,3 @@ def test_ablation_partition_strategy(benchmark):
         metrics=lambda r: {f"same_ii_{s}": v
                            for s, v in r.same_ii.items()})
     record("ablation_partition", result.render())
-
-    from repro.sched.partitioners import available_partitioners
-
-    same = result.same_ii
-    assert set(same) == set(available_partitioners())
-    # finding: once forced placement + deadlock aging are in place, the
-    # cluster-choice policy matters surprisingly little (all strategies
-    # land within a few points) -- the backtracking machinery, not the
-    # greedy choice, carries the result.  Affinity must stay within noise
-    # of the best.
-    best = max(same.values())
-    assert same["affinity"] >= best - 0.06
-    # and every strategy produces a usable partitioner
-    for strat, frac in same.items():
-        assert frac >= 0.5, strat

@@ -5,6 +5,9 @@ required to deal with finite numbers of queues and queue positions."
 Sweeps hardware budgets (queues x positions) on the 12-FU machine and
 reports the spill-free fraction and mean spilled lifetimes -- the
 quantified version of the paper's "occasionally".
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -25,11 +28,3 @@ def test_e6b_spill_budget(benchmark):
             "no_spill_4x8": r.no_spill_fraction[(4, 8)],
             "no_spill_32x16": r.no_spill_fraction[(32, 16)]})
     record("e6b_spills", result.render())
-
-    frac = result.no_spill_fraction
-    # more hardware -> fewer spills, monotonically
-    assert frac[(4, 8)] <= frac[(8, 8)] <= frac[(16, 16)] <= frac[(32, 16)]
-    # the Fig. 3 claim in spill terms: 32 queues eliminate spilling
-    assert frac[(32, 16)] >= 0.99
-    # and the mean spill count mirrors it
-    assert result.mean_spills[(32, 16)] <= result.mean_spills[(4, 8)]

@@ -33,7 +33,7 @@ FAULT_SPEC = ("seed=11;pool.worker=crash:0.05,hang:0.03:0.75;"
 def _jobs():
     return sweep(all_kernels(), [qrf_machine(4), qrf_machine(8)],
                  [dict(copies=True, allocate=False),
-                  dict(copies=True, allocate=True)])
+                  dict(copies=True, allocate=True)]).jobs
 
 
 def test_fault_storm_recovery_cost(benchmark):

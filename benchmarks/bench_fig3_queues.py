@@ -5,6 +5,9 @@ at most 4/8/16/32 queues on the 4/6/12-FU QRF machines, copy operations
 inserted.  Shape requirement: the distribution concentrates at <= 32
 queues (the paper's "machine configuration required to schedule most of
 the loops ... consist of 32 queues").
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -23,11 +26,3 @@ def test_fig3_queue_requirements(benchmark):
             "min_covered_le32": min(row[32]
                                     for row in r.by_machine.values())})
     record("fig3_queues", result.render())
-
-    for machine, row in result.by_machine.items():
-        # cumulative by construction
-        assert row[4] <= row[8] <= row[16] <= row[32], machine
-        # paper shape: 32 queues cover (nearly) everything
-        assert row[32] >= 0.95, machine
-        # and 4 queues are nowhere near enough on their own
-        assert row[4] < row[32], machine

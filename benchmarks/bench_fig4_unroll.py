@@ -5,6 +5,9 @@ Regenerates the II-speedup bars (fraction of loops with speedup > 1 on the
 loops still fit 32 queues after unrolling).  Shape requirements: wider
 machines benefit more, and no loop regresses (the compiler keeps the
 rolled version when unrolling loses).
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -22,16 +25,3 @@ def test_fig4_unroll_speedup(benchmark):
         metrics=lambda r: {f"speedup_gt1_{m}": v
                            for m, v in r.speedup_gt1.items()})
     record("fig4_unroll", result.render())
-
-    names = list(result.speedup_gt1)
-    # monotone benefit with machine width (4 -> 6 -> 12 FUs)
-    assert result.speedup_gt1[names[0]] <= result.speedup_gt1[names[1]] \
-        <= result.speedup_gt1[names[2]] + 0.02
-    # the widest machine sees a substantial fraction of winners
-    assert result.speedup_gt1[names[2]] >= 0.30
-    # unrolling never hurts (fallback keeps the rolled loop)
-    for machine in names:
-        assert all(s >= 1.0 - 1e-9 for s in result.speedups[machine])
-    # Section 3: >= 90% of loops within 32 queues even after unrolling
-    for machine in names:
-        assert result.queues_le_32[machine] >= 0.9

@@ -5,6 +5,9 @@ on the 4/5/6-cluster ring at the same II as the equivalent single-cluster
 machine is 95 % / 84 % / 52 %, degrading with cluster count because values
 cannot move between non-adjacent clusters; increases are "typically of one
 cycle only".
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -24,14 +27,3 @@ def test_fig6_ii_variation(benchmark):
                            "same_ii_6cl": r.same_ii[6],
                            "mean_increase_6cl": r.mean_increase[6]})
     record("fig6_partition", result.render())
-
-    # paper shape: degradation as the ring grows
-    assert result.same_ii[4] >= result.same_ii[5] >= result.same_ii[6]
-    # 4 clusters nearly always match the single-cluster II
-    assert result.same_ii[4] >= 0.85
-    # 6 clusters lose a substantial fraction (paper: down to 52%)
-    assert result.same_ii[6] <= result.same_ii[4]
-    # increases are small
-    for n in (4, 5, 6):
-        if result.mean_increase[n]:
-            assert result.mean_increase[n] <= 3.0

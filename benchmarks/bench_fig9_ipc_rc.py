@@ -6,11 +6,14 @@ insight on how well this architecture model deals with programs whose
 execution is constrained by the number of available FUs".  Shape
 requirements: these loops exploit the machine better than the full
 population and keep scaling further.
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
 
-from repro.analysis.experiments import fig8_ipc, fig9_ipc_rc
+from repro.analysis.experiments import fig9_ipc_rc
 from repro.workloads.corpus import bench_corpus
 
 SAMPLE = 96
@@ -25,12 +28,3 @@ def test_fig9_ipc_resource_constrained(benchmark):
         metrics=lambda r: {"static_ipc_18fu": r.static_single[18],
                            "dynamic_ipc_18fu": r.dynamic_single[18]})
     record("fig9_ipc_rc", result.render())
-
-    assert result.static_single[18] > result.static_single[4]
-    for n in result.fus:
-        assert result.dynamic_single[n] <= result.static_single[n] + 1e-9
-
-    # the resource-constrained population uses the machine at least as
-    # well as the full corpus at the widest point
-    full = fig8_ipc(loops, fus=(18,), clustered_counts=())
-    assert result.static_single[18] >= full.static_single[18] - 1e-9

@@ -39,7 +39,7 @@ def _timed(jobs, config=None):
 def test_runner_parallel_speedup_and_cache(benchmark):
     loops = bench_corpus(SAMPLE)
     jobs = sweep(loops, paper_qrf_machines(),
-                 [dict(copies=True, allocate=True)])
+                 [dict(copies=True, allocate=True)]).jobs
 
     serial, t_serial = _timed(jobs)
 

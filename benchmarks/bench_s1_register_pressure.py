@@ -6,6 +6,9 @@ variable expansion (code growth + extra names) or rotating-register
 hardware, while the QRF's FIFO semantics absorb overlapping instances
 naturally.  Compares, on the same loops and machine widths: queues used
 (QRF side) vs MaxLive / rotating / MVE register counts (CRF side).
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -25,15 +28,3 @@ def test_s1_register_pressure(benchmark):
         metrics=lambda r: {f"mean_queues_{m}": v
                            for m, v in r.mean_queues.items()})
     record("s1_register_pressure", result.render())
-
-    for name in result.mean_queues:
-        # the ordering MaxLive <= rotating <= MVE must hold machine-wide
-        assert result.mean_max_live[name] <= \
-            result.mean_rotating[name] + 1e-9
-        assert result.mean_rotating[name] <= \
-            result.mean_mve_regs[name] + 2.0
-        # a static RF needs kernel replication; wider machines more so
-        assert result.mean_mve_unroll[name] >= 1.0
-    names = list(result.mean_queues)
-    assert result.mean_mve_unroll[names[-1]] >= \
-        result.mean_mve_unroll[names[0]]

@@ -5,6 +5,9 @@ demand a 36 port register file, an unrealistic design"): prices the
 monolithic multi-ported RF against the single-ported queue banks at equal
 machine width, with register demand measured on the corpus rather than
 assumed.
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -23,18 +26,3 @@ def test_s2_hardware_cost(benchmark):
         corpus_size=len(loops),
         metrics=lambda r: {"machine_widths": sorted(r.rows)})
     record("s2_hardware_cost", result.render())
-
-    for n_fus, (mono, flat, clustered) in result.rows.items():
-        # the paper's exact number at 12 FUs
-        if n_fus == 12:
-            assert mono.ports == 36
-        # the QRF access path never slows down with machine width; the
-        # monolithic RF does
-        assert clustered.relative_delay < mono.relative_delay
-        # area per storage cell: ports^2 kills the monolithic design
-        assert (clustered.area / clustered.storage_cells
-                < mono.area / mono.storage_cells)
-    # and the monolithic delay diverges with width
-    widths = sorted(result.rows)
-    assert result.rows[widths[-1]][0].relative_delay > \
-        result.rows[widths[0]][0].relative_delay

@@ -12,6 +12,9 @@ EXPERIMENTS.md quotes.  Shape requirements:
   attempts than IMS;
 * SMS's lifetime-minimising placement shows up as conventional-RF
   register demand (MaxLive) no worse than IMS's on every preset.
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -30,18 +33,3 @@ def test_scheduler_compare(benchmark):
             f"mii_match_{m}_{s}": r.mii_match[(m, s)]
             for m in r.machines for s in r.schedulers})
     record("scheduler_compare", result.render())
-
-    assert set(result.schedulers) >= {"ims", "sms"}
-    assert len(result.machines) >= 3
-    for m in result.machines:
-        ims, sms = (m, "ims"), (m, "sms")
-        assert result.n_failed[ims] == 0 and result.n_failed[sms] == 0
-        # acceptance criterion: SMS keeps (nearly) all of IMS's MII hits
-        assert result.mii_match[sms] >= 0.8, m
-        # near-backtrack-free search
-        assert result.mean_evictions[sms] == 0.0
-        assert (result.mean_attempts[sms]
-                <= result.mean_attempts[ims] + 1e-9), m
-        # lifetime-minimising placement: no extra register pressure
-        assert (result.mean_max_live[sms]
-                <= result.mean_max_live[ims] + 0.5), m

@@ -6,6 +6,9 @@ in most of the cases)" and the stage count rarely changes.  Our corpus
 reproduces the shape (large majority unchanged, changes mostly +1 cycle);
 the absolute fraction depends on how often recurrence producers feed extra
 consumers (EXPERIMENTS.md discusses the gap).
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -23,11 +26,3 @@ def test_sec2_copy_impact(benchmark):
         metrics=lambda r: {f"same_ii_{m}": v
                            for m, v in r.same_ii.items()})
     record("sec2_copyops", result.render())
-
-    for machine in result.same_ii:
-        # large majority keeps the II on every machine
-        assert result.same_ii[machine] >= 0.70, machine
-        # of the loops that change, the typical increase is one cycle
-        assert result.ii_increase_by_1[machine] >= 0.5, machine
-    # narrow machines absorb copies best (big II -> plenty of slack)
-    assert result.same_ii["queu-4fu"] >= result.same_ii["queu-12fu"] - 0.02

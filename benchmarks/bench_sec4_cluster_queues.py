@@ -4,6 +4,9 @@ The paper concludes that "a cluster configuration comprising 8 queues for
 the private QRF and another 16 queues to implement the communication ring
 (8 to be used in each direction) should suffice", with "a small fraction
 of loops [requiring] additional resources".
+
+This file times the run and records the table; the shape checks run
+untimed in ``tests/paper/test_paper_shapes.py``.
 """
 
 from conftest import record, run_recorded, runner_from_env
@@ -21,10 +24,3 @@ def test_sec4_cluster_queues(benchmark):
         metrics=lambda r: {f"fits_budget_{n}cl": r.fits_budget[n]
                            for n in (4, 5, 6)})
     record("sec4_cluster_queues", result.render())
-
-    for n in (4, 5, 6):
-        # the 8+8+8 budget covers the vast majority of loops
-        assert result.fits_budget[n] >= 0.8, n
-        # ring pressure stays low (communication is the minority of
-        # lifetimes under the affinity partitioner)
-        assert result.p95_ring[n] <= 8, n

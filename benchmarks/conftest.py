@@ -1,9 +1,11 @@
 """Shared benchmark helpers.
 
-Every benchmark runs one paper experiment end to end on the bench corpus
-(a stratified subsample; set ``REPRO_FULL_CORPUS=1`` for all 1258 loops),
-asserts the figure's *shape* invariants, and records the rendered table
-under ``benchmarks/results/`` so EXPERIMENTS.md can quote it.
+Every experiment benchmark runs one paper experiment end to end on the
+bench corpus (a stratified subsample; set ``REPRO_FULL_CORPUS=1`` for all
+1258 loops), times it, and records the rendered table under
+``benchmarks/results/`` so EXPERIMENTS.md can quote it.  The figures'
+*shape* invariants are asserted untimed by the tier-1 suite
+``tests/paper/test_paper_shapes.py``.
 
 Benchmarks execute through the sweep runner; the same knobs the CLI
 exposes as ``--jobs``/``--no-cache``/``--cache-dir`` arrive here through

@@ -1,18 +1,18 @@
 #!/usr/bin/env python
 """Reproduce every figure of the paper on a corpus sample.
 
-Runs the drivers behind Figs. 3/4/6/8/9 and the Section 2/4 text numbers
-on a subsample of the synthetic corpus (pass ``--full`` for all 1258 loops;
-expect a long run) and prints the paper's reported values next to ours.
+Runs the experiments behind Figs. 3/4/6/8 and the Section 2/4 text
+numbers -- read from the experiment table,
+``repro.analysis.experiments.EXPERIMENTS`` -- on a subsample of the
+synthetic corpus (pass ``--full`` for all 1258 loops; expect a long run)
+and prints the paper's reported values next to ours.
 
 Run:  python examples/reproduce_paper.py [--sample N] [--full] [--sweep]
 """
 
 import argparse
 
-from repro.analysis import (fig3_queue_requirements, fig4_unroll_speedup,
-                            fig6_ii_variation, fig8_ipc, sec2_copy_impact,
-                            sec4_cluster_queues)
+from repro.analysis.experiments import EXPERIMENTS
 from repro.workloads.corpus import bench_corpus, corpus_stats, paper_corpus
 
 PAPER_NOTES = {
@@ -38,20 +38,12 @@ def main() -> None:
     loops = paper_corpus() if args.full else bench_corpus(args.sample)
     print(f"corpus: {corpus_stats(loops).render()}\n")
 
-    sections = [
-        ("fig3", lambda: fig3_queue_requirements(loops)),
-        ("sec2", lambda: sec2_copy_impact(loops)),
-        ("fig4", lambda: fig4_unroll_speedup(loops)),
-        ("fig6", lambda: fig6_ii_variation(loops)),
-        ("sec4", lambda: sec4_cluster_queues(loops)),
-    ]
-    if args.sweep:
-        sections.append(("fig8", lambda: fig8_ipc(loops)))
-
-    for key, run in sections:
+    for key, note in PAPER_NOTES.items():
+        if key == "fig8" and not args.sweep:
+            continue
         print("=" * 72)
-        print(run().render())
-        print(f"[{PAPER_NOTES[key]}]\n")
+        print(EXPERIMENTS[key].run(loops).render())
+        print(f"[{note}]\n")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ _EXPORTS = {
         "sec2_copy_impact", "sec4_cluster_queues", "register_pressure",
         "RegisterPressureResult", "spill_budget", "SpillBudgetResult",
         "ring_latency_sensitivity", "RingLatencyResult",
+        "Experiment", "EXPERIMENTS", "exp_scheduler_compare",
+        "exp_partitioner_compare",
     ],
     "metrics": [
         "LoopOutcome", "cumulative_within", "fraction", "mean",
@@ -26,7 +28,7 @@ _EXPORTS = {
         "weighted_static_ipc",
     ],
     "report": [
-        "bar_chart", "full_report", "percent_chart", "series_table",
+        "bar_chart", "percent_chart", "series_table",
     ],
 }
 

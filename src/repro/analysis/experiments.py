@@ -1,28 +1,32 @@
 """Experiment drivers: one function per paper figure/table (+ ablations).
 
-Every driver consumes a list of loop DDGs (the corpus or a subset), builds
-one :class:`~repro.runner.job.CompileJob` per (loop, machine, pipeline
-variant) point and executes the whole grid through
-:func:`repro.runner.run_jobs`, then aggregates the ordered results into a
-result object whose fields are the numbers the paper plots and whose
-``render()`` reproduces the figure as an ASCII table.  DESIGN.md §4 maps
-experiment ids (E1..E8, A1..A3) to these functions; EXPERIMENTS.md records
-measured-vs-paper values.
+Every driver consumes a list of loop DDGs (the corpus or a subset), fills
+a labelled :class:`~repro.runner.sweep.Grid` with one cell per (machine,
+pipeline variant) point, runs it through :func:`repro.runner.run_jobs`
+and aggregates the results -- looked up by label, aligned to the loop
+list -- into a result object whose fields are the numbers the paper plots
+and whose ``render()`` reproduces the figure as an ASCII table.
+
+:data:`EXPERIMENTS` is the one table of experiments: id -> description,
+driver and the engine knobs the driver takes.  The CLI's ``experiment``
+command, ``examples/reproduce_paper.py`` and the paper-shape suite
+(``tests/paper/``) all read it; DESIGN.md §4 maps the ids to the paper
+and EXPERIMENTS.md records measured-vs-paper values.
 
 All drivers accept ``runner=RunnerConfig(...)`` to fan the grid out over
 worker processes and/or replay results from the content-addressed cache;
-the default (``None``) is the historical serial, uncached behaviour, and
-parallel runs are guaranteed to aggregate to identical tables because the
-runner returns results in job order.  They also accept
-``scheduler="ims"|"sms"`` to pick the single-cluster scheduling engine
-(the CLI's ``--scheduler``); :func:`exp_scheduler_compare` runs the
+the default (``None``) is serial and uncached, and parallel runs
+aggregate to identical tables because results are looked up by label.
+Most also accept ``scheduler="ims"|"sms"`` (the CLI's ``--scheduler``)
+and the clustered ones ``partitioner=`` (``--partitioner``);
+:func:`exp_scheduler_compare` and :func:`exp_partitioner_compare` run the
 engines head to head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 from repro.ir.ddg import Ddg
 from repro.machine.cluster import ClusteredMachine
@@ -30,8 +34,8 @@ from repro.machine.machine import Machine
 from repro.machine.presets import (IPC_SWEEP_FUS, PAPER_CLUSTER_COUNTS,
                                    clustered_machine, paper_qrf_machines,
                                    qrf_machine)
-from repro.runner import (CompileJob, PipelineOptions, RunnerConfig,
-                          run_jobs, spill_spec, sweep)
+from repro.runner import JobResult, RunnerConfig, spill_spec
+from repro.runner.sweep import Grid
 # Re-exported for backwards compatibility: the pipeline moved into the
 # runner subsystem so worker processes do not depend on this module.
 from repro.runner.pipeline import (UNROLL_MAX_FACTOR, UNROLL_MAX_OPS,  # noqa: F401
@@ -40,12 +44,12 @@ from repro.sched.mii import mii_report
 from repro.sched.partitioners import DEFAULT_PARTITIONER
 from repro.sched.strategies import DEFAULT_SCHEDULER
 
-from .metrics import (LoopOutcome, cumulative_within, fraction, mean,
-                      percentile, weighted_dynamic_ipc,
-                      weighted_static_ipc)
+from .metrics import (cumulative_within, fraction, mean, percentile,
+                      weighted_dynamic_ipc, weighted_static_ipc)
 
 __all__ = [
     "CompiledLoop", "compile_loop",
+    "Experiment", "EXPERIMENTS",
     "Fig3Result", "fig3_queue_requirements",
     "Sec2Result", "sec2_copy_impact",
     "Fig4Result", "fig4_unroll_speedup",
@@ -79,13 +83,35 @@ def _registered_partitioners() -> tuple[str, ...]:
     return _pinned_first(available_partitioners(), DEFAULT_PARTITIONER)
 
 
-def _blocks(results, size: int, n_blocks: int):
-    """Split an ordered result list into *n_blocks* consecutive blocks of
-    *size*.  Passing the block count explicitly keeps empty loop lists
-    graceful: ``size == 0`` yields one empty block per machine/variant, so
-    aggregation degrades to the pre-runner drivers' empty-row behaviour
-    instead of crashing."""
-    return [results[k * size:(k + 1) * size] for k in range(n_blocks)]
+def _ring_vs_flat(loops: Sequence[Ddg],
+                  rings: dict[Hashable, ClusteredMachine], *,
+                  do_unroll: bool, partitioner: str, use_moves: bool,
+                  runner: Optional[RunnerConfig], scheduler: str
+                  ) -> dict[Hashable, list[tuple[JobResult, JobResult]]]:
+    """Fig. 6's two passes over each labelled ring.
+
+    The flattened single-cluster machine picks each loop's unroll factor;
+    the ring then compiles at that same factor.  Returns label -> the
+    (single, ring) result pairs of the loops both compiled.
+    """
+    flat = Grid(loops)
+    for label, cm in rings.items():
+        flat.add(label, cm.flattened(),
+                 dict(do_unroll=do_unroll, copies=True, allocate=False,
+                      scheduler=scheduler))
+    singles = flat.run(runner)
+    ring = Grid(loops)
+    for label, cm in rings.items():
+        ring.add(label, cm, [
+            dict(unroll_factor=single.outcome.unroll_factor, copies=True,
+                 allocate=False, partitioner=partitioner,
+                 use_moves=use_moves, scheduler=scheduler)
+            for single in singles[label]])
+    clustered = ring.run(runner)
+    return {label: [(single, clust) for single, clust
+                    in zip(singles[label], clustered[label])
+                    if not (single.outcome.failed or clust.outcome.failed)]
+            for label in rings}
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +143,17 @@ def fig3_queue_requirements(
         buckets: tuple[int, ...] = (4, 8, 16, 32),
         *, runner: Optional[RunnerConfig] = None,
         scheduler: str = DEFAULT_SCHEDULER) -> Fig3Result:
-    machines = list(machines) if machines else paper_qrf_machines()
-    results = run_jobs(
-        sweep(loops, machines,
-              [dict(copies=True, allocate=True, scheduler=scheduler)]),
-        runner)
+    grid = Grid(loops)
+    for m in machines or paper_qrf_machines():
+        grid.add(m.name, m,
+                 dict(copies=True, allocate=True, scheduler=scheduler))
     by_machine: dict[str, dict[int, float]] = {}
     counts: dict[str, list[int]] = {}
-    for m, block in zip(machines, _blocks(results, len(loops),
-                                          len(machines))):
+    for name, block in grid.run(runner).items():
         totals = [r.outcome.total_queues for r in block
                   if not r.outcome.failed]
-        by_machine[m.name] = cumulative_within(totals, buckets)
-        counts[m.name] = totals
+        by_machine[name] = cumulative_within(totals, buckets)
+        counts[name] = totals
     return Fig3Result(buckets=buckets, by_machine=by_machine,
                       queue_counts=counts)
 
@@ -165,20 +189,21 @@ def sec2_copy_impact(loops: Sequence[Ddg],
                      *, runner: Optional[RunnerConfig] = None,
                      scheduler: str = DEFAULT_SCHEDULER) -> Sec2Result:
     machines = list(machines) if machines else paper_qrf_machines()
-    results = run_jobs(
-        sweep(loops, machines,
-              [dict(copies=False, allocate=False, scheduler=scheduler),
-               dict(copies=True, allocate=False, scheduler=scheduler)]),
-        runner)
+    grid = Grid(loops)
+    for m in machines:
+        grid.add((m.name, "base"), m,
+                 dict(copies=False, allocate=False, scheduler=scheduler))
+        grid.add((m.name, "copies"), m,
+                 dict(copies=True, allocate=False, scheduler=scheduler))
+    results = grid.run(runner)
     same_ii: dict[str, float] = {}
     same_sc: dict[str, float] = {}
     plus1: dict[str, float] = {}
     mean_copies: dict[str, float] = {}
-    variant_blocks = _blocks(results, len(loops), 2 * len(machines))
-    for k, m in enumerate(machines):
-        base_block, with_block = variant_blocks[2 * k], variant_blocks[2 * k + 1]
+    for m in machines:
         flags_ii, flags_sc, increments, copies = [], [], [], []
-        for base, with_c in zip(base_block, with_block):
+        for base, with_c in zip(results[m.name, "base"],
+                                results[m.name, "copies"]):
             if base.outcome.failed or with_c.outcome.failed:
                 continue
             flags_ii.append(with_c.outcome.ii == base.outcome.ii)
@@ -227,23 +252,23 @@ def fig4_unroll_speedup(loops: Sequence[Ddg],
                         *, runner: Optional[RunnerConfig] = None,
                         scheduler: str = DEFAULT_SCHEDULER) -> Fig4Result:
     machines = list(machines) if machines else paper_qrf_machines()
-    results = run_jobs(
-        sweep(loops, machines,
-              [dict(copies=True, allocate=False, scheduler=scheduler),
-               dict(do_unroll=True, copies=True, allocate=True,
-                    scheduler=scheduler)]),
-        runner)
+    grid = Grid(loops)
+    for m in machines:
+        grid.add((m.name, "rolled"), m,
+                 dict(copies=True, allocate=False, scheduler=scheduler))
+        grid.add((m.name, "unrolled"), m,
+                 dict(do_unroll=True, copies=True, allocate=True,
+                      scheduler=scheduler))
+    results = grid.run(runner)
     gt1: dict[str, float] = {}
     mean_spd: dict[str, float] = {}
     q32: dict[str, float] = {}
     same_sc: dict[str, float] = {}
     all_speedups: dict[str, list[float]] = {}
-    variant_blocks = _blocks(results, len(loops), 2 * len(machines))
-    for k, m in enumerate(machines):
-        base_block, unrolled_block = (variant_blocks[2 * k],
-                                      variant_blocks[2 * k + 1])
+    for m in machines:
         speedups, fits, sc_flags = [], [], []
-        for base, unrolled in zip(base_block, unrolled_block):
+        for base, unrolled in zip(results[m.name, "rolled"],
+                                  results[m.name, "unrolled"]):
             if base.outcome.failed or unrolled.outcome.failed:
                 continue
             speedups.append(base.outcome.ii
@@ -290,46 +315,22 @@ def fig6_ii_variation(loops: Sequence[Ddg],
                       use_moves: bool = False,
                       runner: Optional[RunnerConfig] = None,
                       scheduler: str = DEFAULT_SCHEDULER) -> Fig6Result:
-    cluster_counts = list(cluster_counts)
-    cms = [clustered_machine(n) for n in cluster_counts]
-    # wave 1: single-cluster baselines pick the unroll factor...
-    single_results = run_jobs(
-        sweep(loops, [cm.flattened() for cm in cms],
-              [dict(do_unroll=do_unroll, copies=True, allocate=False,
-                    scheduler=scheduler)]),
-        runner)
-    single_blocks = _blocks(single_results, len(loops), len(cms))
-    # ...wave 2 compiles the clustered machine at that same factor
-    clustered_jobs = [
-        CompileJob(ddg, cm, PipelineOptions(
-            unroll_factor=single.outcome.unroll_factor,
-            copies=True, allocate=False,
-            partitioner=partitioner, use_moves=use_moves,
-            scheduler=scheduler))
-        for cm, block in zip(cms, single_blocks)
-        for ddg, single in zip(loops, block)]
-    clustered_blocks = _blocks(run_jobs(clustered_jobs, runner),
-                               len(loops), len(cms))
-
+    pairs = _ring_vs_flat(
+        loops, {n: clustered_machine(n) for n in cluster_counts},
+        do_unroll=do_unroll, partitioner=partitioner, use_moves=use_moves,
+        runner=runner, scheduler=scheduler)
     same: dict[int, float] = {}
     plus1: dict[int, float] = {}
     mean_inc: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for n, singles, clusts in zip(cluster_counts, single_blocks,
-                                  clustered_blocks):
-        flags, incs = [], []
-        n_ok = 0
-        for single, clust in zip(singles, clusts):
-            if single.outcome.failed or clust.outcome.failed:
-                continue
-            n_ok += 1
-            flags.append(clust.outcome.ii == single.outcome.ii)
-            if clust.outcome.ii != single.outcome.ii:
-                incs.append(clust.outcome.ii - single.outcome.ii)
-        same[n] = fraction(flags)
+    for n, ok in pairs.items():
+        incs = [clust.outcome.ii - single.outcome.ii for single, clust in ok
+                if clust.outcome.ii != single.outcome.ii]
+        same[n] = fraction(clust.outcome.ii == single.outcome.ii
+                           for single, clust in ok)
         plus1[n] = fraction(i == 1 for i in incs)
         mean_inc[n] = mean(incs)
-        counts[n] = n_ok
+        counts[n] = len(ok)
     return Fig6Result(same_ii=same, increase_by_1=plus1,
                       mean_increase=mean_inc, n_scheduled=counts)
 
@@ -365,23 +366,20 @@ def sec4_cluster_queues(loops: Sequence[Ddg],
                         partitioner: str = DEFAULT_PARTITIONER,
                         runner: Optional[RunnerConfig] = None,
                         scheduler: str = DEFAULT_SCHEDULER) -> Sec4Result:
-    cluster_counts = list(cluster_counts)
-    cms = [clustered_machine(n) for n in cluster_counts]
-    results = run_jobs(
-        sweep(loops, cms,
-              [dict(do_unroll=do_unroll, copies=True, allocate=True,
-                    partitioner=partitioner, scheduler=scheduler)],
-              extras=("queue_locations",)),
-        runner)
+    cms = {n: clustered_machine(n) for n in cluster_counts}
+    grid = Grid(loops)
+    for n, cm in cms.items():
+        grid.add(n, cm, dict(do_unroll=do_unroll, copies=True,
+                             allocate=True, partitioner=partitioner,
+                             scheduler=scheduler),
+                 extras=("queue_locations",))
     fits: dict[int, float] = {}
     p95_priv: dict[int, int] = {}
     p95_ring: dict[int, int] = {}
     max_priv: dict[int, int] = {}
     max_ring: dict[int, int] = {}
-    for n, cm, block in zip(cluster_counts, cms,
-                            _blocks(results, len(loops),
-                                    len(cms))):
-        budget = cm.queue_budget
+    for n, block in grid.run(runner).items():
+        budget = cms[n].queue_budget
         flags, priv, ring = [], [], []
         for r in block:
             locations = r.extras.get("queue_locations")
@@ -451,25 +449,18 @@ def ipc_sweep(loops: Sequence[Ddg], *,
     """
     clustered_by_fus = {3 * n: clustered_machine(n)
                         for n in clustered_counts}
-    options = PipelineOptions(do_unroll=do_unroll, copies=True,
-                              allocate=False, partitioner=partitioner,
-                              scheduler=scheduler)
-    jobs: list[CompileJob] = []
-    spans: dict[int, tuple[int, int]] = {}       # n_fus -> (start, count)
-    clustered_spans: dict[int, int] = {}          # n_fus -> start
+    options = dict(do_unroll=do_unroll, copies=True, allocate=False,
+                   partitioner=partitioner, scheduler=scheduler)
+    grid = Grid(loops)
     for n_fus in fus:
         m = qrf_machine(n_fus)
-        population = list(loops)
-        if resource_constrained_only:
-            population = [l for l in loops
-                          if mii_report(l, m).resource_constrained]
-        spans[n_fus] = (len(jobs), len(population))
-        jobs.extend(CompileJob(l, m, options) for l in population)
-        cm = clustered_by_fus.get(n_fus)
-        if cm is not None:
-            clustered_spans[n_fus] = len(jobs)
-            jobs.extend(CompileJob(l, cm, options) for l in population)
-    results = run_jobs(jobs, runner)
+        population = [l for l in loops if not resource_constrained_only
+                      or mii_report(l, m).resource_constrained]
+        grid.add(("single", n_fus), m, options, loops=population)
+        if n_fus in clustered_by_fus:
+            grid.add(("ring", n_fus), clustered_by_fus[n_fus], options,
+                     loops=population)
+    results = grid.run(runner)
 
     static_s: dict[int, float] = {}
     dynamic_s: dict[int, float] = {}
@@ -477,15 +468,12 @@ def ipc_sweep(loops: Sequence[Ddg], *,
     dynamic_c: dict[int, float] = {}
     n_used: dict[int, int] = {}
     for n_fus in fus:
-        start, count = spans[n_fus]
-        outcomes = [r.outcome for r in results[start:start + count]]
+        outcomes = [r.outcome for r in results["single", n_fus]]
         static_s[n_fus] = weighted_static_ipc(outcomes)
         dynamic_s[n_fus] = weighted_dynamic_ipc(outcomes)
         n_used[n_fus] = len([o for o in outcomes if not o.failed])
-        if n_fus in clustered_spans:
-            cstart = clustered_spans[n_fus]
-            c_outcomes = [r.outcome
-                          for r in results[cstart:cstart + count]]
+        if ("ring", n_fus) in results:
+            c_outcomes = [r.outcome for r in results["ring", n_fus]]
             static_c[n_fus] = weighted_static_ipc(c_outcomes)
             dynamic_c[n_fus] = weighted_dynamic_ipc(c_outcomes)
 
@@ -534,26 +522,22 @@ def ablation_copy_tree(loops: Sequence[Ddg],
                        *, runner: Optional[RunnerConfig] = None,
                        scheduler: str = DEFAULT_SCHEDULER) -> CopyTreeAblation:
     m = machine or qrf_machine(12)
-    base_results = run_jobs(
-        sweep(loops, [m],
-              [dict(copies=False, allocate=False, scheduler=scheduler)]),
-        runner)
+    base = Grid(loops)
+    base.add("no-copies", m,
+             dict(copies=False, allocate=False, scheduler=scheduler))
     baselines: dict[str, int] = {
         ddg.name: r.outcome.ii
-        for ddg, r in zip(loops, base_results) if not r.outcome.failed}
+        for ddg, r in zip(loops, base.run(runner)["no-copies"])
+        if not r.outcome.failed}
     ok_loops = [ddg for ddg in loops if ddg.name in baselines]
-    strategy_results = run_jobs(
-        sweep(ok_loops, [m],
-              [dict(copies=True, copy_strategy=s, allocate=True,
-                    scheduler=scheduler)
-               for s in strategies]),
-        runner)
+    grid = Grid(ok_loops)
+    for strat in strategies:
+        grid.add(strat, m, dict(copies=True, copy_strategy=strat,
+                                allocate=True, scheduler=scheduler))
     same: dict[str, float] = {}
     mean_ii: dict[str, float] = {}
     mean_q: dict[str, float] = {}
-    for strat, block in zip(strategies,
-                            _blocks(strategy_results, len(ok_loops),
-                                    len(strategies))):
+    for strat, block in grid.run(runner).items():
         flags, iis, queues = [], [], []
         for ddg, r in zip(ok_loops, block):
             if r.outcome.failed:
@@ -683,16 +667,15 @@ def register_pressure(loops: Sequence[Ddg],
     from repro.machine.machine import RfKind, make_machine
 
     machines = list(machines) if machines else paper_qrf_machines()
-    jobs: list[CompileJob] = []
+    grid = Grid(loops)
     for m in machines:
-        crf = make_machine(m.n_fus, rf_kind=RfKind.CONVENTIONAL)
-        jobs.extend(CompileJob(ddg, m, PipelineOptions(
-            copies=True, allocate=True, scheduler=scheduler))
-            for ddg in loops)
-        jobs.extend(CompileJob(ddg, crf, PipelineOptions(
-            copies=False, allocate=False, scheduler=scheduler,
-            extras=("crf_registers",))) for ddg in loops)
-    results = run_jobs(jobs, runner)
+        grid.add((m.name, "qrf"), m,
+                 dict(copies=True, allocate=True, scheduler=scheduler))
+        grid.add((m.name, "crf"),
+                 make_machine(m.n_fus, rf_kind=RfKind.CONVENTIONAL),
+                 dict(copies=False, allocate=False, scheduler=scheduler),
+                 extras=("crf_registers",))
+    results = grid.run(runner)
 
     mean_q: dict[str, float] = {}
     mean_ml: dict[str, float] = {}
@@ -701,11 +684,10 @@ def register_pressure(loops: Sequence[Ddg],
     p95_q: dict[str, int] = {}
     p95_mve: dict[str, int] = {}
     mean_unroll: dict[str, float] = {}
-    blocks = _blocks(results, len(loops), 2 * len(machines))
-    for k, m in enumerate(machines):
-        q_block, c_block = blocks[2 * k], blocks[2 * k + 1]
+    for m in machines:
         queues, maxlive, rot, mve_regs, mve_unr = [], [], [], [], []
-        for q_side, c_side in zip(q_block, c_block):
+        for q_side, c_side in zip(results[m.name, "qrf"],
+                                  results[m.name, "crf"]):
             regs = c_side.extras.get("crf_registers")
             if q_side.outcome.failed or c_side.outcome.failed or not regs:
                 continue
@@ -759,14 +741,12 @@ def spill_budget(loops: Sequence[Ddg],
                  scheduler: str = DEFAULT_SCHEDULER) -> SpillBudgetResult:
     """Experiment E6b: quantify the paper's "spill code will occasionally
     be required" across hardware budgets (queues x positions)."""
-    m = machine or qrf_machine(12)
     spec = spill_spec(budgets)
-    results = run_jobs(
-        sweep(loops, [m],
-              [dict(copies=True, allocate=False, scheduler=scheduler)],
-              extras=(spec,)),
-        runner)
-    reports = [r.extras.get(spec) for r in results
+    grid = Grid(loops)
+    grid.add("spills", machine or qrf_machine(12),
+             dict(copies=True, allocate=False, scheduler=scheduler),
+             extras=(spec,))
+    reports = [r.extras.get(spec) for r in grid.run(runner)["spills"]
                if not r.outcome.failed and r.extras.get(spec)]
     frac: dict[tuple[int, int], float] = {}
     spills: dict[tuple[int, int], float] = {}
@@ -811,33 +791,15 @@ def ring_latency_sensitivity(loops: Sequence[Ddg],
     ring-queue forwarding latency?"""
     from repro.machine.cluster import make_clustered
 
-    grid = [(xlat, make_clustered(n, inter_cluster_latency=xlat))
-            for xlat in latencies for n in cluster_counts]
-    single_results = run_jobs(
-        sweep(loops, [cm.flattened() for _, cm in grid],
-              [dict(do_unroll=True, copies=True, allocate=False,
-                    scheduler=scheduler)]),
-        runner)
-    single_blocks = _blocks(single_results, len(loops), len(grid))
-    clustered_jobs = [
-        CompileJob(ddg, cm, PipelineOptions(
-            unroll_factor=single.outcome.unroll_factor,
-            copies=True, allocate=False, partitioner=partitioner,
-            scheduler=scheduler))
-        for (_, cm), block in zip(grid, single_blocks)
-        for ddg, single in zip(loops, block)]
-    clustered_blocks = _blocks(run_jobs(clustered_jobs, runner),
-                               len(loops), len(grid))
-
+    pairs = _ring_vs_flat(
+        loops, {(xlat, n): make_clustered(n, inter_cluster_latency=xlat)
+                for xlat in latencies for n in cluster_counts},
+        do_unroll=True, partitioner=partitioner, use_moves=False,
+        runner=runner, scheduler=scheduler)
     out: dict[int, dict[int, float]] = {}
-    for (xlat, cm), singles, clusts in zip(grid, single_blocks,
-                                           clustered_blocks):
-        flags = []
-        for single, clust in zip(singles, clusts):
-            if single.outcome.failed or clust.outcome.failed:
-                continue
-            flags.append(clust.outcome.ii == single.outcome.ii)
-        out.setdefault(xlat, {})[cm.n_clusters] = fraction(flags)
+    for (xlat, n), ok in pairs.items():
+        out.setdefault(xlat, {})[n] = fraction(
+            clust.outcome.ii == single.outcome.ii for single, clust in ok)
     return RingLatencyResult(same_ii=out)
 
 
@@ -879,30 +841,43 @@ def hardware_cost(loops: Sequence[Ddg],
     from repro.machine.cluster import make_clustered
     from repro.machine.machine import RfKind, make_machine
 
-    crfs = [make_machine(n_fus, rf_kind=RfKind.CONVENTIONAL)
-            for n_fus in fu_sizes]
-    results = run_jobs(
-        sweep(loops, crfs,
-              [dict(copies=False, allocate=False, scheduler=scheduler)],
-              extras=("crf_registers",)),
-        runner)
+    crfs = {n_fus: make_machine(n_fus, rf_kind=RfKind.CONVENTIONAL)
+            for n_fus in fu_sizes}
+    grid = Grid(loops)
+    for n_fus, crf in crfs.items():
+        grid.add(n_fus, crf,
+                 dict(copies=False, allocate=False, scheduler=scheduler),
+                 extras=("crf_registers",))
     registers_used: dict[int, int] = {}
     rows: dict[int, list] = {}
-    for n_fus, crf, block in zip(fu_sizes, crfs,
-                                 _blocks(results, len(loops),
-                                         len(crfs))):
+    for n_fus, block in grid.run(runner).items():
         demand = [r.extras["crf_registers"]["rotating"] for r in block
                   if not r.outcome.failed and r.extras.get("crf_registers")]
         registers = max(8, int(percentile(demand, 95)))
         cm = make_clustered(max(1, n_fus // 3))
         registers_used[n_fus] = registers
-        rows[n_fus] = cost_comparison(crf, cm, registers)
+        rows[n_fus] = cost_comparison(crfs[n_fus], cm, registers)
     return HardwareCostResult(registers_used=registers_used, rows=rows)
 
 
 # ---------------------------------------------------------------------------
-# SC -- scheduler comparison: every registered engine, head to head
+# SC / PC -- every registered engine, head to head
 # ---------------------------------------------------------------------------
+
+def _search_effort(block: Sequence[JobResult]
+                   ) -> tuple[int, int, float, float, float, float]:
+    """(compiled, failed, II == MII rate, mean II - MII, mean placement
+    attempts, mean evictions) of one engine's cell; the last two read the
+    ``sched_stats`` extra."""
+    ok = [r for r in block if not r.outcome.failed]
+    stats = [r.extras["sched_stats"] for r in ok
+             if r.extras.get("sched_stats")]
+    return (len(ok), len(block) - len(ok),
+            fraction(r.outcome.ii == r.outcome.mii for r in ok),
+            mean(r.outcome.ii - r.outcome.mii for r in ok),
+            mean(s["attempts"] for s in stats),
+            mean(s["evictions"] for s in stats))
+
 
 @dataclass
 class SchedulerCompareResult:
@@ -967,23 +942,19 @@ def exp_scheduler_compare(loops: Sequence[Ddg],
     engine pinned first so it stays the ``mii_match`` baseline no matter
     what else registers.
     """
-    from repro.sched.strategies import (DEFAULT_SCHEDULER,
-                                        available_schedulers)
+    from repro.sched.strategies import available_schedulers
 
     machines = list(machines) if machines else paper_qrf_machines()
-    if schedulers:
-        schedulers = tuple(schedulers)
-    else:
-        schedulers = _pinned_first(available_schedulers(),
-                                   DEFAULT_SCHEDULER)
-    extras = ("sched_stats", "crf_registers")
-    results = run_jobs(
-        sweep(loops, machines,
-              [dict(copies=True, allocate=True, scheduler=s,
-                    extras=extras)
-               for s in schedulers]),
-        runner)
-    blocks = _blocks(results, len(loops), len(machines) * len(schedulers))
+    engines = (tuple(schedulers) if schedulers
+               else _pinned_first(available_schedulers(),
+                                  DEFAULT_SCHEDULER))
+    grid = Grid(loops)
+    for m in machines:
+        for s in engines:
+            grid.add((m.name, s), m, dict(
+                copies=True, allocate=True, scheduler=s,
+                extras=("sched_stats", "crf_registers")))
+    results = grid.run(runner)
 
     n_ok: dict[tuple[str, str], int] = {}
     n_failed: dict[tuple[str, str], int] = {}
@@ -996,24 +967,17 @@ def exp_scheduler_compare(loops: Sequence[Ddg],
     mean_att: dict[tuple[str, str], float] = {}
     mean_evi: dict[tuple[str, str], float] = {}
     mii_match: dict[tuple[str, str], float] = {}
-
-    for mi, m in enumerate(machines):
-        per_engine = {s: blocks[mi * len(schedulers) + si]
-                      for si, s in enumerate(schedulers)}
-        base = per_engine[schedulers[0]]
-        base_hit = {ddg.name for ddg, r in zip(loops, base)
+    for m in machines:
+        base_hit = {ddg.name for ddg, r in zip(loops,
+                                               results[m.name, engines[0]])
                     if not r.outcome.failed
                     and r.outcome.ii == r.outcome.mii}
-        for s in schedulers:
-            block = per_engine[s]
+        for s in engines:
             key = (m.name, s)
+            block = results[key]
+            (n_ok[key], n_failed[key], mii_rate[key], mean_excess[key],
+             mean_att[key], mean_evi[key]) = _search_effort(block)
             ok = [r for r in block if not r.outcome.failed]
-            n_ok[key] = len(ok)
-            n_failed[key] = len(block) - len(ok)
-            mii_rate[key] = fraction(
-                r.outcome.ii == r.outcome.mii for r in ok)
-            mean_excess[key] = mean(
-                r.outcome.ii - r.outcome.mii for r in ok)
             outcomes = [r.outcome for r in block]
             static[key] = weighted_static_ipc(outcomes)
             dynamic[key] = weighted_dynamic_ipc(outcomes)
@@ -1021,12 +985,6 @@ def exp_scheduler_compare(loops: Sequence[Ddg],
             mean_ml[key] = mean(
                 r.extras["crf_registers"]["max_live"] for r in ok
                 if r.extras.get("crf_registers"))
-            mean_att[key] = mean(
-                r.extras["sched_stats"]["attempts"] for r in ok
-                if r.extras.get("sched_stats"))
-            mean_evi[key] = mean(
-                r.extras["sched_stats"]["evictions"] for r in ok
-                if r.extras.get("sched_stats"))
             # denominator: every loop the baseline hit; an engine that
             # fails outright on one of them counts as a non-match
             matched = [not r.outcome.failed
@@ -1035,7 +993,7 @@ def exp_scheduler_compare(loops: Sequence[Ddg],
                        if ddg.name in base_hit]
             mii_match[key] = fraction(matched)
     return SchedulerCompareResult(
-        schedulers=tuple(schedulers),
+        schedulers=engines,
         machines=tuple(m.name for m in machines),
         n_ok=n_ok, n_failed=n_failed, mii_rate=mii_rate,
         mean_ii_excess=mean_excess, static_ipc=static,
@@ -1043,10 +1001,6 @@ def exp_scheduler_compare(loops: Sequence[Ddg],
         mean_attempts=mean_att, mean_evictions=mean_evi,
         mii_match=mii_match)
 
-
-# ---------------------------------------------------------------------------
-# PC -- partitioner comparison: every registered engine, head to head
-# ---------------------------------------------------------------------------
 
 @dataclass
 class PartitionerCompareResult:
@@ -1104,18 +1058,16 @@ def exp_partitioner_compare(loops: Sequence[Ddg],
     lucky greedy run.  Defaults: the paper's 4/5/6-cluster rings and
     every registered engine, default engine pinned first.
     """
-    cluster_counts = list(cluster_counts)
     engines = (tuple(partitioners) if partitioners
                else _registered_partitioners())
-    cms = [clustered_machine(n) for n in cluster_counts]
-    extras = ("sched_stats", "cluster_stats")
-    results = run_jobs(
-        sweep(loops, cms,
-              [dict(copies=True, allocate=False, partitioner=p,
-                    scheduler=scheduler, extras=extras)
-               for p in engines]),
-        runner)
-    blocks = _blocks(results, len(loops), len(cms) * len(engines))
+    grid = Grid(loops)
+    for n in cluster_counts:
+        cm = clustered_machine(n)
+        for p in engines:
+            grid.add((n, p), cm, dict(
+                copies=True, allocate=False, partitioner=p,
+                scheduler=scheduler,
+                extras=("sched_stats", "cluster_stats")))
 
     n_ok: dict[tuple[int, str], int] = {}
     n_failed: dict[tuple[int, str], int] = {}
@@ -1125,32 +1077,79 @@ def exp_partitioner_compare(loops: Sequence[Ddg],
     mean_evi: dict[tuple[int, str], float] = {}
     mean_inter: dict[tuple[int, str], float] = {}
     mean_live: dict[tuple[int, str], float] = {}
-    for ci, n in enumerate(cluster_counts):
-        for pi, p in enumerate(engines):
-            block = blocks[ci * len(engines) + pi]
-            key = (n, p)
-            ok = [r for r in block if not r.outcome.failed]
-            n_ok[key] = len(ok)
-            n_failed[key] = len(block) - len(ok)
-            mii_rate[key] = fraction(
-                r.outcome.ii == r.outcome.mii for r in ok)
-            mean_excess[key] = mean(
-                r.outcome.ii - r.outcome.mii for r in ok)
-            mean_att[key] = mean(
-                r.extras["sched_stats"]["attempts"] for r in ok
-                if r.extras.get("sched_stats"))
-            mean_evi[key] = mean(
-                r.extras["sched_stats"]["evictions"] for r in ok
-                if r.extras.get("sched_stats"))
-            mean_inter[key] = mean(
-                r.extras["cluster_stats"]["inter_cluster_edges"]
-                for r in ok if r.extras.get("cluster_stats"))
-            mean_live[key] = mean(
-                r.extras["cluster_stats"]["max_cluster_live"]
-                for r in ok if r.extras.get("cluster_stats"))
+    for key, block in grid.run(runner).items():
+        (n_ok[key], n_failed[key], mii_rate[key], mean_excess[key],
+         mean_att[key], mean_evi[key]) = _search_effort(block)
+        stats = [r.extras["cluster_stats"] for r in block
+                 if not r.outcome.failed and r.extras.get("cluster_stats")]
+        mean_inter[key] = mean(s["inter_cluster_edges"] for s in stats)
+        mean_live[key] = mean(s["max_cluster_live"] for s in stats)
     return PartitionerCompareResult(
         partitioners=engines, cluster_counts=tuple(cluster_counts),
         n_ok=n_ok, n_failed=n_failed, mii_rate=mii_rate,
         mean_ii_excess=mean_excess, mean_attempts=mean_att,
         mean_evictions=mean_evi, mean_inter_cluster=mean_inter,
         mean_cluster_live=mean_live)
+
+
+# ---------------------------------------------------------------------------
+# The experiment table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: what it reproduces and how to run it."""
+
+    description: str
+    driver: Callable[..., Any]
+    #: the engine knobs (``"scheduler"``, ``"partitioner"``) the driver
+    #: takes; the head-to-head comparisons sweep the others themselves
+    engines: tuple[str, ...] = ("scheduler",)
+
+    def run(self, loops: Sequence[Ddg],
+            runner: Optional[RunnerConfig] = None, *,
+            scheduler: str = DEFAULT_SCHEDULER,
+            partitioner: str = DEFAULT_PARTITIONER) -> Any:
+        """The driver's result on *loops* under the chosen engines."""
+        chosen = {"scheduler": scheduler, "partitioner": partitioner}
+        return self.driver(loops, runner=runner,
+                           **{knob: chosen[knob] for knob in self.engines})
+
+
+_BOTH = ("scheduler", "partitioner")
+
+#: experiment id -> :class:`Experiment`, in the order ``experiment
+#: --list`` prints them.
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig3": Experiment("Fig. 3: loops schedulable within N queues",
+                       fig3_queue_requirements),
+    "sec2": Experiment("Section 2: copy-insertion impact on II / stage "
+                       "count", sec2_copy_impact),
+    "fig4": Experiment("Fig. 4: II speedup from loop unrolling",
+                       fig4_unroll_speedup),
+    "fig6": Experiment("Fig. 6: clustered vs single-cluster II",
+                       fig6_ii_variation, _BOTH),
+    "sec4": Experiment("Section 4 / Fig. 7: per-cluster queue budgets",
+                       sec4_cluster_queues, _BOTH),
+    "fig8": Experiment("Fig. 8: IPC sweep, all loops", fig8_ipc, _BOTH),
+    "fig9": Experiment("Fig. 9: IPC sweep, resource-constrained loops",
+                       fig9_ipc_rc, _BOTH),
+    "a1": Experiment("ablation: copy fan-out tree strategy",
+                     ablation_copy_tree),
+    "a2": Experiment("ablation: cluster-partition heuristic",
+                     ablation_partition),
+    "a3": Experiment("ablation: explicit inter-cluster MOVE ops",
+                     ablation_moves, _BOTH),
+    "a4": Experiment("sensitivity: inter-cluster ring latency",
+                     ring_latency_sensitivity, _BOTH),
+    "s1": Experiment("supplementary: register pressure, QRF vs "
+                     "conventional RF", register_pressure),
+    "s2": Experiment("supplementary: register-file hardware cost",
+                     hardware_cost),
+    "e6b": Experiment("spill code under finite queue files",
+                      spill_budget),
+    "sc": Experiment("scheduler comparison: all registered engines head "
+                     "to head", exp_scheduler_compare, ()),
+    "pc": Experiment("partitioner comparison: all registered engines "
+                     "head to head", exp_partitioner_compare),
+}

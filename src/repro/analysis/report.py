@@ -1,9 +1,8 @@
-"""ASCII rendering helpers: bar charts and experiment bundles.
+"""ASCII rendering helpers: bar charts and series tables.
 
 The paper's figures are bar charts and line plots; in a terminal-only
 environment we render them as labelled ASCII bars so a reader can eyeball
-the same shapes.  ``full_report`` strings several experiments together --
-that is what the CLI's ``report`` command and EXPERIMENTS.md use.
+the same shapes.
 """
 
 from __future__ import annotations
@@ -55,29 +54,3 @@ def series_table(x_label: str, xs: Sequence[int],
                          else " " * 18)
         lines.append(f"{x:>5} " + " ".join(cells))
     return "\n".join(lines)
-
-
-def full_report(loops, *, include_sweep: bool = False,
-                runner=None) -> str:
-    """Run the paper's headline experiments on *loops* and bundle the
-    rendered outputs (the IPC sweep is optional -- it dominates runtime).
-
-    *runner* is an optional :class:`repro.runner.RunnerConfig`; it is
-    threaded through every driver, so ``--jobs N`` parallelises and the
-    result cache accelerates the whole bundle.
-    """
-    from .experiments import (fig3_queue_requirements, fig4_unroll_speedup,
-                              fig6_ii_variation, fig8_ipc, sec2_copy_impact,
-                              sec4_cluster_queues)
-
-    parts = [
-        fig3_queue_requirements(loops, runner=runner).render(),
-        sec2_copy_impact(loops, runner=runner).render(),
-        fig4_unroll_speedup(loops, runner=runner).render(),
-        fig6_ii_variation(loops, runner=runner).render(),
-        sec4_cluster_queues(loops, runner=runner).render(),
-    ]
-    if include_sweep:
-        parts.append(fig8_ipc(loops, runner=runner).render())
-    sep = "\n\n" + "=" * 72 + "\n\n"
-    return sep.join(parts)

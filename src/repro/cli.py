@@ -18,7 +18,7 @@ Subcommands:
 * ``repro-vliw report``             -- the perf observatory: trend
   tables + HTML dashboard over the committed ``BENCH_*.json`` records
   and the bench history (``--check`` gates regressions, ``--append``
-  grows the history; ``--experiments`` is the old experiment bundle)
+  grows the history)
 * ``repro-vliw trace <kernel>``     -- compile one kernel with tracing
   on and print the per-stage time breakdown (``schedule --trace`` does
   the same after the normal schedule dump)
@@ -57,59 +57,6 @@ from repro.sched.strategies import (DEFAULT_SCHEDULER, available_schedulers,
 from repro.sim.checker import run_pipeline
 from repro.workloads.corpus import bench_corpus, corpus_stats, paper_corpus
 from repro.workloads.kernels import KERNELS, kernel
-
-#: experiment id -> (one-line description, driver invocation).  The lambda
-#: takes (loops, runner, scheduler, partitioner) so ``--scheduler`` and
-#: ``--partitioner`` thread through every driver; the compare experiments
-#: (``sc``, ``pc``) and the partition ablation sweep all engines
-#: themselves.
-EXPERIMENTS = {
-    "fig3": ("Fig. 3: loops schedulable within N queues",
-             lambda ex, l, r, s, p: ex.fig3_queue_requirements(
-                 l, runner=r, scheduler=s)),
-    "sec2": ("Section 2: copy-insertion impact on II / stage count",
-             lambda ex, l, r, s, p: ex.sec2_copy_impact(
-                 l, runner=r, scheduler=s)),
-    "fig4": ("Fig. 4: II speedup from loop unrolling",
-             lambda ex, l, r, s, p: ex.fig4_unroll_speedup(
-                 l, runner=r, scheduler=s)),
-    "fig6": ("Fig. 6: clustered vs single-cluster II",
-             lambda ex, l, r, s, p: ex.fig6_ii_variation(
-                 l, runner=r, scheduler=s, partitioner=p)),
-    "sec4": ("Section 4 / Fig. 7: per-cluster queue budgets",
-             lambda ex, l, r, s, p: ex.sec4_cluster_queues(
-                 l, runner=r, scheduler=s, partitioner=p)),
-    "fig8": ("Fig. 8: IPC sweep, all loops",
-             lambda ex, l, r, s, p: ex.fig8_ipc(
-                 l, runner=r, scheduler=s, partitioner=p)),
-    "fig9": ("Fig. 9: IPC sweep, resource-constrained loops",
-             lambda ex, l, r, s, p: ex.fig9_ipc_rc(
-                 l, runner=r, scheduler=s, partitioner=p)),
-    "a1": ("ablation: copy fan-out tree strategy",
-           lambda ex, l, r, s, p: ex.ablation_copy_tree(
-               l, runner=r, scheduler=s)),
-    "a2": ("ablation: cluster-partition heuristic",
-           lambda ex, l, r, s, p: ex.ablation_partition(
-               l, runner=r, scheduler=s)),
-    "a3": ("ablation: explicit inter-cluster MOVE ops",
-           lambda ex, l, r, s, p: ex.ablation_moves(
-               l, runner=r, scheduler=s, partitioner=p)),
-    "a4": ("sensitivity: inter-cluster ring latency",
-           lambda ex, l, r, s, p: ex.ring_latency_sensitivity(
-               l, runner=r, scheduler=s, partitioner=p)),
-    "s1": ("supplementary: register pressure, QRF vs conventional RF",
-           lambda ex, l, r, s, p: ex.register_pressure(
-               l, runner=r, scheduler=s)),
-    "e6b": ("spill code under finite queue files",
-            lambda ex, l, r, s, p: ex.spill_budget(
-                l, runner=r, scheduler=s)),
-    "sc": ("scheduler comparison: all registered engines head to head",
-           lambda ex, l, r, s, p: ex.exp_scheduler_compare(l, runner=r)),
-    "pc": ("partitioner comparison: all registered engines head to head",
-           lambda ex, l, r, s, p: ex.exp_partitioner_compare(
-               l, runner=r, scheduler=s)),
-}
-
 
 def _loops(args) -> list:
     if args.full:
@@ -236,11 +183,11 @@ def cmd_trace(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from repro.analysis import experiments as ex
+    from repro.analysis.experiments import EXPERIMENTS
 
     if args.list:
-        for exp_id, (descr, _) in EXPERIMENTS.items():
-            print(f"{exp_id:<6} {descr}")
+        for exp_id, exp in EXPERIMENTS.items():
+            print(f"{exp_id:<6} {exp.description}")
         return 0
     if args.id is None:
         print("experiment: id required (or --list)", file=sys.stderr)
@@ -249,10 +196,22 @@ def cmd_experiment(args) -> int:
         print(f"unknown experiment {args.id!r}; available: "
               f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    _, drive = EXPERIMENTS[args.id]
-    print(drive(ex, _loops(args), _runner(args), args.scheduler,
-                args.partitioner).render())
+    print(EXPERIMENTS[args.id].run(
+        _loops(args), _runner(args), scheduler=args.scheduler,
+        partitioner=args.partitioner).render())
     return 0
+
+
+class _ExperimentHelp(argparse.HelpFormatter):
+    """Names the experiment ids only when help is printed, so building
+    the parser (the ``serve`` daemon does) never imports the drivers."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        if action.dest == "id":
+            from repro.analysis.experiments import EXPERIMENTS
+
+            return f"one of: {', '.join(EXPERIMENTS)}"
+        return super()._get_help_string(action)
 
 
 def cmd_schedulers(args) -> int:
@@ -270,24 +229,15 @@ def cmd_partitioners(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """The perf observatory (default) or the old experiment bundle.
+    """The perf observatory.
 
-    The default ingests the ``BENCH_*.json`` records beside the history
-    file, prints the per-metric trend table (robust median+MAD gate with
-    the fixed-ratio fallback on short history) and renders the static
-    HTML dashboard.  ``--check`` exits 1 when any gated metric is
-    flagged; ``--append`` folds the fresh records into the history
-    *after* gating, so a run never vouches for itself.
-    ``--experiments`` restores the previous behaviour (the headline
-    experiment bundle, with ``--sweep`` for the slow IPC sweep).
+    Ingests the ``BENCH_*.json`` records beside the history file, prints
+    the per-metric trend table (robust median+MAD gate with the
+    fixed-ratio fallback on short history) and renders the static HTML
+    dashboard.  ``--check`` exits 1 when any gated metric is flagged;
+    ``--append`` folds the fresh records into the history *after*
+    gating, so a run never vouches for itself.
     """
-    if args.experiments:
-        from repro.analysis.report import full_report
-
-        print(full_report(_loops(args), include_sweep=args.sweep,
-                          runner=_runner(args)))
-        return 0
-
     import json
     import os
     import pathlib
@@ -712,9 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
                       "print the per-stage time breakdown")
     kernel_flags(pt)
 
-    pe = sub.add_parser("experiment", help="run one paper experiment")
+    pe = sub.add_parser("experiment", help="run one paper experiment",
+                        formatter_class=_ExperimentHelp)
     pe.add_argument("id", nargs="?", default=None,
-                    help=f"one of: {', '.join(EXPERIMENTS)}")
+                    help="experiment id (see --list)")
     pe.add_argument("--list", action="store_true",
                     help="list the available experiments and exit")
     pe.add_argument("--scheduler", default=DEFAULT_SCHEDULER,
@@ -780,12 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--append", action="store_true",
                     help="append the fresh records to the history file "
                          "after gating")
-    pr.add_argument("--experiments", action="store_true",
-                    help="print the headline experiment bundle instead "
-                         "(the previous `report` behaviour)")
-    pr.add_argument("--sweep", action="store_true",
-                    help="include the (slow) IPC sweep "
-                         "(with --experiments)")
 
     pb = sub.add_parser(
         "bench", help="run a named benchmark and gate it against "

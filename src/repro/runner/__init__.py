@@ -13,14 +13,17 @@ cache without recompiling.
 
 Typical use::
 
-    from repro.runner import RunnerConfig, ShardedResultCache, run_jobs, sweep
+    from repro.runner import Grid, RunnerConfig, ShardedResultCache
 
-    jobs = sweep(loops, machines, [dict(copies=True, allocate=True)])
-    results = run_jobs(jobs, RunnerConfig(n_workers=4,
-                                          cache=ShardedResultCache()))
+    grid = Grid(loops)
+    for m in machines:
+        grid.add(m.name, m, dict(copies=True, allocate=True))
+    results = grid.run(RunnerConfig(n_workers=4,
+                                    cache=ShardedResultCache()))
+    results["queu-4fu"]         # one JobResult per loop, in loop order
 
-The CLI exposes this as ``repro-vliw --jobs N [--no-cache] experiment/
-report``; benchmarks pick the same knobs up from ``REPRO_JOBS`` /
+The CLI exposes this as ``repro-vliw --jobs N [--no-cache] experiment``;
+benchmarks pick the same knobs up from ``REPRO_JOBS`` /
 ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR``.
 """
 
@@ -33,7 +36,7 @@ from .job import CompileJob, JobResult, PipelineOptions
 from .pipeline import (CompiledLoop, compile_loop, compute_extra,
                        execute_job, spill_spec)
 from .pool import PoolSession, close_all_sessions, get_session
-from .sweep import as_options, sweep
+from .sweep import Grid, as_options, sweep
 
 __all__ = [
     "CACHE_DIR_ENV", "ShardedResultCache",
@@ -44,5 +47,5 @@ __all__ = [
     "CompileJob", "JobResult", "PipelineOptions",
     "CompiledLoop", "compile_loop", "compute_extra", "execute_job",
     "spill_spec",
-    "as_options", "sweep",
+    "Grid", "as_options", "sweep",
 ]

@@ -33,7 +33,10 @@ from repro.machine.machine import Machine
 #:     a verified and an unverified compile must never share a record.
 #: v6: options signature lost the II search mode (each engine has one
 #:     walk); v5 keys carry the field and must not alias the new ones.
-SCHEMA_VERSION = 6
+#: v7: options signature names only the engine the machine runs: no
+#:     ``scheduler`` on rings, no ``partitioner``/``use_moves`` on
+#:     single-cluster machines.
+SCHEMA_VERSION = 7
 
 
 #: ``DepKind.value`` by edge-table kind code.

@@ -21,8 +21,9 @@ from typing import Optional
 
 from repro.analysis.metrics import LoopOutcome
 from repro.ir.ddg import Ddg
-from repro.sched.partitioners import DEFAULT_PARTITIONER
-from repro.sched.strategies import DEFAULT_SCHEDULER
+from repro.machine.cluster import ClusteredMachine
+from repro.sched.partitioners import DEFAULT_PARTITIONER, check_partitioner
+from repro.sched.strategies import DEFAULT_SCHEDULER, check_scheduler
 
 from .fingerprint import job_key
 
@@ -33,8 +34,10 @@ class PipelineOptions:
 
     ``scheduler`` names the single-cluster scheduling engine (see
     :mod:`repro.sched.strategies`) and ``partitioner`` the clustered
-    engine (see :mod:`repro.sched.partitioners`); both participate in the
-    job signature, so cached results can never alias across engines.
+    engine (see :mod:`repro.sched.partitioners`).  The job signature
+    names only the engine that runs on the job's machine, so cached
+    results never alias across engines, and an engine field the machine
+    ignores never splits one compile into two keys.
 
     ``extras`` names derived metrics to compute in the worker after the
     pipeline runs; see ``EXTRA_EXTRACTORS`` in
@@ -56,6 +59,13 @@ class PipelineOptions:
     verify: bool = False
     extras: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        # an unknown engine name never becomes a job: the key leaves out
+        # the engine a machine ignores, so a job that carried one would
+        # fail when compiled but replay a success from the cache
+        check_scheduler(self.scheduler)
+        check_partitioner(self.partitioner)
+
     def compile_kwargs(self) -> dict:
         """Keyword arguments for ``compile_loop`` (extras excluded)."""
         out = {f.name: getattr(self, f.name)
@@ -63,10 +73,15 @@ class PipelineOptions:
         out.pop("extras")
         return out
 
-    def signature(self) -> dict:
-        """JSON-shaped content signature (feeds the job key)."""
+    def signature(self, machine: object) -> dict:
+        """JSON-shaped content signature on *machine* (feeds the job
+        key): rings run the partitioner (with MOVEs when ``use_moves``),
+        single-cluster machines the scheduler, and the signature drops
+        the fields the machine ignores."""
+        ignored = (("scheduler",) if isinstance(machine, ClusteredMachine)
+                   else ("partitioner", "use_moves"))
         sig = {f.name: getattr(self, f.name)
-               for f in dataclasses.fields(self)}
+               for f in dataclasses.fields(self) if f.name not in ignored}
         sig["extras"] = list(self.extras)
         return sig
 
@@ -85,7 +100,7 @@ class CompileJob:
         """Content-hash identity of this job (cached after first use)."""
         if self._key is None:
             self._key = job_key(self.ddg, self.machine,
-                                self.options.signature())
+                                self.options.signature(self.machine))
         return self._key
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -69,8 +69,6 @@ from repro.ir.copyins import COPY_STRATEGIES
 from repro.ir.ddg import Ddg
 from repro.machine.presets import clustered_machine, crf_machine, qrf_machine
 from repro.runner.fingerprint import canonical_json
-from repro.sched.partitioners import check_partitioner
-from repro.sched.strategies import check_scheduler
 from repro.runner.job import CompileJob, PipelineOptions
 from repro.runner.pipeline import EXTRA_EXTRACTORS
 from repro.workloads.kernels import KERNELS
@@ -389,10 +387,8 @@ def parse_options(spec: object) -> PipelineOptions:
     _check_fields(spec, _OPTION_TYPES, "option")
     if "extras" in spec:
         spec["extras"] = tuple(spec["extras"])
-    options = PipelineOptions(**spec)
     try:
-        check_scheduler(options.scheduler)
-        check_partitioner(options.partitioner)
+        options = PipelineOptions(**spec)      # checks the engine names
     except KeyError as exc:
         raise JobSpecError(str(exc.args[0]) if exc.args
                            else str(exc)) from None

@@ -19,6 +19,12 @@ LEGACY_KERNELS_ENV = "REPRO_KERNELS"
 LEGACY_KERNELS_VALUES = ("python", "numpy")
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "paper_shapes: the paper-shape suite (tests/paper/): "
+                   "every experiment's figure shape and golden table")
+
+
 @pytest.fixture(params=LEGACY_KERNELS_VALUES)
 def legacy_kernels_env(request, monkeypatch):
     """Run the test once with ``REPRO_KERNELS`` set to each name the old

@@ -23,7 +23,7 @@ def _grid():
     option sets -- 120 jobs, all on machines that can schedule them."""
     return sweep(all_kernels(), [qrf_machine(4), qrf_machine(8)],
                  [dict(copies=True, allocate=False),
-                  dict(copies=True, allocate=True)])
+                  dict(copies=True, allocate=True)]).jobs
 
 
 def test_fault_storm_matches_the_fault_free_run(tmp_path):

@@ -1,0 +1,302 @@
+"""The paper's shapes: every experiment in the table, untimed.
+
+Each experiment of :data:`repro.analysis.experiments.EXPERIMENTS` runs
+once per session on ``bench_corpus()`` (160 synthetic loops plus the 30
+named kernels), all of them through one shared result cache, and then:
+
+* ``test_paper_shape`` asserts the shape of its figure -- the checks the
+  ``benchmarks/bench_*.py`` files used to make after timing the run,
+  moved here unchanged;
+* ``test_table_matches_golden`` compares its rendered table with
+  ``data/<id>.txt``, which is exactly what ``repro-vliw experiment
+  <id>`` prints.  A change that moves a table on purpose regenerates the
+  file and says so::
+
+      PYTHONPATH=src python -m repro.cli --no-cache experiment <id> \\
+          > tests/paper/data/<id>.txt
+
+Select the suite alone with ``pytest -m paper_shapes``.
+"""
+
+import pathlib
+
+import pytest
+
+from repro.analysis.experiments import EXPERIMENTS, fig8_ipc
+from repro.runner import RunnerConfig, ShardedResultCache
+from repro.workloads.corpus import bench_corpus
+
+pytestmark = pytest.mark.paper_shapes
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.fixture(scope="session")
+def loops():
+    return bench_corpus()
+
+
+@pytest.fixture(scope="session")
+def shared_runner(tmp_path_factory):
+    """One serial runner whose cache every experiment shares: a job
+    compiled for one figure is replayed for the next."""
+    return RunnerConfig(cache=ShardedResultCache(
+        tmp_path_factory.mktemp("paper-shapes-cache")))
+
+
+@pytest.fixture(scope="session")
+def experiment_result(loops, shared_runner):
+    """exp_id -> the experiment's result, computed once per session."""
+    memo = {}
+
+    def result(exp_id):
+        if exp_id not in memo:
+            memo[exp_id] = EXPERIMENTS[exp_id].run(loops, shared_runner)
+        return memo[exp_id]
+    return result
+
+
+# -- one shape check per experiment (from benchmarks/bench_<name>.py) ------
+
+def fig3_shape(result, loops, runner):          # bench_fig3_queues.py
+    for machine, row in result.by_machine.items():
+        # cumulative by construction
+        assert row[4] <= row[8] <= row[16] <= row[32], machine
+        # paper shape: 32 queues cover (nearly) everything
+        assert row[32] >= 0.95, machine
+        # and 4 queues are nowhere near enough on their own
+        assert row[4] < row[32], machine
+
+
+def sec2_shape(result, loops, runner):          # bench_sec2_copyops.py
+    for machine in result.same_ii:
+        # large majority keeps the II on every machine
+        assert result.same_ii[machine] >= 0.70, machine
+        # of the loops that change, the typical increase is one cycle
+        assert result.ii_increase_by_1[machine] >= 0.5, machine
+    # narrow machines absorb copies best (big II -> plenty of slack)
+    assert result.same_ii["queu-4fu"] >= result.same_ii["queu-12fu"] - 0.02
+
+
+def fig4_shape(result, loops, runner):          # bench_fig4_unroll.py
+    names = list(result.speedup_gt1)
+    # monotone benefit with machine width (4 -> 6 -> 12 FUs)
+    assert result.speedup_gt1[names[0]] <= result.speedup_gt1[names[1]] \
+        <= result.speedup_gt1[names[2]] + 0.02
+    # the widest machine sees a substantial fraction of winners
+    assert result.speedup_gt1[names[2]] >= 0.30
+    # unrolling never hurts (fallback keeps the rolled loop)
+    for machine in names:
+        assert all(s >= 1.0 - 1e-9 for s in result.speedups[machine])
+    # Section 3: >= 90% of loops within 32 queues even after unrolling
+    for machine in names:
+        assert result.queues_le_32[machine] >= 0.9
+
+
+def fig6_shape(result, loops, runner):          # bench_fig6_partition.py
+    # paper shape: degradation as the ring grows
+    assert result.same_ii[4] >= result.same_ii[5] >= result.same_ii[6]
+    # 4 clusters nearly always match the single-cluster II
+    assert result.same_ii[4] >= 0.85
+    # 6 clusters lose a substantial fraction (paper: down to 52%)
+    assert result.same_ii[6] <= result.same_ii[4]
+    # increases are small
+    for n in (4, 5, 6):
+        if result.mean_increase[n]:
+            assert result.mean_increase[n] <= 3.0
+
+
+def sec4_shape(result, loops, runner):     # bench_sec4_cluster_queues.py
+    for n in (4, 5, 6):
+        # the 8+8+8 budget covers the vast majority of loops
+        assert result.fits_budget[n] >= 0.8, n
+        # ring pressure stays low (communication is the minority of
+        # lifetimes under the affinity partitioner)
+        assert result.p95_ring[n] <= 8, n
+
+
+def fig8_shape(result, loops, runner):          # bench_fig8_ipc_all.py
+    # growth with machine width, per series
+    assert result.static_single[18] > result.static_single[4]
+    assert result.dynamic_single[18] > result.dynamic_single[4]
+    # dynamic accounts for prologue/epilogue: never above static
+    for n in result.fus:
+        assert result.dynamic_single[n] <= result.static_single[n] + 1e-9
+    # clustered points exist exactly at 12/15/18 and do not beat the
+    # unconstrained machine
+    assert sorted(result.static_clustered) == [12, 15, 18]
+    for n in (12, 15, 18):
+        assert result.static_clustered[n] <= \
+            result.static_single[n] + 1e-9
+
+
+def fig9_shape(result, loops, runner):          # bench_fig9_ipc_rc.py
+    assert result.static_single[18] > result.static_single[4]
+    for n in result.fus:
+        assert result.dynamic_single[n] <= result.static_single[n] + 1e-9
+
+    # the resource-constrained population uses the machine at least as
+    # well as the full corpus at the widest point
+    full = fig8_ipc(loops, fus=(18,), clustered_counts=(), runner=runner)
+    assert result.static_single[18] >= full.static_single[18] - 1e-9
+
+
+def a1_shape(result, loops, runner):        # bench_ablation_copytree.py
+    assert set(result.same_ii) == {"chain", "balanced", "slack"}
+    # finding: with realistic fan-outs (mostly 2-3 consumers) the tree
+    # shape barely matters -- all strategies land within a couple of
+    # points of each other; the slack-aware tree must not be *worse*
+    # than the naive chain beyond noise
+    assert result.same_ii["slack"] >= result.same_ii["chain"] - 0.03
+    assert result.same_ii["slack"] >= result.same_ii["balanced"] - 0.03
+    # and never needs more queues on average than the chain beyond noise
+    assert result.mean_queues["slack"] <= result.mean_queues["chain"] + 1.0
+
+
+def a2_shape(result, loops, runner):       # bench_ablation_partition.py
+    from repro.sched.partitioners import available_partitioners
+
+    same = result.same_ii
+    assert set(same) == set(available_partitioners())
+    # finding: once forced placement + deadlock aging are in place, the
+    # cluster-choice policy matters surprisingly little (all strategies
+    # land within a few points) -- the backtracking machinery, not the
+    # greedy choice, carries the result.  Affinity must stay within noise
+    # of the best.
+    best = max(same.values())
+    assert same["affinity"] >= best - 0.06
+    # and every strategy produces a usable partitioner
+    for strat, frac in same.items():
+        assert frac >= 0.5, strat
+
+
+def a3_shape(result, loops, runner):           # bench_ablation_moves.py
+    for n in (5, 6):
+        # moves never hurt: the scheduler keeps the strict schedule when
+        # it is at least as good
+        assert result.with_moves[n] >= result.without_moves[n] - 1e-9
+
+
+def a4_shape(result, loops, runner):           # bench_a4_ring_latency.py
+    same = result.same_ii
+    for n in (4, 6):
+        # more latency can only hurt (same or worse), and the decline is
+        # graceful, not a cliff
+        assert same[0][n] >= same[1][n] - 1e-9
+        assert same[1][n] >= same[2][n] - 0.05
+        assert same[2][n] >= same[0][n] - 0.35
+    # the cluster-count ordering from Fig. 6 survives added latency
+    for xlat in (0, 1, 2):
+        assert same[xlat][4] >= same[xlat][6]
+
+
+def s1_shape(result, loops, runner):    # bench_s1_register_pressure.py
+    for name in result.mean_queues:
+        # the ordering MaxLive <= rotating <= MVE must hold machine-wide
+        assert result.mean_max_live[name] <= \
+            result.mean_rotating[name] + 1e-9
+        assert result.mean_rotating[name] <= \
+            result.mean_mve_regs[name] + 2.0
+        # a static RF needs kernel replication; wider machines more so
+        assert result.mean_mve_unroll[name] >= 1.0
+    names = list(result.mean_queues)
+    assert result.mean_mve_unroll[names[-1]] >= \
+        result.mean_mve_unroll[names[0]]
+
+
+def s2_shape(result, loops, runner):       # bench_s2_hardware_cost.py
+    for n_fus, (mono, flat, clustered) in result.rows.items():
+        # the paper's exact number at 12 FUs
+        if n_fus == 12:
+            assert mono.ports == 36
+        # the QRF access path never slows down with machine width; the
+        # monolithic RF does
+        assert clustered.relative_delay < mono.relative_delay
+        # area per storage cell: ports^2 kills the monolithic design
+        assert (clustered.area / clustered.storage_cells
+                < mono.area / mono.storage_cells)
+    # and the monolithic delay diverges with width
+    widths = sorted(result.rows)
+    assert result.rows[widths[-1]][0].relative_delay > \
+        result.rows[widths[0]][0].relative_delay
+
+
+def e6b_shape(result, loops, runner):             # bench_e6b_spills.py
+    frac = result.no_spill_fraction
+    # more hardware -> fewer spills, monotonically
+    assert frac[(4, 8)] <= frac[(8, 8)] <= frac[(16, 16)] <= frac[(32, 16)]
+    # the Fig. 3 claim in spill terms: 32 queues eliminate spilling
+    assert frac[(32, 16)] >= 0.99
+    # and the mean spill count mirrors it
+    assert result.mean_spills[(32, 16)] <= result.mean_spills[(4, 8)]
+
+
+def sc_shape(result, loops, runner):       # bench_scheduler_compare.py
+    assert set(result.schedulers) >= {"ims", "sms"}
+    assert len(result.machines) >= 3
+    for m in result.machines:
+        ims, sms = (m, "ims"), (m, "sms")
+        assert result.n_failed[ims] == 0 and result.n_failed[sms] == 0
+        # acceptance criterion: SMS keeps (nearly) all of IMS's MII hits
+        assert result.mii_match[sms] >= 0.8, m
+        # near-backtrack-free search
+        assert result.mean_evictions[sms] == 0.0
+        assert (result.mean_attempts[sms]
+                <= result.mean_attempts[ims] + 1e-9), m
+        # lifetime-minimising placement: no extra register pressure
+        assert (result.mean_max_live[sms]
+                <= result.mean_max_live[ims] + 0.5), m
+
+
+def pc_shape(result, loops, runner):     # bench_partitioner_compare.py
+    from repro.sched.partitioners import available_partitioners
+
+    engines = set(result.partitioners)
+    assert engines == set(available_partitioners())
+    assert result.partitioners[0] == "affinity"  # the baseline stays first
+
+    for n in result.cluster_counts:
+        for p in result.partitioners:
+            key = (n, p)
+            # every engine schedules the (schedulable) corpus
+            assert result.n_ok[key] > 0
+            assert result.n_failed[key] == 0
+            # II never beats MII; excess stays small on the bench corpus
+            assert result.mean_ii_excess[key] >= 0.0
+            assert result.mean_ii_excess[key] <= 3.0
+        # locality: affinity-guided engines move fewer values across the
+        # ring than the load-only baseline
+        assert (result.mean_inter_cluster[(n, "affinity")]
+                <= result.mean_inter_cluster[(n, "balance")] + 1e-9)
+        assert (result.mean_inter_cluster[(n, "agglomerative")]
+                <= result.mean_inter_cluster[(n, "balance")] + 1e-9)
+
+    # the two-phase pre-assignment holds II quality at the hardest ring
+    worst = max(result.cluster_counts)
+    assert (result.mii_rate[(worst, "agglomerative")]
+            >= result.mii_rate[(worst, "affinity")] - 0.05)
+
+
+SHAPES = {
+    "fig3": fig3_shape, "sec2": sec2_shape, "fig4": fig4_shape,
+    "fig6": fig6_shape, "sec4": sec4_shape, "fig8": fig8_shape,
+    "fig9": fig9_shape, "a1": a1_shape, "a2": a2_shape, "a3": a3_shape,
+    "a4": a4_shape, "s1": s1_shape, "s2": s2_shape, "e6b": e6b_shape,
+    "sc": sc_shape, "pc": pc_shape,
+}
+
+
+def test_every_experiment_has_a_shape_and_a_golden_table():
+    assert list(SHAPES) == list(EXPERIMENTS)
+    assert sorted(p.stem for p in DATA.glob("*.txt")) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+def test_paper_shape(exp_id, experiment_result, loops, shared_runner):
+    SHAPES[exp_id](experiment_result(exp_id), loops, shared_runner)
+
+
+@pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+def test_table_matches_golden(exp_id, experiment_result):
+    golden = (DATA / f"{exp_id}.txt").read_text()
+    assert experiment_result(exp_id).render() + "\n" == golden

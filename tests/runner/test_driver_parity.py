@@ -1,15 +1,15 @@
-"""Driver-level determinism: every refactored experiment driver renders
+"""Driver-level determinism: every experiment in the table renders
 identical tables whether it runs serially, in parallel, or from cache --
-the acceptance invariant behind ``repro-vliw report --jobs N``."""
+the check that catches a result looked up under the wrong label."""
 
 import random
 
 import pytest
 
-from repro.analysis.experiments import (fig3_queue_requirements,
-                                        fig6_ii_variation, register_pressure,
-                                        sec2_copy_impact, sec4_cluster_queues,
-                                        spill_budget)
+from repro.analysis.experiments import (EXPERIMENTS,
+                                        fig3_queue_requirements,
+                                        fig6_ii_variation,
+                                        sec4_cluster_queues)
 from repro.runner import RunnerConfig, ShardedResultCache
 from repro.workloads.kernels import all_kernels
 from repro.workloads.synth import SynthConfig, generate_loop
@@ -28,18 +28,15 @@ def parallel_cached(tmp_path):
     return RunnerConfig(n_workers=2, cache=ShardedResultCache(tmp_path))
 
 
-@pytest.mark.parametrize("driver", [
-    fig3_queue_requirements,
-    sec2_copy_impact,
-    sec4_cluster_queues,
-    register_pressure,
-    spill_budget,
-])
-def test_driver_parallel_render_matches_serial(driver, loops,
+@pytest.mark.parametrize("exp_id", list(EXPERIMENTS),
+                         ids=[exp.driver.__name__
+                              for exp in EXPERIMENTS.values()])
+def test_driver_parallel_render_matches_serial(exp_id, loops,
                                                parallel_cached):
-    serial = driver(loops).render()
-    parallel = driver(loops, runner=parallel_cached).render()
-    replayed = driver(loops, runner=parallel_cached).render()
+    experiment = EXPERIMENTS[exp_id]
+    serial = experiment.run(loops).render()
+    parallel = experiment.run(loops, parallel_cached).render()
+    replayed = experiment.run(loops, parallel_cached).render()
     assert parallel == serial
     assert replayed == serial
 
@@ -68,17 +65,5 @@ def test_scheduler_sweeps_parallel_parity(scheduler, loops,
         loops, runner=parallel_cached, scheduler=scheduler).render()
     replayed = fig3_queue_requirements(
         loops, runner=parallel_cached, scheduler=scheduler).render()
-    assert parallel == serial
-    assert replayed == serial
-
-
-def test_scheduler_compare_parallel_parity(loops, parallel_cached):
-    from repro.analysis.experiments import exp_scheduler_compare
-
-    serial = exp_scheduler_compare(loops).render()
-    parallel = exp_scheduler_compare(loops,
-                                     runner=parallel_cached).render()
-    replayed = exp_scheduler_compare(loops,
-                                     runner=parallel_cached).render()
     assert parallel == serial
     assert replayed == serial

@@ -28,7 +28,7 @@ def test_results_come_back_in_job_order():
 
 def test_parallel_equals_serial_on_paper_corpus(corpus_sample):
     jobs = sweep(corpus_sample, [qrf_machine(4), clustered_machine(4)],
-                 [dict(copies=True, allocate=False)])
+                 [dict(copies=True, allocate=False)]).jobs
     serial = run_jobs(jobs)
     parallel = run_jobs(jobs, RunnerConfig(n_workers=3))
     assert parallel == serial
@@ -36,13 +36,13 @@ def test_parallel_equals_serial_on_paper_corpus(corpus_sample):
 
 def test_parallel_equals_serial_with_unrolling(corpus_sample):
     jobs = sweep(corpus_sample[:10], [qrf_machine(12)],
-                 [dict(do_unroll=True, copies=True, allocate=True)])
+                 [dict(do_unroll=True, copies=True, allocate=True)]).jobs
     assert run_jobs(jobs, RunnerConfig(n_workers=2)) == run_jobs(jobs)
 
 
 def test_cache_makes_second_sweep_incremental(tmp_path, corpus_sample):
     cache = ShardedResultCache(tmp_path)
-    jobs = sweep(corpus_sample[:6], [qrf_machine(4)])
+    jobs = sweep(corpus_sample[:6], [qrf_machine(4)]).jobs
     config = RunnerConfig(cache=cache)
     first = run_jobs(jobs, config)
     assert not any(r.cached for r in first)
@@ -55,7 +55,7 @@ def test_cache_makes_second_sweep_incremental(tmp_path, corpus_sample):
 def test_cache_is_shared_between_serial_and_parallel(tmp_path,
                                                      corpus_sample):
     cache = ShardedResultCache(tmp_path)
-    jobs = sweep(corpus_sample[:6], [qrf_machine(4)])
+    jobs = sweep(corpus_sample[:6], [qrf_machine(4)]).jobs
     serial = run_jobs(jobs, RunnerConfig(cache=cache))
     parallel = run_jobs(jobs, RunnerConfig(n_workers=2, cache=cache))
     assert all(r.cached for r in parallel)
@@ -114,7 +114,7 @@ def test_failed_outcomes_survive_parallel_and_cache(tmp_path):
     rng = random.Random(3)
     loops = [generate_loop(rng, cfg, i) for i in range(cfg.n_loops)]
     jobs = sweep(loops, [narrow_test_machine()],
-                 [dict(copies=True, allocate=False)])
+                 [dict(copies=True, allocate=False)]).jobs
     cache = ShardedResultCache(tmp_path)
     serial = run_jobs(jobs)
     parallel = run_jobs(jobs, RunnerConfig(n_workers=2, cache=cache))
@@ -136,7 +136,7 @@ def test_raising_progress_callback_never_reruns_settled_jobs(tmp_path):
     faults.enable_faults(f"seed=0;ledger={ledger}")
     try:
         jobs = sweep(all_kernels()[:8], [qrf_machine(4)],
-                     [dict(copies=True, allocate=False)])
+                     [dict(copies=True, allocate=False)]).jobs
         ticks = []
 
         def progress(done, total):
@@ -167,13 +167,13 @@ class TestPersistentPool:
 
         pool_mod.close_all_sessions()
         jobs = sweep(corpus_sample[:8], [qrf_machine(4)],
-                     [dict(copies=True, allocate=False)])
+                     [dict(copies=True, allocate=False)]).jobs
         first = run_jobs(jobs, RunnerConfig(n_workers=2))
         session = pool_mod._SESSIONS[2]
         assert session.spawns == 1
         # same loop/machine objects: the second sweep reuses the workers
         more = sweep(corpus_sample[:8], [qrf_machine(4)],
-                     [dict(copies=True, allocate=True)])
+                     [dict(copies=True, allocate=True)]).jobs
         run_jobs(more, RunnerConfig(n_workers=2))
         assert session.spawns == 1
         assert session.reuses >= 1
@@ -184,12 +184,12 @@ class TestPersistentPool:
         from repro.runner import pool as pool_mod
 
         pool_mod.close_all_sessions()
-        run_jobs(sweep(corpus_sample[:4], [qrf_machine(4)], None),
+        run_jobs(sweep(corpus_sample[:4], [qrf_machine(4)], None).jobs,
                  RunnerConfig(n_workers=2))
         session = pool_mod._SESSIONS[2]
         assert session.spawns == 1
         # a machine object the workers have never seen forces a respawn
-        run_jobs(sweep(corpus_sample[:4], [qrf_machine(6)], None),
+        run_jobs(sweep(corpus_sample[:4], [qrf_machine(6)], None).jobs,
                  RunnerConfig(n_workers=2))
         assert session.spawns == 2
         pool_mod.close_all_sessions()
@@ -200,8 +200,8 @@ class TestPersistentPool:
 
         pool_mod.close_all_sessions()
         monkeypatch.setattr(pool_mod, "MAX_TABLE_ENTRIES", 4)
-        jobs_a = sweep(corpus_sample[:4], [qrf_machine(4)], None)
-        jobs_b = sweep(corpus_sample[4:8], [qrf_machine(4)], None)
+        jobs_a = sweep(corpus_sample[:4], [qrf_machine(4)], None).jobs
+        jobs_b = sweep(corpus_sample[4:8], [qrf_machine(4)], None).jobs
         first = run_jobs(jobs_a, RunnerConfig(n_workers=2))
         session = pool_mod._SESSIONS[2]
         assert session.spawns == 1
@@ -236,7 +236,7 @@ class TestPersistentPool:
 
         pool_mod.close_all_sessions()
         jobs = sweep(corpus_sample, [qrf_machine(4)],
-                     [dict(copies=True, allocate=False)])
+                     [dict(copies=True, allocate=False)]).jobs
         parallel = run_jobs(jobs, RunnerConfig(n_workers=3))
         assert [r.key for r in parallel] == [j.key for j in jobs]
         pool_mod.close_all_sessions()

@@ -7,6 +7,8 @@ different for any input change that could change the result.
 
 import multiprocessing
 
+import pytest
+
 from repro.machine.presets import clustered_machine, qrf_machine
 from repro.runner import (CompileJob, PipelineOptions, ddg_signature,
                           job_key, machine_signature)
@@ -58,8 +60,9 @@ def test_key_changes_with_options():
 
 
 def test_key_never_aliases_across_schedulers():
-    """Same loop, machine and flags under a different engine is a
-    different job: cached IMS results must never answer for SMS."""
+    """On a single-cluster machine the scheduler runs: a different
+    engine is a different job, and cached IMS results must never answer
+    for SMS.  A ring ignores the scheduler, so there it splits no key."""
     ddg = kernel("daxpy")
     m = qrf_machine(4)
     keys = {CompileJob(ddg, m, PipelineOptions(scheduler=s)).key
@@ -67,27 +70,47 @@ def test_key_never_aliases_across_schedulers():
     assert len(keys) == 2
     assert (CompileJob(ddg, m, PipelineOptions()).key
             == CompileJob(ddg, m, PipelineOptions(scheduler="ims")).key)
+    cm = clustered_machine(4)
+    ring_keys = {CompileJob(ddg, cm, PipelineOptions(scheduler=s)).key
+                 for s in ("ims", "sms")}
+    assert ring_keys == {CompileJob(ddg, cm, PipelineOptions()).key}
 
 
 def test_key_never_aliases_across_partitioners():
-    """Same loop, machine and flags under a different partitioning
-    engine is a different job: cached affinity results must never answer
-    for the agglomerative engine (SCHEMA_VERSION 3)."""
+    """On a ring the partitioner runs: a different engine (or MOVEs) is
+    a different job, so cached affinity results never answer for the
+    agglomerative engine.  A single-cluster machine ignores both fields,
+    so there they split no key."""
     from repro.sched.partitioners import available_partitioners
 
     ddg = kernel("daxpy")
     cm = clustered_machine(4)
     keys = {CompileJob(ddg, cm, PipelineOptions(partitioner=p)).key
             for p in available_partitioners()}
-    assert len(keys) == len(available_partitioners())
+    keys.add(CompileJob(ddg, cm, PipelineOptions(use_moves=True)).key)
+    assert len(keys) == len(available_partitioners()) + 1
     assert (CompileJob(ddg, cm, PipelineOptions()).key
             == CompileJob(ddg, cm,
                           PipelineOptions(partitioner="affinity")).key)
+    m = qrf_machine(12)
+    flat_keys = {CompileJob(ddg, m, PipelineOptions(partitioner=p)).key
+                 for p in available_partitioners()}
+    flat_keys.add(CompileJob(ddg, m, PipelineOptions(use_moves=True)).key)
+    assert flat_keys == {CompileJob(ddg, m, PipelineOptions()).key}
+
+
+def test_unknown_engine_name_never_becomes_a_job():
+    """A key leaves out the engine its machine ignores, so an unknown
+    name there would compile to a failure cold and replay a cached
+    success warm; options refuse the name instead."""
+    for field in ("scheduler", "partitioner"):
+        with pytest.raises(KeyError, match=f"unknown {field} 'bogus'"):
+            PipelineOptions(**{field: "bogus"})
 
 
 def test_schema_version_is_current():
     from repro.runner import SCHEMA_VERSION
-    assert SCHEMA_VERSION == 6
+    assert SCHEMA_VERSION == 7
 
 
 def test_key_changes_with_trip_count():
@@ -118,7 +141,7 @@ def test_job_key_helper_matches_job_property():
     ddg = kernel("dot")
     m = qrf_machine(6)
     opts = PipelineOptions(copies=True, allocate=True)
-    assert CompileJob(ddg, m, opts).key == job_key(ddg, m, opts.signature())
+    assert CompileJob(ddg, m, opts).key == job_key(ddg, m, opts.signature(m))
 
 
 def test_canonical_json_matches_json_dumps():

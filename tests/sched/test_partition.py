@@ -4,14 +4,17 @@ import pytest
 
 from repro.ir.copyins import insert_copies
 from repro.ir.unroll import unroll
-from repro.machine.cluster import make_clustered
+from repro.machine.cluster import ClusteredMachine, make_clustered
+from repro.machine.presets import qrf_machine
 from repro.sched.ims import modulo_schedule
 from repro.sched.mii import mii
 from repro.sched.partition import (PartitionConfig, insert_moves,
                                    partitioned_schedule,
                                    schedule_with_moves)
 from repro.sched.schedule import SchedulingError
-from repro.workloads.kernels import (daxpy, dot_product, wide_independent)
+from repro.workloads.corpus import paper_corpus
+from repro.workloads.kernels import (all_kernels, daxpy, dot_product,
+                                     wide_independent)
 
 
 def prepared(ddg, factor=1):
@@ -21,11 +24,24 @@ def prepared(ddg, factor=1):
 
 class TestBasicPartitioning:
     def test_single_cluster_equals_ims(self):
-        cm = make_clustered(1)
-        work = prepared(daxpy())
-        ps = partitioned_schedule(work, cm)
-        ims = modulo_schedule(work, cm.cluster)
-        assert ps.ii == ims.ii
+        """The two copies of the paper's IMS placement loop agree: IMS
+        on an n-FU machine and the affinity partitioner on a one-cluster
+        ring of that machine find the same II and issue cycles after the
+        same number of placements and evictions."""
+        loops = ([prepared(ddg) for ddg in all_kernels()]
+                 + [prepared(ddg, 2) for ddg in paper_corpus()[:8]])
+        for n in (4, 10, 16):
+            flat = qrf_machine(n)
+            ring = ClusteredMachine(name=f"ring1-{n}fu", cluster=flat,
+                                    n_clusters=1)
+            for work in loops:
+                ims = modulo_schedule(work, flat)
+                ps = partitioned_schedule(
+                    work, ring, config=PartitionConfig(partitioner="affinity"))
+                assert ((ps.ii, ps.sigma, ps.stats.attempts,
+                         ps.stats.evictions)
+                        == (ims.ii, ims.sigma, ims.stats.attempts,
+                            ims.stats.evictions)), (work.name, n)
 
     def test_adjacency_enforced(self):
         cm = make_clustered(6)

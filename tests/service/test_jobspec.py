@@ -115,6 +115,27 @@ def test_parse_jobs_single_and_batch():
         parse_jobs({"jobs": []})
 
 
+def test_parse_jobs_keys_only_the_engine_that_runs():
+    """A batch naming an engine its machine ignores dedupes onto the
+    default job; the engine that runs still splits the key."""
+    ring = {"kind": "clustered", "n_clusters": 4}
+    flat = {"kind": "qrf", "n_fus": 12}
+
+    def keys(machine, *options):
+        return [j.key for j in parse_jobs(
+            {"jobs": [{"loop": {"kernel": "daxpy"}, "machine": machine,
+                       "options": o} for o in options]})]
+
+    ignored = keys(ring, {}, {"scheduler": "sms"})
+    assert ignored[0] == ignored[1]
+    ignored = keys(flat, {}, {"partitioner": "random"},
+                   {"use_moves": True})
+    assert len(set(ignored)) == 1
+    assert len(set(keys(ring, {}, {"partitioner": "random"},
+                        {"use_moves": True}))) == 3
+    assert len(set(keys(flat, {}, {"scheduler": "sms"}))) == 2
+
+
 def test_kernel_job_spec_builder():
     spec = kernel_job_spec("fir4", n_clusters=4,
                            options={"partitioner": "agglomerative"})

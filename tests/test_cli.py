@@ -70,10 +70,36 @@ def test_experiment_unknown(capsys):
 
 
 def test_experiment_list_enumerates_experiments(capsys):
+    from repro.analysis.experiments import EXPERIMENTS
+
     code, out, _ = run_cli(capsys, "experiment", "--list")
     assert code == 0
-    for exp_id in ("fig3", "fig9", "e6b", "sc", "pc"):
+    for exp_id in ("fig3", "fig9", "e6b", "sc", "pc", "s2"):
         assert exp_id in out
+    # one line per row of the experiment table, in its order
+    assert [line.split()[0] for line in out.splitlines()] == \
+        list(EXPERIMENTS)
+    assert len(EXPERIMENTS) == 16
+
+
+def test_experiment_help_names_every_id(capsys):
+    from repro.analysis.experiments import EXPERIMENTS
+
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"one of: {', '.join(EXPERIMENTS)}" in out
+
+
+def test_cli_import_leaves_the_drivers_unloaded():
+    """The ``serve`` daemon runs through the CLI: neither importing it
+    nor building its parser may load the experiment drivers."""
+    import subprocess
+    import sys
+
+    code = ("import sys, repro.cli; repro.cli.build_parser(); "
+            "assert 'repro.analysis.experiments' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_experiment_missing_id_hints_at_list(capsys):
@@ -474,11 +500,12 @@ def test_report_append_grows_history_once(capsys, tmp_path):
     assert "0 new row(s)" in out               # identity-deduped
 
 
-def test_report_experiments_keeps_old_bundle(capsys):
-    code, out, _ = run_cli(capsys, "--sample", "6", "--no-cache",
-                           "report", "--experiments")
-    assert code == 0
-    assert "Fig. 3" in out
+def test_report_has_no_experiment_bundle(capsys):
+    """``experiment <id>`` is the one way to print an experiment."""
+    for flag in ("--experiments", "--sweep"):
+        with pytest.raises(SystemExit):
+            main(["report", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _coverage_pct(out):
