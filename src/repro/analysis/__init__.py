@@ -27,9 +27,6 @@ _EXPORTS = {
         "mean_static_ipc", "percentile", "weighted_dynamic_ipc",
         "weighted_static_ipc",
     ],
-    "report": [
-        "bar_chart", "percent_chart", "series_table",
-    ],
 }
 
 _NAME_TO_MODULE = {name: module

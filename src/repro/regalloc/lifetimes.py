@@ -139,11 +139,14 @@ def extract_lifetimes(sched: "ModuloSchedule",
     Edges are classified by the rule of :func:`location_of_edge`, and
     all lifetimes of one location share one :class:`Location` object,
     so callers may group them by identity instead of hashing a fresh
-    dataclass per edge.
+    dataclass per edge.  The length check of :class:`Lifetime` runs
+    inline and each tuple is built directly: a compile makes one per
+    DATA edge, and ``Lifetime.__new__``'s Python frame would dominate.
     """
     sigma = sched.sigma
     cluster_of = sched.cluster_of
     ii = sched.ii
+    new = tuple.__new__
     shared: dict[tuple[int, int], Location] = {}
     out: list[Lifetime] = []
     for src, dst, key, lat, dist, _k in sched.ddg.edge_rows(DepKind.DATA):
@@ -154,8 +157,11 @@ def extract_lifetimes(sched: "ModuloSchedule",
         if loc is None:
             loc = shared[(slot, ca)] = Location(_SLOT_KINDS[slot], ca)
         start = sigma[src] + lat
-        out.append(Lifetime(src, dst, key, start,
-                            sigma[dst] + dist * ii - start, dist, loc))
+        length = sigma[dst] + dist * ii - start
+        if length < 0:
+            raise ValueError(f"negative lifetime {src}->{dst}: "
+                             f"dependence violated")
+        out.append(new(Lifetime, (src, dst, key, start, length, dist, loc)))
     return out
 
 

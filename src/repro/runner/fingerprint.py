@@ -60,14 +60,10 @@ def ddg_signature(ddg: "Ddg") -> dict:
 
     Ops are keyed by (id, opcode, latency) -- names, unroll indices and
     origins are bookkeeping that cannot affect scheduling.  Edge order is
-    the graph's deterministic iteration order.  Memoised on the DDG's
-    structural cache: a sweep keys the same loop against many machines
-    and option variants, and only the graph walk is loop-specific.
+    the graph's deterministic iteration order.  Built afresh on every
+    call; the job key memoises only its JSON (:func:`ddg_json`).
     """
-    cached = ddg._edge_cache.get("fingerprint_sig")
-    if cached is not None:
-        return cached
-    sig = {
+    return {
         "name": ddg.name,
         "trip": ddg.trip_count,
         "ops": [(op.op_id, op.opcode.mnemonic, op.latency)
@@ -75,8 +71,6 @@ def ddg_signature(ddg: "Ddg") -> dict:
         "edges": [(s, d, key, lat, dist, _KIND_VALUES[k])
                   for s, d, key, lat, dist, k in ddg.edge_rows()],
     }
-    ddg._edge_cache["fingerprint_sig"] = sig
-    return sig
 
 
 def _single_machine_signature(machine: "Machine") -> dict:
@@ -112,7 +106,9 @@ def machine_signature(machine: "Machine | ClusteredMachine") -> dict:
 
 def ddg_json(ddg: "Ddg") -> str:
     """Canonical JSON of :func:`ddg_signature`: the loop's part of the
-    job key, memoised alongside the signature (a mutation clears both).
+    job key, memoised on the DDG's structural cache (a mutation clears
+    it).  A sweep keys the same loop against many machines and option
+    variants; the signature dict the text is built from is not kept.
     Equal strings mean loops that compile alike."""
     js = ddg._edge_cache.get("fingerprint_json")
     if js is None:

@@ -58,6 +58,19 @@ UNROLL_MAX_OPS = 128
 #: source invalidates its entries; the memoised work DDG is consumed
 #: strictly read-only downstream (schedulers retime *copies*), which also
 #: lets its packed ``arrays()`` lowering be shared across machines.
+#:
+#: The memo holds the ``MAX_FRONTEND_LOOPS`` most recently used source
+#: loops, more than the 190-loop bench corpus: a hit moves its loop to
+#: the back of the (insertion-ordered) dict, and a miss at the bound drops
+#: the loop at the front, whose work DDGs -- with their ``DdgArrays``,
+#: SCCs and per-II caches -- are freed at once.  A sweep loses no reuse
+#: to the bound as long as it compiles each loop's jobs together, which
+#: is why ``Grid.run`` submits its jobs loop-major: a corpus larger than
+#: the bound is still unrolled and copy-inserted once per (loop, factor).
+#: The keys stay weak, so a loop its owner drops (the daemon's bounded
+#: spec memo) frees its entries before it is evicted.
+MAX_FRONTEND_LOOPS = 256
+
 _FRONTEND_MEMO: "weakref.WeakKeyDictionary[Ddg, dict]" = \
     weakref.WeakKeyDictionary()
 
@@ -65,10 +78,13 @@ _FRONTEND_MEMO: "weakref.WeakKeyDictionary[Ddg, dict]" = \
 def _frontend(ddg: Ddg, factor: int, copies: bool,
               copy_strategy: str) -> tuple[Ddg, int]:
     """Memoised (unroll ->) copy-insert prefix: ``(work, n_copies)``."""
-    per_ddg = _FRONTEND_MEMO.get(ddg)
+    memo = _FRONTEND_MEMO
+    per_ddg = memo.pop(ddg, None)
     if per_ddg is None or per_ddg.get("version") != ddg._version:
         per_ddg = {"version": ddg._version}
-        _FRONTEND_MEMO[ddg] = per_ddg
+        while len(memo) >= MAX_FRONTEND_LOOPS:
+            del memo[next(iter(memo))]
+    memo[ddg] = per_ddg
     key = (factor, copies, copy_strategy)
     hit = per_ddg.get(key)
     if hit is not None:

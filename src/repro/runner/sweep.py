@@ -5,8 +5,9 @@ and the loop list -- and runs every cell in one
 :func:`repro.runner.executor.run_jobs` call.  Results come back keyed by
 label, each list aligned to its cell's loops, so a driver looks a result
 up by what it is (``results["queu-4fu"]``, ``results[(4, "affinity")]``)
-and never by where it sits in the flat job list.  :func:`sweep` fills a
-grid with the full cartesian product of machines and variants.
+and never by where it sits in the job list, which runs loop-major.
+:func:`sweep` fills a grid with the full cartesian product of machines
+and variants.
 """
 
 from __future__ import annotations
@@ -74,10 +75,25 @@ class Grid:
 
     def run(self, runner: Optional[RunnerConfig] = None
             ) -> dict[Hashable, list[JobResult]]:
-        """Run every cell; label -> results aligned to the cell's loops."""
-        results = iter(run_jobs(self.jobs, runner))
-        return {label: [next(results) for _ in cell]
-                for label, cell in self.cells.items()}
+        """Run every cell; label -> results aligned to the cell's loops.
+
+        The jobs are submitted loop-major: every job of a loop, in cell
+        order, before the next loop (loops in order of first appearance).
+        The pipeline's front-end memo keeps only the most recently used
+        loops, so a loop's unrolled and copy-inserted bodies are built
+        once for all its cells however many loops the grid holds.
+        """
+        by_loop: dict[int, list[tuple[Hashable, int]]] = {}
+        for label, cell in self.cells.items():
+            for i, job in enumerate(cell):
+                by_loop.setdefault(id(job.ddg), []).append((label, i))
+        order = [slot for slots in by_loop.values() for slot in slots]
+        done = run_jobs([self.cells[label][i] for label, i in order], runner)
+        results: dict[Hashable, list] = {
+            label: [None] * len(cell) for label, cell in self.cells.items()}
+        for (label, i), result in zip(order, done):
+            results[label][i] = result
+        return results
 
 
 def sweep(loops: Sequence[Ddg], machines: Iterable,

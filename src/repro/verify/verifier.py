@@ -329,24 +329,36 @@ def _queue_positions(queue: list[int], starts: list[int],
     live, so the peak is the steady-state one: per phase, each lifetime
     of length L counts ``L // II`` instances, plus one on the
     ``L % II`` phases from its write phase on.  A lone lifetime
-    therefore peaks at ⌈L/II⌉.  Otherwise the partial runs are laid out
-    unwrapped over two periods, then folded onto one.
+    therefore peaks at ⌈L/II⌉.  Otherwise one sweep over the partial
+    runs' edges, sorted by phase, finds the peak in O(k log k) for k
+    lifetimes: the count starts at the runs that wrap past phase II-1
+    (they are live at phase 0), and at any one phase the ends (-1) sort
+    before the starts (+1), so no running count exceeds the count of
+    some phase.
     """
     if len(queue) == 1:
         return -(-lengths[queue[0]] // ii)
     every = 0
-    edges = [0] * (2 * ii + 1)
+    wrapped = 0
+    edges = []
     for i in queue:
         full, rest = divmod(lengths[i], ii)
         every += full
-        edges[starts[i] % ii] += 1
-        edges[starts[i] % ii + rest] -= 1
-    folded = [0] * ii
-    run = 0
-    for t in range(2 * ii):
-        run += edges[t]
-        folded[t % ii] += run
-    return every + max(folded)
+        if rest:
+            r = starts[i] % ii
+            end = r + rest
+            edges.append((r, 1))
+            if end > ii:
+                wrapped += 1
+                end -= ii
+            edges.append((end, -1))
+    edges.sort()
+    peak = run = wrapped
+    for _phase, delta in edges:
+        run += delta
+        if run > peak:
+            peak = run
+    return every + peak
 
 
 def _fifo_ordered(q: list[int], starts: list[int], lengths: list[int],

@@ -9,7 +9,7 @@ every instance an execution holds -- the ``distance`` preloads included
 never need more positions than the steady state.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -108,6 +108,44 @@ def test_verifier_positions_match_event_sweep(case):
     lts, ii = case
     assert _verifier_positions(lts, ii) == \
         _event_sweep(lts, ii)
+
+
+def _per_phase_recount(starts, lengths, ii):
+    """Steady-state peak, phase by phase: each lifetime holds ``L // II``
+    instances at every phase plus one on the ``L % II`` phases from its
+    write phase on (mod II)."""
+    return max(sum(length // ii
+                   + ((phase - start) % ii < length % ii)
+                   for start, length in zip(starts, lengths))
+               for phase in range(ii))
+
+
+@st.composite
+def queue_runs(draw):
+    """Two or more (start, length) pairs: II = 1, zero lengths, lengths
+    of II and more, and partial runs that wrap past the last phase."""
+    ii = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=16)))
+    n = draw(st.integers(min_value=2, max_value=8))
+    starts = draw(st.lists(st.integers(min_value=0, max_value=4 * ii),
+                           min_size=n, max_size=n))
+    lengths = draw(st.lists(
+        st.one_of(st.just(0), st.just(ii),
+                  st.integers(min_value=0, max_value=5 * ii)),
+        min_size=n, max_size=n))
+    return starts, lengths, ii
+
+
+@given(queue_runs())
+@example(([0, 0], [0, 0], 1))           # II = 1, zero lengths
+@example(([3, 5], [7, 2], 1))           # II = 1: every L >= II
+@example(([3, 1], [4, 8], 4))           # L = II and L = 2 * II
+@example(([3, 2, 0], [3, 0, 1], 4))     # a run wrapping onto phase 0
+@example(([1, 3], [2, 1], 4))           # a run ending where one starts
+@settings(max_examples=800, deadline=None)
+def test_verifier_positions_match_per_phase_recount(case):
+    starts, lengths, ii = case
+    assert _queue_positions(list(range(len(starts))), starts, lengths,
+                            ii) == _per_phase_recount(starts, lengths, ii)
 
 
 @given(single_lifetimes())

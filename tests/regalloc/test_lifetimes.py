@@ -1,5 +1,7 @@
 """Unit tests for lifetime extraction and occupancy analysis."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ir.copyins import insert_copies
@@ -47,6 +49,24 @@ class TestExtraction:
         carried = [l for l in extract_lifetimes(s) if l.distance > 0]
         assert len(carried) == 1
         assert carried[0].producer == carried[0].consumer
+
+    def test_built_tuples_equal_checked_lifetimes(self):
+        s = modulo_schedule(insert_copies(daxpy()).ddg, qrf_machine(4))
+        for l in extract_lifetimes(s):
+            assert type(l) is Lifetime
+            assert l == Lifetime(*l)
+
+    def test_violated_dependence_raises_the_lifetime_error(self):
+        s = modulo_schedule(daxpy(), qrf_machine(4))
+        e = next(iter(s.ddg.data_edges()))
+        sigma = dict(s.sigma)
+        sigma[e.dst] = sigma[e.src] + e.latency - e.distance * s.ii - 1
+        broken = replace(s, sigma=sigma)
+        with pytest.raises(ValueError) as got:
+            extract_lifetimes(broken)
+        with pytest.raises(ValueError) as want:
+            Lifetime(e.src, e.dst, e.key, sigma[e.src] + e.latency, -1)
+        assert str(got.value) == str(want.value)
 
     def test_clustered_locations(self):
         cm = make_clustered(4)
