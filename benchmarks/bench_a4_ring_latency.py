@@ -25,6 +25,6 @@ def test_a4_ring_latency(benchmark):
         benchmark, "a4_ring_latency",
         lambda: ring_latency_sensitivity(loops, runner=runner_from_env()),
         corpus_size=len(loops),
-        metrics=lambda r: {f"same_ii_xlat{x}_4cl": r.same_ii[x][4]
+        metrics=lambda r: {f"same_ii_xlat{x}_4cl": r.rows[x][4]
                            for x in (0, 1, 2)})
     record("a4_ring_latency", result.render())

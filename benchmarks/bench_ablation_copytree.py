@@ -25,5 +25,5 @@ def test_ablation_copy_tree(benchmark):
         lambda: ablation_copy_tree(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {f"same_ii_{s}": v
-                           for s, v in r.same_ii.items()})
+                           for s, v in r.column("same_ii").items()})
     record("ablation_copytree", result.render())

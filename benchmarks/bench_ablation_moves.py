@@ -25,6 +25,6 @@ def test_ablation_moves(benchmark):
         benchmark, "ablation_moves",
         lambda: ablation_moves(loops, runner=runner_from_env()),
         corpus_size=len(loops),
-        metrics=lambda r: {f"with_moves_{n}cl": r.with_moves[n]
+        metrics=lambda r: {f"with_moves_{n}cl": r.rows[n]["with_moves"]
                            for n in (5, 6)})
     record("ablation_moves", result.render())

@@ -26,5 +26,5 @@ def test_ablation_partition_strategy(benchmark):
         lambda: ablation_partition(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {f"same_ii_{s}": v
-                           for s, v in r.same_ii.items()})
+                           for s, v in r.column("same_ii").items()})
     record("ablation_partition", result.render())

@@ -25,6 +25,6 @@ def test_e6b_spill_budget(benchmark):
         lambda: spill_budget(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {
-            "no_spill_4x8": r.no_spill_fraction[(4, 8)],
-            "no_spill_32x16": r.no_spill_fraction[(32, 16)]})
+            "no_spill_4x8": r.rows[4, 8]["no_spill_fraction"],
+            "no_spill_32x16": r.rows[32, 16]["no_spill_fraction"]})
     record("e6b_spills", result.render())

@@ -23,6 +23,5 @@ def test_fig3_queue_requirements(benchmark):
         lambda: fig3_queue_requirements(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {
-            "min_covered_le32": min(row[32]
-                                    for row in r.by_machine.values())})
+            "min_covered_le32": min(row[32] for row in r.rows.values())})
     record("fig3_queues", result.render())

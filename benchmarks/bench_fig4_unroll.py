@@ -23,5 +23,5 @@ def test_fig4_unroll_speedup(benchmark):
         lambda: fig4_unroll_speedup(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {f"speedup_gt1_{m}": v
-                           for m, v in r.speedup_gt1.items()})
+                           for m, v in r.column("speedup_gt1").items()})
     record("fig4_unroll", result.render())

@@ -22,8 +22,8 @@ def test_fig6_ii_variation(benchmark):
         benchmark, "fig6_partition",
         lambda: fig6_ii_variation(loops, runner=runner_from_env()),
         corpus_size=len(loops),
-        metrics=lambda r: {"same_ii_4cl": r.same_ii[4],
-                           "same_ii_5cl": r.same_ii[5],
-                           "same_ii_6cl": r.same_ii[6],
-                           "mean_increase_6cl": r.mean_increase[6]})
+        metrics=lambda r: {"same_ii_4cl": r.rows[4]["same_ii"],
+                           "same_ii_5cl": r.rows[5]["same_ii"],
+                           "same_ii_6cl": r.rows[6]["same_ii"],
+                           "mean_increase_6cl": r.rows[6]["mean_increase"]})
     record("fig6_partition", result.render())

@@ -26,6 +26,6 @@ def test_fig8_ipc_all_loops(benchmark):
         benchmark, "fig8_ipc_all",
         lambda: fig8_ipc(loops, runner=runner_from_env()),
         corpus_size=len(loops),
-        metrics=lambda r: {"static_ipc_18fu": r.static_single[18],
-                           "dynamic_ipc_18fu": r.dynamic_single[18]})
+        metrics=lambda r: {"static_ipc_18fu": r.rows[18]["static_single"],
+                           "dynamic_ipc_18fu": r.rows[18]["dynamic_single"]})
     record("fig8_ipc_all", result.render())

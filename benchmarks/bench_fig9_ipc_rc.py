@@ -25,6 +25,6 @@ def test_fig9_ipc_resource_constrained(benchmark):
         benchmark, "fig9_ipc_rc",
         lambda: fig9_ipc_rc(loops, runner=runner_from_env()),
         corpus_size=len(loops),
-        metrics=lambda r: {"static_ipc_18fu": r.static_single[18],
-                           "dynamic_ipc_18fu": r.dynamic_single[18]})
+        metrics=lambda r: {"static_ipc_18fu": r.rows[18]["static_single"],
+                           "dynamic_ipc_18fu": r.rows[18]["dynamic_single"]})
     record("fig9_ipc_rc", result.render())

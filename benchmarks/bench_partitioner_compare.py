@@ -25,6 +25,6 @@ def test_partitioner_compare(benchmark):
         lambda: exp_partitioner_compare(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {
-            f"mii_rate_{n}cl_{p}": r.mii_rate[(n, p)]
-            for n in r.cluster_counts for p in r.partitioners})
+            f"mii_rate_{n}cl_{p}": v
+            for (n, p), v in r.column("mii_rate").items()})
     record("partitioner_compare", result.render())

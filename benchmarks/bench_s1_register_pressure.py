@@ -26,5 +26,5 @@ def test_s1_register_pressure(benchmark):
         lambda: register_pressure(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {f"mean_queues_{m}": v
-                           for m, v in r.mean_queues.items()})
+                           for m, v in r.column("mean_queues").items()})
     record("s1_register_pressure", result.render())

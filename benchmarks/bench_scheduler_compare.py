@@ -30,6 +30,6 @@ def test_scheduler_compare(benchmark):
         lambda: exp_scheduler_compare(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {
-            f"mii_match_{m}_{s}": r.mii_match[(m, s)]
-            for m in r.machines for s in r.schedulers})
+            f"mii_match_{m}_{s}": v
+            for (m, s), v in r.column("mii_match").items()})
     record("scheduler_compare", result.render())

@@ -24,5 +24,5 @@ def test_sec2_copy_impact(benchmark):
         lambda: sec2_copy_impact(loops, runner=runner_from_env()),
         corpus_size=len(loops),
         metrics=lambda r: {f"same_ii_{m}": v
-                           for m, v in r.same_ii.items()})
+                           for m, v in r.column("same_ii").items()})
     record("sec2_copyops", result.render())

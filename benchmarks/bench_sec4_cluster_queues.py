@@ -21,6 +21,6 @@ def test_sec4_cluster_queues(benchmark):
         benchmark, "sec4_cluster_queues",
         lambda: sec4_cluster_queues(loops, runner=runner_from_env()),
         corpus_size=len(loops),
-        metrics=lambda r: {f"fits_budget_{n}cl": r.fits_budget[n]
+        metrics=lambda r: {f"fits_budget_{n}cl": r.rows[n]["fits_budget"]
                            for n in (4, 5, 6)})
     record("sec4_cluster_queues", result.render())

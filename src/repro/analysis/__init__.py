@@ -10,17 +10,12 @@ import importlib
 
 _EXPORTS = {
     "experiments": [
-        "CompiledLoop", "CopyTreeAblation", "Fig3Result", "Fig4Result",
-        "Fig6Result", "IpcSweepResult", "MovesAblation", "PartitionAblation",
-        "Sec2Result", "Sec4Result", "HardwareCostResult", "hardware_cost",
-        "ablation_copy_tree", "ablation_moves", "ablation_partition",
-        "compile_loop", "fig3_queue_requirements", "fig4_unroll_speedup",
-        "fig6_ii_variation", "fig8_ipc", "fig9_ipc_rc", "ipc_sweep",
-        "sec2_copy_impact", "sec4_cluster_queues", "register_pressure",
-        "RegisterPressureResult", "spill_budget", "SpillBudgetResult",
-        "ring_latency_sensitivity", "RingLatencyResult",
-        "Experiment", "EXPERIMENTS", "exp_scheduler_compare",
-        "exp_partitioner_compare",
+        "Table", "Experiment", "EXPERIMENTS", "fig3_queue_requirements",
+        "sec2_copy_impact", "fig4_unroll_speedup", "fig6_ii_variation",
+        "sec4_cluster_queues", "ipc_sweep", "fig8_ipc", "fig9_ipc_rc",
+        "ablation_copy_tree", "ablation_partition", "ablation_moves",
+        "register_pressure", "spill_budget", "ring_latency_sensitivity",
+        "hardware_cost", "exp_scheduler_compare", "exp_partitioner_compare",
     ],
     "metrics": [
         "LoopOutcome", "cumulative_within", "fraction", "mean",

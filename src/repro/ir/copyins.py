@@ -183,12 +183,17 @@ def insert_copies(ddg: Ddg, *, strategy: CopyStrategy = "slack",
         tree = _BUILDERS[strategy](leaves)
         rewritten.add(oid)
 
+        # preorder, left subtree first: copy names (.cp0, .cp1, ...) and
+        # the key of a repeated (copy, consumer) edge follow this order.
+        # An explicit stack, not a recursive closure: a closure that
+        # calls itself is a reference cycle, and would keep the tree
+        # alive until the cycle collector runs
         producer = ddg.op(oid)
-        cp_index = itertools.count()
-
-        def materialise(node: "_Node | _Leaf", parent_id: int,
-                        parent_lat: int, depth: int) -> None:
-            nonlocal n_copies, next_id
+        n_local = 0
+        stack: list[tuple["_Node | _Leaf", int, int, int]] = [
+            (tree, oid, producer.latency, 0)]
+        while stack:
+            node, parent_id, parent_lat, depth = stack.pop()
             if isinstance(node, _Leaf):
                 _s, dst, key, _lat, dist, _k = node.edge
                 # two leaves of one copy may share a consumer (x * x)
@@ -196,18 +201,17 @@ def insert_copies(ddg: Ddg, *, strategy: CopyStrategy = "slack",
                 new_rows.append((parent_id, dst, pkey, parent_lat, dist,
                                  DATA_CODE))
                 depth_by_edge[(oid, dst, key)] = depth
-                return
+                continue
             cp_id = next_id
             next_id += 1
             ops.append(copy_op.with_id(
                 cp_id, origin=oid, unroll_index=producer.unroll_index,
-                name=f"{producer.name}.cp{next(cp_index)}"))
-            n_copies += 1
+                name=f"{producer.name}.cp{n_local}"))
+            n_local += 1
             new_rows.append((parent_id, cp_id, 0, parent_lat, 0, DATA_CODE))
-            materialise(node.left, cp_id, copy_latency, depth + 1)
-            materialise(node.right, cp_id, copy_latency, depth + 1)
-
-        materialise(tree, oid, producer.latency, 0)
+            stack.append((node.right, cp_id, copy_latency, depth + 1))
+            stack.append((node.left, cp_id, copy_latency, depth + 1))
+        n_copies += n_local
 
     rows = [r for r in ddg.edge_rows()
             if r[5] != DATA_CODE or r[0] not in rewritten]

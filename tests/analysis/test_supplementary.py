@@ -17,10 +17,10 @@ def loops():
 class TestRegisterPressure:
     def test_bounds_ordering(self, loops):
         res = register_pressure(loops, [qrf_machine(6)])
-        name = "queu-6fu"
-        assert res.mean_max_live[name] <= res.mean_rotating[name]
-        assert res.mean_mve_unroll[name] >= 1.0
-        assert res.p95_queues[name] >= 1
+        row = res.rows["queu-6fu"]
+        assert row["mean_max_live"] <= row["mean_rotating"]
+        assert row["mean_mve_unroll"] >= 1.0
+        assert row["p95_queues"] >= 1
 
     def test_render(self, loops):
         text = register_pressure(loops, [qrf_machine(6)]).render()
@@ -30,11 +30,11 @@ class TestRegisterPressure:
 class TestSpillBudget:
     def test_monotone_in_budget(self, loops):
         res = spill_budget(loops, budgets=((2, 4), (8, 8), (64, 32)))
-        assert res.no_spill_fraction[(2, 4)] <= \
-            res.no_spill_fraction[(8, 8)] <= \
-            res.no_spill_fraction[(64, 32)]
-        assert res.no_spill_fraction[(64, 32)] == 1.0
-        assert res.mean_spills[(64, 32)] == 0.0
+        frac = res.column("no_spill_fraction")
+        assert list(frac) == [(2, 4), (8, 8), (64, 32)]
+        assert frac[(2, 4)] <= frac[(8, 8)] <= frac[(64, 32)]
+        assert frac[(64, 32)] == 1.0
+        assert res.rows[64, 32]["mean_spills"] == 0.0
 
     def test_render(self, loops):
         assert "spill" in spill_budget(
@@ -45,9 +45,11 @@ class TestRingLatency:
     def test_latency_never_helps(self, loops):
         res = ring_latency_sensitivity(loops, latencies=(0, 2),
                                        cluster_counts=(4,))
-        assert res.same_ii[0][4] >= res.same_ii[2][4] - 1e-9
+        assert res.rows[0][4] >= res.rows[2][4] - 1e-9
 
     def test_render(self, loops):
-        text = ring_latency_sensitivity(loops, latencies=(0,),
-                                        cluster_counts=(4,)).render()
-        assert "xlat" in text
+        res = ring_latency_sensitivity(loops, latencies=(0,),
+                                       cluster_counts=(4,))
+        # the header names the cluster counts asked for
+        assert res.header == "xlat   4-clusters"
+        assert "xlat" in res.render()

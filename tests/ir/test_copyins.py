@@ -1,12 +1,14 @@
 """Unit tests for copy-operation insertion."""
 
+import gc
+
 import pytest
 
 from repro.ir.builder import LoopBuilder
 from repro.ir.copyins import (count_required_copies, insert_copies,
                               logical_dataflow, strip_copies)
 from repro.ir.validate import validate_ddg
-from repro.workloads.kernels import daxpy, norm2, prefix_sum
+from repro.workloads.kernels import all_kernels, daxpy, norm2, prefix_sum
 
 
 def fanout_loop(n_consumers: int):
@@ -131,3 +133,19 @@ class TestCopyLatency:
         res = insert_copies(fanout_loop(3))
         names = [res.ddg.op(c).name for c in res.ddg.copy_ops()]
         assert all(n.startswith("v.cp") for n in names)
+
+
+class TestMemory:
+    def test_leaves_no_cyclic_garbage(self):
+        """Reference counting alone frees everything the rewrite builds:
+        with the cycle collector off, nothing is left for it to find."""
+        kernels = all_kernels()
+        gc.collect()
+        gc.disable()
+        try:
+            for ddg in kernels:
+                for strategy in ("chain", "balanced", "slack"):
+                    insert_copies(ddg, strategy=strategy)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

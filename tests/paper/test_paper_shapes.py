@@ -6,8 +6,10 @@ named kernels), all of them through one shared result cache, and then:
 
 * ``test_paper_shape`` asserts the shape of its figure -- the checks the
   ``benchmarks/bench_*.py`` files used to make after timing the run,
-  moved here unchanged;
-* ``test_table_matches_golden`` compares its rendered table with
+  moved here unchanged -- reading the cells of the experiment's
+  :class:`~repro.analysis.experiments.Table` (``result.rows[label][key]``,
+  or ``result.column(key)[label]``);
+* ``test_table_matches_golden`` compares the table's ``render()`` with
   ``data/<id>.txt``, which is exactly what ``repro-vliw experiment
   <id>`` prints.  A change that moves a table on purpose regenerates the
   file and says so::
@@ -59,7 +61,7 @@ def experiment_result(loops, shared_runner):
 # -- one shape check per experiment (from benchmarks/bench_<name>.py) ------
 
 def fig3_shape(result, loops, runner):          # bench_fig3_queues.py
-    for machine, row in result.by_machine.items():
+    for machine, row in result.rows.items():
         # cumulative by construction
         assert row[4] <= row[8] <= row[16] <= row[32], machine
         # paper shape: 32 queues cover (nearly) everything
@@ -69,94 +71,103 @@ def fig3_shape(result, loops, runner):          # bench_fig3_queues.py
 
 
 def sec2_shape(result, loops, runner):          # bench_sec2_copyops.py
-    for machine in result.same_ii:
+    same_ii = result.column("same_ii")
+    for machine, row in result.rows.items():
         # large majority keeps the II on every machine
-        assert result.same_ii[machine] >= 0.70, machine
+        assert row["same_ii"] >= 0.70, machine
         # of the loops that change, the typical increase is one cycle
-        assert result.ii_increase_by_1[machine] >= 0.5, machine
+        assert row["ii_increase_by_1"] >= 0.5, machine
     # narrow machines absorb copies best (big II -> plenty of slack)
-    assert result.same_ii["queu-4fu"] >= result.same_ii["queu-12fu"] - 0.02
+    assert same_ii["queu-4fu"] >= same_ii["queu-12fu"] - 0.02
 
 
 def fig4_shape(result, loops, runner):          # bench_fig4_unroll.py
-    names = list(result.speedup_gt1)
+    names = list(result.rows)
+    gt1 = result.column("speedup_gt1")
     # monotone benefit with machine width (4 -> 6 -> 12 FUs)
-    assert result.speedup_gt1[names[0]] <= result.speedup_gt1[names[1]] \
-        <= result.speedup_gt1[names[2]] + 0.02
+    assert gt1[names[0]] <= gt1[names[1]] <= gt1[names[2]] + 0.02
     # the widest machine sees a substantial fraction of winners
-    assert result.speedup_gt1[names[2]] >= 0.30
+    assert gt1[names[2]] >= 0.30
     # unrolling never hurts (fallback keeps the rolled loop)
     for machine in names:
-        assert all(s >= 1.0 - 1e-9 for s in result.speedups[machine])
+        assert result.rows[machine]["min_speedup"] >= 1.0 - 1e-9
     # Section 3: >= 90% of loops within 32 queues even after unrolling
     for machine in names:
-        assert result.queues_le_32[machine] >= 0.9
+        assert result.rows[machine]["queues_le_32"] >= 0.9
 
 
 def fig6_shape(result, loops, runner):          # bench_fig6_partition.py
+    same_ii = result.column("same_ii")
+    mean_increase = result.column("mean_increase")
     # paper shape: degradation as the ring grows
-    assert result.same_ii[4] >= result.same_ii[5] >= result.same_ii[6]
+    assert same_ii[4] >= same_ii[5] >= same_ii[6]
     # 4 clusters nearly always match the single-cluster II
-    assert result.same_ii[4] >= 0.85
+    assert same_ii[4] >= 0.85
     # 6 clusters lose a substantial fraction (paper: down to 52%)
-    assert result.same_ii[6] <= result.same_ii[4]
+    assert same_ii[6] <= same_ii[4]
     # increases are small
     for n in (4, 5, 6):
-        if result.mean_increase[n]:
-            assert result.mean_increase[n] <= 3.0
+        if mean_increase[n]:
+            assert mean_increase[n] <= 3.0
 
 
 def sec4_shape(result, loops, runner):     # bench_sec4_cluster_queues.py
     for n in (4, 5, 6):
         # the 8+8+8 budget covers the vast majority of loops
-        assert result.fits_budget[n] >= 0.8, n
+        assert result.rows[n]["fits_budget"] >= 0.8, n
         # ring pressure stays low (communication is the minority of
         # lifetimes under the affinity partitioner)
-        assert result.p95_ring[n] <= 8, n
+        assert result.rows[n]["p95_ring"] <= 8, n
 
 
 def fig8_shape(result, loops, runner):          # bench_fig8_ipc_all.py
+    static = result.column("static_single")
+    dynamic = result.column("dynamic_single")
+    clustered = result.column("static_clustered")
     # growth with machine width, per series
-    assert result.static_single[18] > result.static_single[4]
-    assert result.dynamic_single[18] > result.dynamic_single[4]
+    assert static[18] > static[4]
+    assert dynamic[18] > dynamic[4]
     # dynamic accounts for prologue/epilogue: never above static
-    for n in result.fus:
-        assert result.dynamic_single[n] <= result.static_single[n] + 1e-9
+    for n in result.rows:
+        assert dynamic[n] <= static[n] + 1e-9
     # clustered points exist exactly at 12/15/18 and do not beat the
     # unconstrained machine
-    assert sorted(result.static_clustered) == [12, 15, 18]
+    assert sorted(clustered) == [12, 15, 18]
     for n in (12, 15, 18):
-        assert result.static_clustered[n] <= \
-            result.static_single[n] + 1e-9
+        assert clustered[n] <= static[n] + 1e-9
 
 
 def fig9_shape(result, loops, runner):          # bench_fig9_ipc_rc.py
-    assert result.static_single[18] > result.static_single[4]
-    for n in result.fus:
-        assert result.dynamic_single[n] <= result.static_single[n] + 1e-9
+    static = result.column("static_single")
+    dynamic = result.column("dynamic_single")
+    assert static[18] > static[4]
+    for n in result.rows:
+        assert dynamic[n] <= static[n] + 1e-9
 
     # the resource-constrained population uses the machine at least as
     # well as the full corpus at the widest point
     full = fig8_ipc(loops, fus=(18,), clustered_counts=(), runner=runner)
-    assert result.static_single[18] >= full.static_single[18] - 1e-9
+    assert static[18] >= full.rows[18]["static_single"] - 1e-9
 
 
 def a1_shape(result, loops, runner):        # bench_ablation_copytree.py
-    assert set(result.same_ii) == {"chain", "balanced", "slack"}
+    same_ii = result.column("same_ii")
+    mean_queues = result.column("mean_queues")
+    assert set(same_ii) == {"chain", "balanced", "slack"}
     # finding: with realistic fan-outs (mostly 2-3 consumers) the tree
     # shape barely matters -- all strategies land within a couple of
     # points of each other; the slack-aware tree must not be *worse*
     # than the naive chain beyond noise
-    assert result.same_ii["slack"] >= result.same_ii["chain"] - 0.03
-    assert result.same_ii["slack"] >= result.same_ii["balanced"] - 0.03
+    assert same_ii["slack"] >= same_ii["chain"] - 0.03
+    assert same_ii["slack"] >= same_ii["balanced"] - 0.03
     # and never needs more queues on average than the chain beyond noise
-    assert result.mean_queues["slack"] <= result.mean_queues["chain"] + 1.0
+    assert mean_queues["slack"] <= mean_queues["chain"] + 1.0
 
 
 def a2_shape(result, loops, runner):       # bench_ablation_partition.py
     from repro.sched.partitioners import available_partitioners
 
-    same = result.same_ii
+    same = result.column("same_ii")
     assert set(same) == set(available_partitioners())
     # finding: once forced placement + deadlock aging are in place, the
     # cluster-choice policy matters surprisingly little (all strategies
@@ -174,11 +185,12 @@ def a3_shape(result, loops, runner):           # bench_ablation_moves.py
     for n in (5, 6):
         # moves never hurt: the scheduler keeps the strict schedule when
         # it is at least as good
-        assert result.with_moves[n] >= result.without_moves[n] - 1e-9
+        row = result.rows[n]
+        assert row["with_moves"] >= row["without_moves"] - 1e-9
 
 
 def a4_shape(result, loops, runner):           # bench_a4_ring_latency.py
-    same = result.same_ii
+    same = result.rows          # same[xlat][n_clusters]
     for n in (4, 6):
         # more latency can only hurt (same or worse), and the decline is
         # graceful, not a cliff
@@ -191,21 +203,19 @@ def a4_shape(result, loops, runner):           # bench_a4_ring_latency.py
 
 
 def s1_shape(result, loops, runner):    # bench_s1_register_pressure.py
-    for name in result.mean_queues:
+    for name, row in result.rows.items():
         # the ordering MaxLive <= rotating <= MVE must hold machine-wide
-        assert result.mean_max_live[name] <= \
-            result.mean_rotating[name] + 1e-9
-        assert result.mean_rotating[name] <= \
-            result.mean_mve_regs[name] + 2.0
+        assert row["mean_max_live"] <= row["mean_rotating"] + 1e-9
+        assert row["mean_rotating"] <= row["mean_mve_regs"] + 2.0
         # a static RF needs kernel replication; wider machines more so
-        assert result.mean_mve_unroll[name] >= 1.0
-    names = list(result.mean_queues)
-    assert result.mean_mve_unroll[names[-1]] >= \
-        result.mean_mve_unroll[names[0]]
+        assert row["mean_mve_unroll"] >= 1.0
+    unroll = list(result.column("mean_mve_unroll").values())
+    assert unroll[-1] >= unroll[0]
 
 
 def s2_shape(result, loops, runner):       # bench_s2_hardware_cost.py
-    for n_fus, (mono, flat, clustered) in result.rows.items():
+    for n_fus, row in result.rows.items():
+        mono, flat, clustered = row["costs"]
         # the paper's exact number at 12 FUs
         if n_fus == 12:
             assert mono.ports == 36
@@ -217,64 +227,71 @@ def s2_shape(result, loops, runner):       # bench_s2_hardware_cost.py
                 < mono.area / mono.storage_cells)
     # and the monolithic delay diverges with width
     widths = sorted(result.rows)
-    assert result.rows[widths[-1]][0].relative_delay > \
-        result.rows[widths[0]][0].relative_delay
+    assert result.rows[widths[-1]]["costs"][0].relative_delay > \
+        result.rows[widths[0]]["costs"][0].relative_delay
 
 
 def e6b_shape(result, loops, runner):             # bench_e6b_spills.py
-    frac = result.no_spill_fraction
+    frac = result.column("no_spill_fraction")
+    spills = result.column("mean_spills")
     # more hardware -> fewer spills, monotonically
     assert frac[(4, 8)] <= frac[(8, 8)] <= frac[(16, 16)] <= frac[(32, 16)]
     # the Fig. 3 claim in spill terms: 32 queues eliminate spilling
     assert frac[(32, 16)] >= 0.99
     # and the mean spill count mirrors it
-    assert result.mean_spills[(32, 16)] <= result.mean_spills[(4, 8)]
+    assert spills[(32, 16)] <= spills[(4, 8)]
+
+
+def _axes(result):
+    """The two label axes of a comparison's ``(x, engine)`` rows, each
+    in first-seen order."""
+    return (list(dict.fromkeys(x for x, _ in result.rows)),
+            list(dict.fromkeys(engine for _, engine in result.rows)))
 
 
 def sc_shape(result, loops, runner):       # bench_scheduler_compare.py
-    assert set(result.schedulers) >= {"ims", "sms"}
-    assert len(result.machines) >= 3
-    for m in result.machines:
-        ims, sms = (m, "ims"), (m, "sms")
-        assert result.n_failed[ims] == 0 and result.n_failed[sms] == 0
+    machines, schedulers = _axes(result)
+    assert set(schedulers) >= {"ims", "sms"}
+    assert len(machines) >= 3
+    for m in machines:
+        ims, sms = result.rows[m, "ims"], result.rows[m, "sms"]
+        assert ims["n_failed"] == 0 and sms["n_failed"] == 0
         # acceptance criterion: SMS keeps (nearly) all of IMS's MII hits
-        assert result.mii_match[sms] >= 0.8, m
+        assert sms["mii_match"] >= 0.8, m
         # near-backtrack-free search
-        assert result.mean_evictions[sms] == 0.0
-        assert (result.mean_attempts[sms]
-                <= result.mean_attempts[ims] + 1e-9), m
+        assert sms["mean_evictions"] == 0.0
+        assert sms["mean_attempts"] <= ims["mean_attempts"] + 1e-9, m
         # lifetime-minimising placement: no extra register pressure
-        assert (result.mean_max_live[sms]
-                <= result.mean_max_live[ims] + 0.5), m
+        assert sms["mean_max_live"] <= ims["mean_max_live"] + 0.5, m
 
 
 def pc_shape(result, loops, runner):     # bench_partitioner_compare.py
     from repro.sched.partitioners import available_partitioners
 
-    engines = set(result.partitioners)
-    assert engines == set(available_partitioners())
-    assert result.partitioners[0] == "affinity"  # the baseline stays first
+    cluster_counts, partitioners = _axes(result)
+    assert set(partitioners) == set(available_partitioners())
+    assert partitioners[0] == "affinity"  # the baseline stays first
 
-    for n in result.cluster_counts:
-        for p in result.partitioners:
-            key = (n, p)
+    for n in cluster_counts:
+        for p in partitioners:
+            row = result.rows[n, p]
             # every engine schedules the (schedulable) corpus
-            assert result.n_ok[key] > 0
-            assert result.n_failed[key] == 0
+            assert row["n_ok"] > 0
+            assert row["n_failed"] == 0
             # II never beats MII; excess stays small on the bench corpus
-            assert result.mean_ii_excess[key] >= 0.0
-            assert result.mean_ii_excess[key] <= 3.0
+            assert row["mean_ii_excess"] >= 0.0
+            assert row["mean_ii_excess"] <= 3.0
         # locality: affinity-guided engines move fewer values across the
         # ring than the load-only baseline
-        assert (result.mean_inter_cluster[(n, "affinity")]
-                <= result.mean_inter_cluster[(n, "balance")] + 1e-9)
-        assert (result.mean_inter_cluster[(n, "agglomerative")]
-                <= result.mean_inter_cluster[(n, "balance")] + 1e-9)
+        inter = {p: result.rows[n, p]["mean_inter_cluster"]
+                 for p in partitioners}
+        assert inter["affinity"] <= inter["balance"] + 1e-9
+        assert inter["agglomerative"] <= inter["balance"] + 1e-9
 
     # the two-phase pre-assignment holds II quality at the hardest ring
-    worst = max(result.cluster_counts)
-    assert (result.mii_rate[(worst, "agglomerative")]
-            >= result.mii_rate[(worst, "affinity")] - 0.05)
+    worst = max(cluster_counts)
+    assert (result.rows[worst, "agglomerative"]["mii_rate"]
+            >= result.rows[worst, "affinity"]["mii_rate"] - 0.05)
 
 
 SHAPES = {

@@ -43,10 +43,10 @@ def test_driver_parallel_render_matches_serial(exp_id, loops,
 
 def test_empty_loop_list_degrades_gracefully():
     empty = fig3_queue_requirements([])
-    assert all(v == 0.0 for row in empty.by_machine.values()
+    assert all(v == 0.0 for row in empty.rows.values()
                for v in row.values())
-    assert sec4_cluster_queues([], cluster_counts=(4,)).fits_budget == {
-        4: 0.0}
+    assert sec4_cluster_queues([], cluster_counts=(4,)).column(
+        "fits_budget") == {4: 0.0}
 
 
 def test_fig6_two_wave_dependency_parity(loops, parallel_cached):
