@@ -20,7 +20,8 @@ A :class:`SchedArena` owns those buffers across attempts, loops and jobs:
   driver that owns the arena (drivers detach plain dicts on success).
 * **Topology cache** -- the ring adjacency matrix and cluster list are
   pure functions of the cluster count; they are computed once per ring
-  size and shared by every attempt.
+  size and shared by every attempt, and so is the slot search's memo of
+  allowed clusters per neighbour-cluster mask (:meth:`allowed_table`).
 * **Counters** -- ``hits`` (buffer reuses), ``allocs`` (new buffers),
   ``resets`` (attempt begins) feed the perf telemetry
   (``ARENA_COUNTERS.json`` in CI) so arena effectiveness is observable,
@@ -45,7 +46,7 @@ class SchedArena:
     in practice; not thread-safe, like the engines themselves)."""
 
     __slots__ = ("generation", "resets", "hits", "allocs",
-                 "_mrts", "_mrts_out", "_adjacency")
+                 "_mrts", "_mrts_out", "_adjacency", "_allowed")
 
     def __init__(self) -> None:
         self.generation = 0
@@ -58,6 +59,8 @@ class SchedArena:
         #: list); ring topology is a pure function of the cluster count.
         self._adjacency: dict[
             int, tuple[list[list[bool]], list[int], list[int]]] = {}
+        #: n_clusters -> allowed-cluster memo (see allowed_table)
+        self._allowed: dict[int, dict[int, list[int]]] = {}
 
     # ---------------------------------------------------------- attempts
 
@@ -110,6 +113,16 @@ class SchedArena:
         else:
             self.hits += 1
         return cached
+
+    def allowed_table(self, n_clusters: int) -> dict[int, list[int]]:
+        """The memo, shared by every attempt on a ring of *n_clusters*,
+        that maps a bitmask of neighbour clusters to the clusters
+        adjacent to all of them.  Starts empty; the slot search fills in
+        each mask it meets."""
+        table = self._allowed.get(n_clusters)
+        if table is None:
+            table = self._allowed[n_clusters] = {}
+        return table
 
     # ---------------------------------------------------------- telemetry
 

@@ -118,8 +118,7 @@ class ModuloReservationTable:
         """The occupants a forced placement of *fu_type* at ``time`` must
         displace, newest-first -- :meth:`evict_for`'s victim selection
         without the removal, for callers whose eviction path owns more
-        bookkeeping than the table (the partitioner routes every victim
-        through ``PartitionState.unschedule``)."""
+        bookkeeping than the table."""
         pool = pool_for(fu_type)
         if self._cap.get(pool, 0) == 0:
             raise ValueError(f"machine has no {pool.value} units at all")
@@ -171,6 +170,11 @@ class ModuloReservationTable:
 #: Shared immutable empty-victims result -- ``conflicts()`` on a free row
 #: must not allocate (it runs once per forced placement probe).
 _NO_VICTIMS: tuple[int, ...] = ()
+
+#: Zero usage counters and full-row masks: :meth:`PackedMRT.reset`
+#: copies them in instead of zeroing pool by pool.
+_ZERO_USAGE = array("i", bytes(4 * N_POOLS))
+_ZERO_FULL = (0,) * N_POOLS
 
 
 class PackedMRT:
@@ -401,11 +405,10 @@ class PackedMRT:
                     rows[slot].clear()
             self._where.clear()
             self._mut += 1
-        for i in range(N_POOLS):
-            self._usage[i] = 0
-            self._full[i] = 0
+        self._usage[:] = _ZERO_USAGE
+        self._full[:] = _ZERO_FULL
         self._load = 0
-        if capacities is not None:
+        if capacities is not None and capacities is not self.caps:
             self.caps = self._caps_array(capacities)
         if ii is not None and ii != self.ii:
             if ii < 1:

@@ -13,11 +13,13 @@ looked up by name (``PartitionConfig(partitioner="agglomerative")``,
 ``PipelineOptions(partitioner=...)``, ``--partitioner`` on the CLI).
 
 The mutable search state (:class:`PartitionState`) is shared by all
-engines: it owns the per-cluster modulo reservation tables, the sigma and
-cluster maps, and the flat caches the inner loop depends on.  Every
-eviction MUST go through :meth:`PartitionState.unschedule` so the MRT,
-``sigma``/``cluster_of`` maps and the ready-scan cursor can never drift
-apart (the forced-placement path once bypassed it with raw ``del``s).
+engines: it owns the per-cluster modulo reservation tables, the packed
+``sig``/``cl`` mirrors and the flat caches the inner loop depends on.
+During a probe the search loop owns that packed state alone; the
+id-keyed ``sigma``/``cluster_of`` maps and each table's derived fields
+are built once, when the probe ends (:meth:`PartitionState.close` and
+:meth:`PartitionState.publish`), so they cannot drift from the packed
+state mid-search.
 """
 
 from __future__ import annotations
@@ -44,10 +46,13 @@ class PartitionState:
     :class:`~repro.sched.mrt.PackedMRT` tables and the loop's
     :class:`~repro.ir.ddgarrays.DdgArrays` lowering.  The engine inner
     loops work in op-*index* space through ``sig``/``cl`` (flat lists,
-    -1 = unscheduled) and the ``*_idx`` methods; the public ``sigma`` /
-    ``cluster_of`` / ``last_time`` dicts stay keyed by op id (drivers,
-    tests and the MOVE pipeline consume those) and are maintained in
-    lock-step by :meth:`place_idx` / :meth:`unschedule`.
+    -1 = unscheduled) and keep the tables' occupant rows and full-row
+    masks current; :meth:`close` rebuilds the rest of every table from
+    them when the probe ends, and :meth:`publish` builds the public
+    ``sigma``/``cluster_of`` dicts, keyed by op id in order of last
+    placement (drivers, tests and the MOVE pipeline consume those).
+    :meth:`place_idx` is the one-op form that keeps everything current
+    at once.
 
     With an *arena* the reservation tables and ring topology come from
     the arena's pools (reset in O(touched) between attempts) instead of
@@ -64,7 +69,6 @@ class PartitionState:
         self.arr = arr = ddg.arrays()
         self.sigma: dict[int, int] = {}
         self.cluster_of: dict[int, int] = {}
-        self.last_time: dict[int, int] = {}
         caps = cm.cluster.fus.pool_caps
         n = cm.n_clusters
         if arena is not None:
@@ -72,6 +76,7 @@ class PartitionState:
             self.mrts = arena.take_mrts(n, ii, caps)
             self.adj, self.adj_mask, self.all_clusters = \
                 arena.ring_topology(cm)
+            self.allowed_of = arena.allowed_table(n)
         else:
             self.mrts = [PackedMRT(ii, caps) for _ in range(n)]
             self.adj = [[cm.are_adjacent(a, b) for b in range(n)]
@@ -79,6 +84,7 @@ class PartitionState:
             self.adj_mask = [sum(1 << b for b in range(n) if row[b])
                              for row in self.adj]
             self.all_clusters = list(range(n))
+            self.allowed_of = {}
         self.xlat = cm.inter_cluster_latency
         # packed mirrors of sigma / cluster_of, indexed by op index
         self.sig = [-1] * arr.n
@@ -88,28 +94,54 @@ class PartitionState:
 
     def place_idx(self, i: int, cluster: int, t: int) -> None:
         """Place op index *i* on *cluster* at time *t* (all bookkeeping:
-        MRT slot, packed mirrors, public dicts, last placement time)."""
+        MRT slot, packed mirrors, public dicts)."""
         op_id = self.arr.ids[i]
         self.mrts[cluster].place(op_id, self.arr.pool[i], t)
         self.sig[i] = t
         self.cl[i] = cluster
         self.sigma[op_id] = t
         self.cluster_of[op_id] = cluster
-        self.last_time[op_id] = t
 
-    def unschedule_idx(self, i: int) -> None:
-        """THE eviction path: MRT slot, packed mirrors and public maps
-        are always released together."""
-        op_id = self.arr.ids[i]
-        self.mrts[self.cl[i]].remove(op_id)
-        self.sig[i] = -1
-        self.cl[i] = -1
-        del self.sigma[op_id]
-        del self.cluster_of[op_id]
+    def close(self, load: list[int]) -> None:
+        """End a search loop's probe: rebuild every table's counts,
+        usage, placement map and load from ``sig``/``cl``, the occupant
+        rows the loop kept, and its per-cluster *load*.
 
-    def unschedule(self, op_id: int) -> None:
-        """Id-keyed form of :meth:`unschedule_idx` (public surface)."""
-        self.unschedule_idx(self.arr.index[op_id])
+        The tables come from a reset (all counts, usage and placements
+        zero), so only occupied slots are written.  Bumping the mutation
+        stamp voids any memo built before the probe.
+        """
+        arr = self.arr
+        ii = self.ii
+        ids, pool = arr.ids, arr.pool
+        sig = self.sig
+        mrts = self.mrts
+        counts_l = [m._counts for m in mrts]
+        rows_l = [m._rows for m in mrts]
+        usage_l = [m._usage for m in mrts]
+        where_l = [m._where for m in mrts]
+        for i, c in enumerate(self.cl):
+            if c >= 0:
+                p = pool[i]
+                t = sig[i]
+                slot = p * ii + t % ii
+                counts_l[c][slot] = len(rows_l[c][slot])
+                usage_l[c][p] += 1
+                where_l[c][ids[i]] = (p, t)
+        for m, n_placed in zip(mrts, load):
+            m._load = n_placed
+            m._mut += 1
+
+    def publish(self, log: list[int]) -> None:
+        """Build the public ``sigma``/``cluster_of`` maps of a finished
+        probe in order of last placement; *log* holds the op index placed
+        in each round, so an op's last entry is its current placement."""
+        ids = self.arr.ids
+        sig, cl = self.sig, self.cl
+        # newest first, each op once; reversed() restores the order
+        newest = dict.fromkeys(reversed(log))
+        self.sigma = {ids[i]: sig[i] for i in reversed(newest)}
+        self.cluster_of = {ids[i]: cl[i] for i in reversed(newest)}
 
     # -------------------------------------------------------- queries
 
@@ -174,41 +206,23 @@ class PartitionState:
                 out[x] = c
         return out
 
-    def scheduled_data_neighbours(self, op_id: int) -> dict[int, int]:
-        """Scheduled DATA-neighbour op id -> its cluster."""
-        ids = self.arr.ids
-        return {ids[x]: c for x, c in self.scheduled_nbr_clusters_idx(
-            self.arr.index[op_id]).items()}
-
     def allowed_from_nbrs(self, nbr_clusters: dict[int, int]) -> list[int]:
-        """Clusters adjacent to every scheduled DATA neighbour (bitmask
-        intersection over the cached ring topology)."""
-        if not nbr_clusters:
-            return self.all_clusters
+        """Clusters adjacent to every scheduled DATA neighbour."""
         need = 0
         for nc in nbr_clusters.values():
             need |= 1 << nc
-        masks = self.adj_mask
-        return [c for c in self.all_clusters
-                if masks[c] & need == need]
+        return self.allowed_in(need)
 
-    def allowed_clusters(self, op_id: int,
-                         pinned: dict[int, int],
-                         relax_adjacency: bool,
-                         nbr_clusters: Optional[dict[int, int]] = None
-                         ) -> list[int]:
-        if op_id in pinned:
-            return [pinned[op_id]]
-        if relax_adjacency:
-            return self.all_clusters
-        if nbr_clusters is None:
-            nbr_clusters = self.scheduled_data_neighbours(op_id)
-        return self.allowed_from_nbrs(nbr_clusters)
-
-    def affinity(self, op_id: int, cluster: int) -> int:
-        return sum(1 for c in
-                   self.scheduled_data_neighbours(op_id).values()
-                   if c == cluster)
+    def allowed_in(self, need: int) -> list[int]:
+        """Clusters adjacent to every cluster in the bitmask *need*
+        (bitmask intersection over the cached ring topology), memoised
+        in ``allowed_of``; the list is shared, never to be mutated."""
+        allowed = self.allowed_of.get(need)
+        if allowed is None:
+            masks = self.adj_mask
+            allowed = self.allowed_of[need] = [
+                c for c in self.all_clusters if masks[c] & need == need]
+        return allowed
 
 
 class Partitioner(abc.ABC):

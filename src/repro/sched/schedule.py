@@ -11,13 +11,16 @@ exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.ir.ddg import Ddg, DepEdge, DepKind
 from repro.ir.operations import FuType
 from repro.kernels import capacity_clean, dependence_clean
 
 from repro.machine.resources import HARDWARE_POOLS, POOL_IDS, pool_for
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.machine.cluster import ClusteredMachine
 
 
 class SchedulingError(RuntimeError):
@@ -150,7 +153,8 @@ class ModuloSchedule:
     # ----------------------------------------------------- validation
 
     def validate(self, capacities: "Union[dict[FuType, int], Sequence[int], None]" = None,
-                 *, adjacency: Optional[object] = None) -> None:
+                 *, adjacency: Optional["ClusteredMachine"] = None
+                 ) -> None:
         """Audit the schedule; raise :class:`ScheduleValidationError`.
 
         Checks: every op scheduled exactly once at time >= 0; every
@@ -234,16 +238,27 @@ class ModuloSchedule:
         if adjacency is not None:
             cluster_of = self.cluster_of
             cl = [cluster_of.get(o, 0) for o in ids]
+            # ring arithmetic when every cluster id is in range: an edge
+            # is legal within one cluster or one hop either way round;
+            # anything else asks the machine, which raises IndexError
+            # on an out-of-range id
+            n_cl = adjacency.n_clusters
+            in_range = not cl or (min(cl) >= 0 and max(cl) < n_cl)
+            hop = (1, n_cl - 1)
+            out_ptr, out_dst, out_data = arr.out_ptr, arr.out_dst, \
+                arr.out_data
             for i in range(arr.n):
                 ca = cl[i]
-                for j in range(arr.out_ptr[i], arr.out_ptr[i + 1]):
-                    if not arr.out_data[j]:
+                for j in range(out_ptr[i], out_ptr[i + 1]):
+                    if not out_data[j]:
                         continue
-                    cb = cl[arr.out_dst[j]]
+                    cb = cl[out_dst[j]]
+                    if in_range and (ca == cb or (ca - cb) % n_cl in hop):
+                        continue
                     if not adjacency.are_adjacent(ca, cb):
                         problems.append(
                             f"DATA edge {ddg.op(ids[i]).name}(cl{ca}) -> "
-                            f"{ddg.op(ids[arr.out_dst[j]]).name}(cl{cb}) "
+                            f"{ddg.op(ids[out_dst[j]]).name}(cl{cb}) "
                             f"spans non-adjacent clusters")
 
         if problems:

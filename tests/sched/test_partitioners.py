@@ -188,8 +188,6 @@ def _assert_state_consistent(state):
         assert op_id in placed_by_cluster[c], op_id
         placement = state.mrts[c].placement_of(op_id)
         assert placement.time == state.sigma[op_id]
-        # last_time records the most recent placement of every op
-        assert state.last_time[op_id] == state.sigma[op_id]
     for c, placed in placed_by_cluster.items():
         for op_id in placed:
             assert state.cluster_of.get(op_id) == c, (
@@ -198,9 +196,9 @@ def _assert_state_consistent(state):
 
 @pytest.mark.parametrize("name", ALL_PARTITIONERS)
 def test_forced_eviction_keeps_state_consistent(name):
-    """Regression: forced-placement victims used to leave through raw
-    ``del state.sigma[...]`` instead of ``unschedule``; every eviction
-    path must leave MRT/sigma/cluster_of bookkeeping aligned."""
+    """Regression: forced-placement victims once left the public maps
+    behind the MRTs; every eviction path must leave MRT/sigma/cluster_of
+    bookkeeping aligned."""
     from repro.sched.schedule import ScheduleStats
 
     cm = make_clustered(6)
@@ -230,11 +228,11 @@ def test_forced_eviction_branch_actually_fires():
 
 
 class TestStateQueryEquivalence:
-    """The slot-search inner loop inlines pred_arrivals_idx /
-    scheduled_nbr_clusters_idx / allowed_from_nbrs for speed; the
-    methods remain the public forms.  Pin the methods against a
-    brute-force recomputation on mid-search states so neither copy can
-    drift silently."""
+    """The query methods pred_arrivals_idx / scheduled_nbr_clusters_idx
+    / allowed_from_nbrs restate, one query at a time, what the
+    slot-search inner loop computes inline.  Pin them against a
+    brute-force recomputation on mid-search states, so the reference
+    forms stay correct."""
 
     def test_methods_match_bruteforce_on_partial_states(self):
         import random

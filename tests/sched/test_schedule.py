@@ -102,6 +102,55 @@ class TestValidation:
         with pytest.raises(ScheduleValidationError, match="non-adjacent"):
             s.validate(adjacency=cm)
 
+    @pytest.mark.parametrize("n_clusters", [1, 2, 3, 4, 6])
+    def test_adjacency_audit_matches_per_edge_machine_check(self,
+                                                            n_clusters):
+        """The audit's ring arithmetic decides like asking
+        ``cm.are_adjacent`` about every DATA edge: the same problems in
+        the same order, and the same IndexError for an out-of-range
+        cluster id (a same-cluster edge included)."""
+        import random
+        import re
+
+        from repro.ir.copyins import insert_copies
+        from repro.machine.cluster import make_clustered
+        from repro.workloads.kernels import kernel
+
+        def reference(sched, cm):
+            cl = sched.cluster_of
+            out = []
+            for e in sched.ddg.data_edges():
+                a, b = cl.get(e.src, 0), cl.get(e.dst, 0)
+                if not cm.are_adjacent(a, b):
+                    out.append((e.src, e.dst))
+            return out
+
+        cm = make_clustered(n_clusters)
+        rng = random.Random(n_clusters)
+        for name in ("dot", "fir4", "cmul"):
+            work = insert_copies(kernel(name)).ddg
+            sched = modulo_schedule(work, qrf_machine(16))
+            for _ in range(40):
+                ids = work.op_ids
+                hi = n_clusters + (1 if rng.random() < 0.3 else 0)
+                lo = -1 if rng.random() < 0.1 else 0
+                sched.cluster_of = {o: rng.randint(lo, hi - 1)
+                                    for o in ids if rng.random() < 0.95}
+                try:
+                    expect = reference(sched, cm)
+                except IndexError as exc:
+                    with pytest.raises(IndexError,
+                                       match=re.escape(str(exc))):
+                        sched.validate(adjacency=cm)
+                    continue
+                if not expect:
+                    sched.validate(adjacency=cm)
+                    continue
+                with pytest.raises(ScheduleValidationError) as info:
+                    sched.validate(adjacency=cm)
+                assert str(info.value).count("spans non-adjacent") \
+                    == len(expect)
+
 
 class TestRender:
     def test_render_contains_ops(self):
