@@ -34,7 +34,7 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

@@ -15,15 +15,9 @@ Subcommands:
   verifier (DESIGN §5.9): the full golden engine x kernel matrix by
   default, ``--mutations N`` to also demand the seeded corruption
   corpus is 100% rejected
-* ``repro-vliw report``             -- the perf observatory: trend
-  tables + HTML dashboard over the committed ``BENCH_*.json`` records
-  and the bench history (``--check`` gates regressions, ``--append``
-  grows the history)
 * ``repro-vliw trace <kernel>``     -- compile one kernel with tracing
   on and print the per-stage time breakdown (``schedule --trace`` does
   the same after the normal schedule dump)
-* ``repro-vliw bench``              -- run a named benchmark and gate it
-  against ``benchmarks/baseline.json`` (the CI perf-smoke check, local)
 * ``repro-vliw cache``              -- inspect (``stats``), compact
   (``gc --max-bytes``) or ``clear`` the result cache
 * ``repro-vliw serve``              -- run the sweep service daemon
@@ -225,151 +219,6 @@ def cmd_partitioners(args) -> int:
     for name, descr in partitioner_descriptions().items():
         default = "  (default)" if name == DEFAULT_PARTITIONER else ""
         print(f"{name:<14} {descr}{default}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    """The perf observatory.
-
-    Ingests the ``BENCH_*.json`` records beside the history file, prints
-    the per-metric trend table (robust median+MAD gate with the
-    fixed-ratio fallback on short history) and renders the static HTML
-    dashboard.  ``--check`` exits 1 when any gated metric is flagged;
-    ``--append`` folds the fresh records into the history *after*
-    gating, so a run never vouches for itself.
-    """
-    import json
-    import os
-    import pathlib
-
-    from repro.obs import (BenchHistory, render_dashboard,
-                           rows_from_record, trend_stats, trend_table)
-
-    records_dir = pathlib.Path(
-        args.records or os.environ.get("REPRO_BENCH_DIR") or ".")
-    records = []
-    for path in sorted(records_dir.glob("BENCH_*.json")):
-        try:
-            records.append(json.loads(path.read_text()))
-        except (OSError, ValueError):
-            print(f"report: skipping unreadable record {path}",
-                  file=sys.stderr)
-    history = BenchHistory(args.history)
-    stats = trend_stats(history, records)
-    print(trend_table(stats))
-    if args.html:
-        out = pathlib.Path(args.html)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(render_dashboard(history, stats))
-        print(f"\ndashboard -> {out}")
-    if args.append:
-        rows = [row for rec in records for row in rows_from_record(rec)]
-        appended = history.append(rows)
-        print(f"history: {appended} new row(s) -> {history.path}")
-    if args.check and any(s.verdict in ("regression", "missing")
-                          for s in stats):
-        return 1
-    return 0
-
-
-def _bench_dir() -> "pathlib.Path":
-    """The ``benchmarks/`` directory of the current checkout."""
-    import pathlib
-
-    return pathlib.Path.cwd() / "benchmarks"
-
-
-def _load_telemetry(bench_dir):
-    """Import ``benchmarks/telemetry.py`` (not a package) by path."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "repro_bench_telemetry", bench_dir / "telemetry.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _run_benchmark(bench_file) -> int:
-    """Run one benchmark file under pytest in a subprocess (separated out
-    so tests can stub the expensive part)."""
-    import os
-    import pathlib
-    import subprocess
-
-    import repro
-
-    env = dict(os.environ)
-    pkg_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", str(bench_file), "-q"],
-        env=env).returncode
-
-
-def cmd_bench(args) -> int:
-    """Run a named benchmark and gate it against the committed baseline.
-
-    ``repro-vliw bench fig6_partition`` is the CI perf-smoke job in one
-    local command: it runs ``benchmarks/bench_<name>.py``, reads the
-    ``BENCH_<name>.json`` telemetry the benchmark wrote, and compares it
-    against ``benchmarks/baseline.json`` with the same tolerance the CI
-    gate uses.  Run it from the repository root.
-    """
-    bench_dir = _bench_dir()
-    if not bench_dir.is_dir():
-        print(f"bench: no benchmarks/ directory under {bench_dir.parent} "
-              f"(run from the repository root)", file=sys.stderr)
-        return 2
-    names = sorted(p.stem[len("bench_"):]
-                   for p in bench_dir.glob("bench_*.py"))
-    if args.list:
-        for name in names:
-            print(name)
-        return 0
-    if args.name is None:
-        print("bench: benchmark name required (or --list)", file=sys.stderr)
-        return 2
-    if args.name not in names:
-        print(f"unknown benchmark {args.name!r}; available: "
-              f"{', '.join(names)}", file=sys.stderr)
-        return 2
-
-    import time
-
-    telemetry = _load_telemetry(bench_dir)
-    started = time.time()
-    code = _run_benchmark(bench_dir / f"bench_{args.name}.py")
-    if code != 0:
-        print(f"bench: benchmark run failed (exit {code})",
-              file=sys.stderr)
-        return code
-
-    record = telemetry.bench_dir() / f"BENCH_{args.name}.json"
-    # records are committed at the repo root, so existence alone is not
-    # proof of a run: demand a record written by *this* invocation
-    if not record.exists() or record.stat().st_mtime < started - 1:
-        print(f"bench: {record} was not (re)written by this run; "
-              f"nothing to gate", file=sys.stderr)
-        return 2
-    baseline = telemetry.load_baseline(bench_dir / "baseline.json")
-    if args.name not in baseline["benches"]:
-        rec = telemetry.read_bench(record)
-        print(f"{args.name}: {rec['wall_s']:.2f}s -- NOT GATED "
-              f"(no entry in benchmarks/baseline.json; add one to gate "
-              f"this benchmark)")
-        return 0
-    report, failures = telemetry.check_against_baseline(
-        [record], baseline, tolerance=args.tolerance)
-    print("baseline comparison:")
-    for line in report:
-        print(line)
-    if failures:
-        print(f"\n{len(failures)} perf regression(s) beyond "
-              f"{args.tolerance:.2f}x", file=sys.stderr)
-        return 1
-    print("\nwithin budget")
     return 0
 
 
@@ -581,8 +430,8 @@ def cmd_verify(args) -> int:
 
 
 #: the shared failure-exit convention: 0 = success, 1 = the check the
-#: command was asked to make failed, 2 = usage error.  ``verify``,
-#: ``report --check`` and ``submit --expect-cached`` all follow it.
+#: command was asked to make failed, 2 = usage error.  ``verify`` and
+#: ``submit --expect-cached`` follow it.
 EXIT_CODES_HELP = ("exit codes: 0 = success; 1 = check failed; "
                    "2 = usage error")
 
@@ -709,41 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit the verdicts as JSON instead of the "
                          "per-schedule lines")
 
-    pr = sub.add_parser(
-        "report", help="perf observatory: trend tables + HTML dashboard "
-                       "over the BENCH_*.json records and bench history",
-        epilog=EXIT_CODES_HELP + " (1 = --check found a regression)")
-    pr.add_argument("--records", default=None, metavar="DIR",
-                    help="directory holding the BENCH_*.json records "
-                         "(default: $REPRO_BENCH_DIR or .)")
-    pr.add_argument("--history", default="benchmarks/history.jsonl",
-                    metavar="FILE",
-                    help="bench-history JSONL file (default: "
-                         "benchmarks/history.jsonl)")
-    pr.add_argument("--html", default="benchmarks/results/dashboard.html",
-                    metavar="FILE",
-                    help="where to write the HTML dashboard "
-                         "(default: benchmarks/results/dashboard.html; "
-                         "'' skips it)")
-    pr.add_argument("--check", action="store_true",
-                    help="exit 1 when any gated metric regresses "
-                         "against its history (the CI perf gate)")
-    pr.add_argument("--append", action="store_true",
-                    help="append the fresh records to the history file "
-                         "after gating")
-
-    pb = sub.add_parser(
-        "bench", help="run a named benchmark and gate it against "
-                      "benchmarks/baseline.json")
-    pb.add_argument("name", nargs="?", default=None,
-                    help="benchmark name, e.g. fig6_partition "
-                         "(see --list)")
-    pb.add_argument("--list", action="store_true",
-                    help="list the available benchmarks and exit")
-    pb.add_argument("--tolerance", type=float, default=1.3,
-                    help="allowed wall-time factor over the baseline "
-                         "(default 1.3, the CI gate's)")
-
     pc = sub.add_parser(
         "cache", help="inspect or maintain the result cache")
     pc.add_argument("action", nargs="?", default="stats",
@@ -835,8 +649,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "schedulers": cmd_schedulers,
         "partitioners": cmd_partitioners,
         "verify": cmd_verify,
-        "report": cmd_report,
-        "bench": cmd_bench,
         "cache": cmd_cache,
         "serve": cmd_serve,
         "submit": cmd_submit,

@@ -1,32 +1,26 @@
-"""Observability: compile-pipeline tracing and the perf observatory.
+"""Observability: compile-pipeline tracing and the ``/metrics`` exposition.
 
-Two halves (DESIGN §5.8):
+Two modules (DESIGN §5.8):
 
 * :mod:`repro.obs.trace` -- a lightweight span/counter tracer threaded
   through the compile pipeline's control paths (front-end stages, II
   search attempts, partitioner placement, pool dispatch, cache
   read-through).  Off by default; the disabled path is a single flag
   check, so the hot loops pay nothing measurable.
-* :mod:`repro.obs.history` + :mod:`repro.obs.report` -- the perf
-  observatory: ingest ``BENCH_*.json`` telemetry records into an
-  append-only JSONL history, compute per-metric trend statistics, flag
-  regressions with a robust statistical test (median + MAD z-score,
-  falling back to a fixed ratio on short history), and render trend
-  tables, a static HTML dashboard and the Prometheus ``/metrics``
-  exposition.
+* :mod:`repro.obs.report` -- :func:`prometheus_text`, the service's
+  Prometheus ``/metrics`` exposition over the same counters and spans.
+
+Timing is measured by the repository benchmark (``perfbench/``) alone;
+``tools/perf_gate.py`` runs it paired against a base checkout in CI.
 """
 
-from .history import (BenchHistory, TrendStat, detect_regressions,
-                      rows_from_record, trend_stats)
-from .report import prometheus_text, render_dashboard, trend_table
+from .report import prometheus_text
 from .trace import (disable_tracing, enable_tracing, job_capture,
                     merge_job_trace, reset_tracing, span, trace_count,
                     trace_snapshot, tracing_enabled)
 
 __all__ = [
-    "BenchHistory", "TrendStat", "detect_regressions", "rows_from_record",
-    "trend_stats",
-    "prometheus_text", "render_dashboard", "trend_table",
+    "prometheus_text",
     "disable_tracing", "enable_tracing", "job_capture", "merge_job_trace",
     "reset_tracing", "span", "trace_count", "trace_snapshot",
     "tracing_enabled",

@@ -22,9 +22,8 @@ Typical use::
                                     cache=ShardedResultCache()))
     results["queu-4fu"]         # one JobResult per loop, in loop order
 
-The CLI exposes this as ``repro-vliw --jobs N [--no-cache] experiment``;
-benchmarks pick the same knobs up from ``REPRO_JOBS`` /
-``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR``.
+The CLI exposes this as ``repro-vliw --jobs N [--no-cache] experiment``
+(``REPRO_CACHE_DIR`` moves the default cache directory).
 """
 
 from .cache import (CACHE_DIR_ENV, ShardedResultCache, default_cache_dir,

@@ -8,7 +8,7 @@ lines or lost shards.  A size budget (``max_bytes``) triggers per-shard
 compaction and oldest-first ("LRU-ish": insertion order approximates
 recency in an append-only log) eviction, and the cache keeps
 hit/miss/store/eviction plus cumulative latency counters for
-``/metrics`` and BENCH telemetry.
+``/metrics``.
 
 The loader stays deliberately forgiving: corrupt lines (truncated
 writes, hand edits, schema drift) are counted and skipped, never fatal
@@ -351,7 +351,7 @@ class ShardedResultCache:
 
     def peek(self, key: str) -> Optional[JobResult]:
         """Like :meth:`get` but without touching the hit/miss counters
-        (status probes must not skew the telemetry)."""
+        (status probes must not skew the ``/metrics`` counters)."""
         with self._mutex:
             record = self._load().get(key)
             return None if record is None else self._shared(key, record)

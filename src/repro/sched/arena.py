@@ -23,9 +23,8 @@ A :class:`SchedArena` owns those buffers across attempts, loops and jobs:
   size and shared by every attempt, and so is the slot search's memo of
   allowed clusters per neighbour-cluster mask (:meth:`allowed_table`).
 * **Counters** -- ``hits`` (buffer reuses), ``allocs`` (new buffers),
-  ``resets`` (attempt begins) feed the perf telemetry
-  (``ARENA_COUNTERS.json`` in CI) so arena effectiveness is observable,
-  not assumed.
+  ``resets`` (attempt begins) feed the service's ``/metrics`` so arena
+  effectiveness is observable, not assumed.
 
 The module-global arena (:func:`global_arena`) is what the II drivers
 use by default; worker processes each get their own copy-on-fork
@@ -124,10 +123,10 @@ class SchedArena:
             table = self._allowed[n_clusters] = {}
         return table
 
-    # ---------------------------------------------------------- telemetry
+    # ----------------------------------------------------------- counters
 
     def counters(self) -> dict:
-        """Counters for telemetry records and the CI artifact."""
+        """Counters for the service's ``/metrics``."""
         return {"generation": self.generation, "resets": self.resets,
                 "hits": self.hits, "allocs": self.allocs,
                 "pooled_mrts": len(self._mrts)}
@@ -145,5 +144,5 @@ def global_arena() -> SchedArena:
 
 
 def arena_counters() -> dict:
-    """Counters of the process-wide arena (telemetry surface)."""
+    """Counters of the process-wide arena (the ``/metrics`` surface)."""
     return _GLOBAL_ARENA.counters()

@@ -180,7 +180,9 @@ def try_schedule_at_ii(ddg: Ddg, machine: Machine, ii: int, *,
         if stats is not None:
             stats.attempts += 1
 
-        # drop scheduled ops whose dependence the new placement violates
+        # drop scheduled successors whose dependence the new placement
+        # violates; no predecessor can be violated, because the op goes
+        # at or after its earliest start and evict_for only unschedules
         t = placed_at
         for j in range(out_ptr[i], out_ptr[i + 1]):
             d = out_dst[j]
@@ -192,16 +194,6 @@ def try_schedule_at_ii(ddg: Ddg, machine: Machine, ii: int, *,
                 unscheduled.add(d)
                 if pos[d] < cursor:
                     cursor = pos[d]
-        for j in range(in_ptr[i], in_ptr[i + 1]):
-            s = in_src[j]
-            tp = sig[s]
-            if tp >= 0 and s != i and t + in_dist[j] * ii \
-                    < tp + in_lat[j]:
-                sig[s] = -1
-                mrt_remove(ids[s])
-                unscheduled.add(s)
-                if pos[s] < cursor:
-                    cursor = pos[s]
 
     return {ids[i]: sig[i] for i in range(n)}
 

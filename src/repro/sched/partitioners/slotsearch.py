@@ -61,8 +61,9 @@ class SlotSearchPartitioner(Partitioner):
         state = PartitionState(ddg, cm, ii, arena=arena)
         arr = state.arr
         index = arr.index
-        pinned_idx = ({index[o]: c for o, c in pinned.items()}
-                      if pinned else {})
+        # pinned op index -> its one-cluster allowed list, built once
+        pinned_allowed = ({index[o]: [c] for o, c in pinned.items()}
+                          if pinned else {})
         order = priority_order_idx(arr, ii)
         n = arr.n
         pos = [0] * n
@@ -151,8 +152,8 @@ class SlotSearchPartitioner(Partitioner):
                     if c >= 0:
                         need |= 1 << c
                         aff[c] += 1
-                if pinned_idx and i in pinned_idx:
-                    allowed = [pinned_idx[i]]
+                if pinned_allowed and i in pinned_allowed:
+                    allowed = pinned_allowed[i]
                 elif relax_adjacency:
                     allowed = all_clusters
                 else:

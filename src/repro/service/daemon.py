@@ -343,7 +343,7 @@ def serve(service: SweepService, host: str = "127.0.0.1",
 
 
 class ServerHandle:
-    """A daemon running on a background thread (tests/benchmarks/CI)."""
+    """A daemon running on a background thread (tests and CI)."""
 
     def __init__(self, service: SweepService, host: str,
                  thread: threading.Thread, port: int,

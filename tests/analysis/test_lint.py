@@ -251,8 +251,18 @@ def test_cli_exit_codes(tmp_path):
     root = _repo_root()
     assert lint_main(["--root", str(root)]) == 0
     assert lint_main(["--list-rules"]) == 0
-    # against an empty baseline the accepted debt counts as new
-    assert lint_main(["--root", str(root), "--baseline", ""]) == 1
+    # a tree carrying one known R001 finding: new against an empty
+    # baseline, and accepted once the baseline records it
+    debt = tmp_path / "debt"
+    _lint_source(debt, """
+        def try_at_ii(ops):
+            for op in ops:
+                xs = [o for o in ops]
+            return xs
+    """, rule=HotLoopAllocRule())
+    assert lint_main(["--root", str(debt), "--baseline", ""]) == 1
+    assert lint_main(["--root", str(debt), "--update-baseline"]) == 0
+    assert lint_main(["--root", str(debt)]) == 0
     assert lint_main(["--root", str(tmp_path)]) == 2  # no src/ tree
 
 def test_rule_catalogue_is_well_formed():

@@ -1,66 +1,9 @@
-"""Observatory rendering: trend table, dashboard HTML, Prometheus text."""
+"""The Prometheus text exposition behind ``GET /metrics``."""
 
 import re
 
-from repro.obs.history import BenchHistory, trend_stats
-from repro.obs.report import (prometheus_text, render_dashboard,
-                              sparkline, trend_table)
+from repro.obs.report import prometheus_text
 from repro.obs.trace import BUCKETS
-
-
-def _history(tmp_path, name="demo", values=(1.0, 1.1, 0.9, 1.0, 1.05)):
-    history = BenchHistory(tmp_path / "h.jsonl")
-    history.append([
-        {"bench": name, "metric": "wall_s", "value": v,
-         "git_sha": f"old{i:04d}", "timestamp": f"2025-12-01T00:00:{i:02d}"}
-        for i, v in enumerate(values)])
-    return history
-
-
-def _record(name="demo", wall=1.0):
-    return {"schema": 2, "name": name, "wall_s": wall,
-            "timestamp": "2026-01-01T00:00:00", "metrics": {},
-            "provenance": {"git_sha": "fresh01", "host": "0" * 12,
-                           "python": "3.11.0"}}
-
-
-def test_sparkline_scales_to_glyph_range():
-    assert sparkline([]) == ""
-    assert sparkline([1.0, 1.0]) == "▁▁"
-    line = sparkline([0.0, 0.5, 1.0])
-    assert line[0] == "▁" and line[-1] == "█"
-
-
-def test_trend_table_lists_metrics_and_flags(tmp_path):
-    history = _history(tmp_path)
-    ok = trend_table(trend_stats(history, [_record(wall=1.0)]))
-    assert "demo" in ok and "wall_s" in ok
-    assert "no regressions flagged" in ok
-    bad = trend_table(trend_stats(history, [_record(wall=5.0)]))
-    assert "REGRESSION" in bad and "flagged" in bad
-    assert trend_table([]) == "no benchmark records to report on"
-
-
-def test_dashboard_html_is_self_contained(tmp_path):
-    history = _history(tmp_path)
-    stats = trend_stats(history, [_record(wall=1.0)])
-    page = render_dashboard(history, stats)
-    assert page.startswith("<!DOCTYPE html>")
-    assert "<svg" in page and "<polyline" in page
-    assert "<title>" in page                 # native point tooltips
-    assert "prefers-color-scheme: dark" in page
-    assert "<table>" in page                 # accessible table view
-    assert "no regressions flagged" in page
-    assert "http" not in page.lower().replace("html", "")  # no ext assets
-
-
-def test_dashboard_flags_regressions_with_glyph_not_color_alone(tmp_path):
-    history = _history(tmp_path)
-    stats = trend_stats(history, [_record(wall=5.0)])
-    page = render_dashboard(history, stats)
-    assert "&#9650;" in page                 # ▲ marker next to the color
-    assert "pt-last-bad" in page             # newest point emphasised
-    assert "1 flagged" in page
 
 
 def test_prometheus_text_is_valid_exposition():

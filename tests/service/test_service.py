@@ -455,26 +455,30 @@ def test_http_end_to_end(server):
 
 def test_http_concurrent_identical_posts_dedup(server):
     spec = {"jobs": [_spec("tridiag")]}
-    results = [None, None]
+    clients = 6
+    results = [None] * clients
 
     def post(i):
         results[i] = _request(server, "POST", "/jobs", spec)
 
-    threads = [threading.Thread(target=post, args=(i,)) for i in (0, 1)]
+    threads = [threading.Thread(target=post, args=(i,))
+               for i in range(clients)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(120)
+    assert not any(t.is_alive() for t in threads)
 
-    (sa, ra), (sb, rb) = results
-    assert sa == sb == 200
-    assert ra["results"][0]["outcome"] == rb["results"][0]["outcome"]
+    assert [status for status, _ in results] == [200] * clients
+    outcomes = [out["results"][0]["outcome"] for _, out in results]
+    assert all(o == outcomes[0] for o in outcomes)
     _, metrics = _request(server, "GET", "/metrics.json")
     service = metrics["service"]
-    # one of the two either coalesced in-flight or replayed the cache --
-    # never a second compile
+    # every client but one either coalesced in-flight or replayed the
+    # cache -- never a second compile
     assert service["compiled"] == 1
-    assert service["dedup_inflight"] + service["served_from_cache"] == 1
+    assert service["dedup_inflight"] + service["served_from_cache"] \
+        == clients - 1
 
 
 def test_http_error_paths(server):

@@ -320,104 +320,7 @@ def test_unknown_ii_search_rejected(capsys):
 
 
 # ---------------------------------------------------------------------------
-# bench subcommand
-# ---------------------------------------------------------------------------
-
-REPO_ROOT = __import__("pathlib").Path(__file__).resolve().parents[1]
-
-
-def test_bench_list(capsys, monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    code, out, _ = run_cli(capsys, "bench", "--list")
-    assert code == 0
-    assert "fig6_partition" in out
-    assert "scheduler_compare" in out
-
-def test_bench_unknown_name(capsys, monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    code, _, err = run_cli(capsys, "bench", "nope")
-    assert code == 2
-    assert "unknown benchmark" in err
-
-def test_bench_requires_name(capsys, monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    code, _, err = run_cli(capsys, "bench")
-    assert code == 2
-    assert "name required" in err
-
-def test_bench_gates_against_baseline(capsys, monkeypatch, tmp_path):
-    """A stubbed benchmark run: the gate passes within tolerance and
-    fails beyond it, with the records written where telemetry looks."""
-    import json
-
-    from repro import cli as cli_mod
-
-    monkeypatch.chdir(REPO_ROOT)
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-
-    def fake_run(bench_file, wall):
-        def _run(path):
-            assert str(path).endswith("bench_fig6_partition.py")
-            record = {"schema": 1, "name": "fig6_partition",
-                      "wall_s": wall, "corpus_size": 1,
-                      "timestamp": "now", "metrics": {}}
-            (tmp_path / "BENCH_fig6_partition.json").write_text(
-                json.dumps(record))
-            return 0
-        return _run
-
-    baseline = json.loads(
-        (REPO_ROOT / "benchmarks" / "baseline.json").read_text())
-    base_wall = baseline["benches"]["fig6_partition"]["wall_s"]
-
-    monkeypatch.setattr(cli_mod, "_run_benchmark",
-                        fake_run("fig6_partition", base_wall * 0.5))
-    code, out, _ = run_cli(capsys, "bench", "fig6_partition")
-    assert code == 0
-    assert "within budget" in out
-
-    monkeypatch.setattr(cli_mod, "_run_benchmark",
-                        fake_run("fig6_partition", base_wall * 10))
-    code, out, err = run_cli(capsys, "bench", "fig6_partition")
-    assert code == 1
-    assert "REGRESSION" in out
-    assert "regression" in err
-
-def test_bench_without_baseline_entry_reports_not_gated(capsys,
-                                                        monkeypatch,
-                                                        tmp_path):
-    import json
-
-    from repro import cli as cli_mod
-
-    monkeypatch.chdir(REPO_ROOT)
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-
-    def fake_run(path):
-        record = {"schema": 1, "name": "fig3_queues", "wall_s": 1.0,
-                  "corpus_size": 1, "timestamp": "now", "metrics": {}}
-        (tmp_path / "BENCH_fig3_queues.json").write_text(
-            json.dumps(record))
-        return 0
-
-    monkeypatch.setattr(cli_mod, "_run_benchmark", fake_run)
-    code, out, _ = run_cli(capsys, "bench", "fig3_queues")
-    assert code == 0
-    assert "NOT GATED" in out
-    assert "within budget" not in out
-
-def test_bench_failing_run_propagates(capsys, monkeypatch):
-    from repro import cli as cli_mod
-
-    monkeypatch.chdir(REPO_ROOT)
-    monkeypatch.setattr(cli_mod, "_run_benchmark", lambda path: 3)
-    code, _, err = run_cli(capsys, "bench", "fig6_partition")
-    assert code == 3
-    assert "failed" in err
-
-
-# ---------------------------------------------------------------------------
-# observatory: report + trace subcommands
+# trace subcommand
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -430,82 +333,6 @@ def untraced():
     tr.reset_tracing()
     if not was_enabled:
         tr.disable_tracing()
-
-
-def _bench_record(tmp_path, name, wall):
-    import json
-
-    (tmp_path / f"BENCH_{name}.json").write_text(json.dumps(
-        {"schema": 2, "name": name, "wall_s": wall, "corpus_size": 1,
-         "timestamp": "2026-01-01T00:00:00", "metrics": {},
-         "provenance": {"git_sha": "fresh01", "host": "0" * 12,
-                        "python": "3.11.0"}}))
-
-
-def _seed_history(path, name, values):
-    import json
-
-    with path.open("w") as fh:
-        for i, v in enumerate(values):
-            fh.write(json.dumps(
-                {"bench": name, "metric": "wall_s", "value": v,
-                 "git_sha": f"old{i:04d}",
-                 "timestamp": f"2025-12-01T00:00:{i:02d}"}) + "\n")
-
-
-def test_report_renders_observatory_and_dashboard(capsys, tmp_path):
-    _bench_record(tmp_path, "demo", 1.0)
-    history = tmp_path / "history.jsonl"
-    _seed_history(history, "demo", [1.0, 1.05, 0.95, 1.0, 1.02])
-    html_out = tmp_path / "out" / "dashboard.html"
-    code, out, _ = run_cli(capsys, "report",
-                           "--records", str(tmp_path),
-                           "--history", str(history),
-                           "--html", str(html_out))
-    assert code == 0
-    assert "demo" in out and "wall_s" in out
-    assert "no regressions flagged" in out
-    page = html_out.read_text()
-    assert page.startswith("<!DOCTYPE html>") and "<svg" in page
-
-
-def test_report_check_flags_seeded_regression(capsys, tmp_path):
-    _bench_record(tmp_path, "demo", 2.0)          # 2x the history
-    history = tmp_path / "history.jsonl"
-    _seed_history(history, "demo",
-                  [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 1.0, 0.97])
-    code, out, _ = run_cli(capsys, "report", "--check",
-                           "--records", str(tmp_path),
-                           "--history", str(history), "--html", "")
-    assert code == 1
-    assert "REGRESSION" in out
-    # the same history without --check still reports, exit 0
-    code, _, _ = run_cli(capsys, "report",
-                         "--records", str(tmp_path),
-                         "--history", str(history), "--html", "")
-    assert code == 0
-
-
-def test_report_append_grows_history_once(capsys, tmp_path):
-    _bench_record(tmp_path, "demo", 1.0)
-    history = tmp_path / "history.jsonl"
-    code, out, _ = run_cli(capsys, "report", "--append",
-                           "--records", str(tmp_path),
-                           "--history", str(history), "--html", "")
-    assert code == 0
-    assert "1 new row(s)" in out
-    code, out, _ = run_cli(capsys, "report", "--append",
-                           "--records", str(tmp_path),
-                           "--history", str(history), "--html", "")
-    assert "0 new row(s)" in out               # identity-deduped
-
-
-def test_report_has_no_experiment_bundle(capsys):
-    """``experiment <id>`` is the one way to print an experiment."""
-    for flag in ("--experiments", "--sweep"):
-        with pytest.raises(SystemExit):
-            main(["report", flag])
-        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _coverage_pct(out):

@@ -26,16 +26,30 @@ def test_design_md_module_references_exist():
         assert (ROOT / "src" / "repro" / mod).exists(), mod
 
 
-def test_design_md_bench_targets_exist():
-    text = _read("DESIGN.md")
-    for bench in re.findall(r"`benchmarks/(bench_\w+\.py)`", text):
-        assert (ROOT / "benchmarks" / bench).exists(), bench
+def _design_experiment_rows():
+    """``(CLI id, driver, shape check)`` per row of DESIGN's §4 table."""
+    return re.findall(r"^\| [^|]+ \| `(\w+)` \| [^|]+ \| `(\w+)` \| "
+                      r"`(\w+)` \|$", _read("DESIGN.md"), re.MULTILINE)
 
 
-def test_experiments_md_quotes_real_benchmarks():
-    text = _read("EXPERIMENTS.md")
-    for bench in re.findall(r"`(bench_\w+\.py)`", text):
-        assert (ROOT / "benchmarks" / bench).exists(), bench
+def test_design_md_shape_checks_exist():
+    from repro.analysis.experiments import EXPERIMENTS
+
+    rows = _design_experiment_rows()
+    assert sorted(exp_id for exp_id, _, _ in rows) == sorted(EXPERIMENTS)
+    shapes = (ROOT / "tests" / "paper" / "test_paper_shapes.py").read_text()
+    for _, _, shape in rows:
+        assert re.search(rf"^def {shape}\(", shapes, re.MULTILINE), shape
+
+
+def test_design_md_drivers_exist():
+    from repro.analysis import experiments
+
+    rows = _design_experiment_rows()
+    assert rows
+    for exp_id, driver, _ in rows:
+        assert callable(getattr(experiments, driver, None)), driver
+        assert experiments.EXPERIMENTS[exp_id].driver.__name__ == driver
 
 
 def test_readme_examples_exist():
