@@ -6,8 +6,8 @@ queue register files:
 
 * :mod:`repro.ir`       -- loop DDGs, unrolling, copy insertion;
 * :mod:`repro.machine`  -- single-cluster and ring-clustered machines;
-* :mod:`repro.sched`    -- MII bounds, pluggable scheduling engines
-  (Rau's IMS, Llosa's SMS), the cluster partitioner;
+* :mod:`repro.sched`    -- MII bounds, the scheduling engines (Rau's
+  IMS, Llosa's SMS), the cluster partitioners;
 * :mod:`repro.regalloc` -- Q-compatibility queue allocation, MaxLive;
 * :mod:`repro.codegen`  -- VLIW words, prologue/kernel/epilogue;
 * :mod:`repro.sim`      -- token-level simulator and end-to-end checker;
@@ -31,11 +31,10 @@ from repro.machine import (ClusteredMachine, Machine, RfKind,
                            make_machine, qrf_machine)
 from repro.regalloc import (allocate_for_schedule, allocate_queues,
                             q_compatible, register_requirement)
-from repro.sched import (ModuloSchedule, SchedulingError,
-                         available_partitioners, available_schedulers,
-                         get_partitioner, get_scheduler, mii,
-                         mii_report, modulo_schedule, partitioned_schedule,
-                         schedule_with_moves, sms_schedule)
+from repro.sched import (PARTITIONERS, SCHEDULERS, ModuloSchedule,
+                         SchedulingError, mii, mii_report, modulo_schedule,
+                         partitioned_schedule, schedule_with_moves,
+                         sms_schedule)
 from repro.sim import PipelineResult, SimulationError, run_pipeline, simulate
 from repro.workloads import (KERNELS, SynthConfig, all_kernels, bench_corpus,
                              corpus_stats, kernel, paper_corpus)
@@ -50,9 +49,8 @@ __all__ = [
     "crf_machine", "make_clustered", "make_machine", "qrf_machine",
     "allocate_for_schedule", "allocate_queues", "q_compatible",
     "register_requirement",
-    "ModuloSchedule", "SchedulingError", "available_partitioners",
-    "available_schedulers", "get_partitioner", "get_scheduler", "mii",
-    "mii_report", "modulo_schedule",
+    "ModuloSchedule", "PARTITIONERS", "SCHEDULERS", "SchedulingError",
+    "mii", "mii_report", "modulo_schedule",
     "partitioned_schedule", "schedule_with_moves", "sms_schedule",
     "PipelineResult", "SimulationError", "run_pipeline", "simulate",
     "KERNELS", "SynthConfig", "all_kernels", "bench_corpus",

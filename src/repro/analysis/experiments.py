@@ -38,8 +38,8 @@ from repro.machine.presets import (IPC_SWEEP_FUS, PAPER_CLUSTER_COUNTS,
 from repro.runner import JobResult, RunnerConfig, spill_spec
 from repro.runner.sweep import Grid
 from repro.sched.mii import mii_report
-from repro.sched.partitioners import DEFAULT_PARTITIONER
-from repro.sched.strategies import DEFAULT_SCHEDULER
+from repro.sched.partitioners import DEFAULT_PARTITIONER, PARTITIONERS
+from repro.sched.strategies import DEFAULT_SCHEDULER, SCHEDULERS
 
 from .metrics import (cumulative_within, fraction, mean, percentile,
                       weighted_dynamic_ipc, weighted_static_ipc)
@@ -92,21 +92,6 @@ class Table:
                 else " " * len(template.format(0))
                 for key, template in self.columns))
         return "\n".join(lines)
-
-
-def _pinned_first(registered: Sequence[str],
-                  default: str) -> tuple[str, ...]:
-    """*registered* with *default* pinned first (so it stays the
-    comparison baseline no matter what else registers)."""
-    return tuple(([default] if default in registered else [])
-                 + [name for name in registered if name != default])
-
-
-def _registered_partitioners() -> tuple[str, ...]:
-    """Every registered partitioning engine, default engine first."""
-    from repro.sched.partitioners import available_partitioners
-
-    return _pinned_first(available_partitioners(), DEFAULT_PARTITIONER)
 
 
 def _ring_vs_flat(loops: Sequence[Ddg],
@@ -455,8 +440,8 @@ def ablation_partition(loops: Sequence[Ddg], n_clusters: int = 5,
                        strategies: Optional[Sequence[str]] = None,
                        *, runner: Optional[RunnerConfig] = None,
                        scheduler: str = DEFAULT_SCHEDULER) -> Table:
-    """A2: Fig. 6's same-II fraction per registered partitioning engine
-    (default: every engine in the registry, default engine first)."""
+    """A2: Fig. 6's same-II fraction per partitioning engine (default:
+    every engine in ``PARTITIONERS``, in table order, default first)."""
     return Table(
         "Ablation A2 -- partition heuristic "
         "(fraction keeping single-cluster II)",
@@ -464,7 +449,7 @@ def ablation_partition(loops: Sequence[Ddg], n_clusters: int = 5,
         {engine: {"same_ii": fig6_ii_variation(
             loops, cluster_counts=(n_clusters,), partitioner=engine,
             runner=runner, scheduler=scheduler).rows[n_clusters]["same_ii"]}
-         for engine in strategies or _registered_partitioners()})
+         for engine in strategies or PARTITIONERS})
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +657,7 @@ def hardware_cost(loops: Sequence[Ddg],
 
 
 # ---------------------------------------------------------------------------
-# SC / PC -- every registered engine, head to head
+# SC / PC -- every engine, head to head
 # ---------------------------------------------------------------------------
 
 def _search_effort(block: Sequence[JobResult]) -> dict[str, Any]:
@@ -704,16 +689,11 @@ def exp_scheduler_compare(loops: Sequence[Ddg],
     one (the baseline): among the loops where the baseline achieved
     II == MII, the fraction this engine achieved it too -- the headline
     "SMS loses (almost) nothing" statistic.  Defaults: the paper's
-    4/6/12-FU QRF presets and every registered engine, with the default
-    engine pinned first so it stays the baseline no matter what else
-    registers.
+    4/6/12-FU QRF presets and every engine in ``SCHEDULERS``, whose
+    first entry is the default engine, so it is the baseline.
     """
-    from repro.sched.strategies import available_schedulers
-
     machines = list(machines) if machines else paper_qrf_machines()
-    engines = (tuple(schedulers) if schedulers
-               else _pinned_first(available_schedulers(),
-                                  DEFAULT_SCHEDULER))
+    engines = tuple(schedulers or SCHEDULERS)
     grid = Grid(loops)
     for m in machines:
         for s in engines:
@@ -771,10 +751,9 @@ def exp_partitioner_compare(loops: Sequence[Ddg],
     cross between clusters, and the peak per-cluster MaxLive -- the
     spatial-balance numbers that distinguish a good pre-assignment from a
     lucky greedy run.  Defaults: the paper's 4/5/6-cluster rings and
-    every registered engine, default engine pinned first.
+    every engine in ``PARTITIONERS``, default engine first.
     """
-    engines = (tuple(partitioners) if partitioners
-               else _registered_partitioners())
+    engines = tuple(partitioners or PARTITIONERS)
     grid = Grid(loops)
     for n in cluster_counts:
         cm = clustered_machine(n)
@@ -861,8 +840,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                      hardware_cost),
     "e6b": Experiment("spill code under finite queue files",
                       spill_budget),
-    "sc": Experiment("scheduler comparison: all registered engines head "
-                     "to head", exp_scheduler_compare, ()),
-    "pc": Experiment("partitioner comparison: all registered engines "
-                     "head to head", exp_partitioner_compare),
+    "sc": Experiment("scheduler comparison: all engines head to head",
+                     exp_scheduler_compare, ()),
+    "pc": Experiment("partitioner comparison: all engines head to "
+                     "head", exp_partitioner_compare),
 }

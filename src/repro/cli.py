@@ -7,10 +7,9 @@ Subcommands:
   the kernel table, queue allocation and a simulation report
 * ``repro-vliw experiment <id>``    -- run one paper experiment
   (``experiment --list`` enumerates them)
-* ``repro-vliw schedulers``         -- list the registered scheduling
+* ``repro-vliw schedulers``         -- list the scheduling engines
+* ``repro-vliw partitioners``       -- list the cluster-partitioning
   engines
-* ``repro-vliw partitioners``       -- list the registered
-  cluster-partitioning engines
 * ``repro-vliw verify``             -- prove schedules with the static
   verifier (DESIGN §5.9): the full golden engine x kernel matrix by
   default, ``--mutations N`` to also demand the seeded corruption
@@ -32,7 +31,7 @@ chaos flag ``--faults SPEC`` (seeded fault injection, DESIGN §5.10);
 ``schedule`` and ``experiment`` take ``--scheduler`` to pick the
 scheduling engine (default ``ims``) and ``--partitioner`` to pick the
 clustered engine (default ``affinity``).  Engine names are validated
-against the registries before anything compiles, so a typo lists the
+against the engine tables before anything compiles, so a typo lists the
 available names instead of failing mid-sweep.
 """
 
@@ -43,11 +42,8 @@ import sys
 from typing import Optional, Sequence
 
 from repro.machine.presets import clustered_machine, qrf_machine
-from repro.sched.partitioners import (DEFAULT_PARTITIONER,
-                                      available_partitioners,
-                                      partitioner_descriptions)
-from repro.sched.strategies import (DEFAULT_SCHEDULER, available_schedulers,
-                                    scheduler_descriptions)
+from repro.sched.partitioners import DEFAULT_PARTITIONER, PARTITIONERS
+from repro.sched.strategies import DEFAULT_SCHEDULER, SCHEDULERS
 from repro.sim.checker import run_pipeline
 from repro.workloads.corpus import bench_corpus, corpus_stats, paper_corpus
 from repro.workloads.kernels import KERNELS, kernel
@@ -209,16 +205,16 @@ class _ExperimentHelp(argparse.HelpFormatter):
 
 
 def cmd_schedulers(args) -> int:
-    for name, descr in scheduler_descriptions().items():
+    for name, engine in SCHEDULERS.items():
         default = "  (default)" if name == DEFAULT_SCHEDULER else ""
-        print(f"{name:<6} {descr}{default}")
+        print(f"{name:<6} {engine.description}{default}")
     return 0
 
 
 def cmd_partitioners(args) -> int:
-    for name, descr in partitioner_descriptions().items():
+    for name, engine in PARTITIONERS.items():
         default = "  (default)" if name == DEFAULT_PARTITIONER else ""
-        print(f"{name:<14} {descr}{default}")
+        print(f"{name:<14} {engine.description}{default}")
     return 0
 
 
@@ -346,8 +342,8 @@ def cmd_verify(args) -> int:
     """Prove schedules with the static verifier (DESIGN §5.9).
 
     With no kernel arguments this proves the full golden matrix: every
-    registered scheduler x kernel on the 12-FU QRF machine and every
-    registered partitioner x kernel on the 4-cluster ring -- the same
+    scheduler x kernel on the 12-FU QRF machine and every partitioner
+    x kernel on the 4-cluster ring -- the same
     engine x kernel grid the golden-fixture tests replay dynamically.
     ``--mutations N`` additionally runs N rounds of the seeded
     corruption corpus against each proved schedule and demands a 100%
@@ -375,10 +371,10 @@ def cmd_verify(args) -> int:
     ring = clustered_machine(args.clusters)
     targets = []          # (label, machine, engine keywords)
     for kernel_name in names:
-        for scheduler in available_schedulers():
+        for scheduler in SCHEDULERS:
             targets.append((f"{scheduler}/{kernel_name}", single,
                             {"scheduler": scheduler}))
-        for partitioner in available_partitioners():
+        for partitioner in PARTITIONERS:
             targets.append((f"{partitioner}/{kernel_name}", ring,
                             {"partitioner": partitioner}))
 
@@ -489,11 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--unroll", type=int, default=1)
         parser.add_argument("--iterations", type=int, default=16)
         parser.add_argument("--scheduler", default=DEFAULT_SCHEDULER,
-                            choices=available_schedulers(),
+                            choices=SCHEDULERS,
                             help="scheduling engine (see `repro-vliw "
                                  "schedulers`)")
         parser.add_argument("--partitioner", default=DEFAULT_PARTITIONER,
-                            choices=available_partitioners(),
+                            choices=PARTITIONERS,
                             help="cluster-partitioning engine, used with "
                                  "--clusters (see `repro-vliw "
                                  "partitioners`)")
@@ -518,19 +514,19 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--list", action="store_true",
                     help="list the available experiments and exit")
     pe.add_argument("--scheduler", default=DEFAULT_SCHEDULER,
-                    choices=available_schedulers(),
+                    choices=SCHEDULERS,
                     help="scheduling engine used by the sweep "
                          "(`sc` always compares all engines)")
     pe.add_argument("--partitioner", default=DEFAULT_PARTITIONER,
-                    choices=available_partitioners(),
+                    choices=PARTITIONERS,
                     help="cluster-partitioning engine used by clustered "
                          "sweeps (`pc` and `a2` always compare all "
                          "engines)")
 
     sub.add_parser("schedulers",
-                   help="list the registered scheduling engines")
+                   help="list the scheduling engines")
     sub.add_parser("partitioners",
-                   help="list the registered cluster-partitioning engines")
+                   help="list the cluster-partitioning engines")
 
     pf = sub.add_parser(
         "verify",
@@ -616,9 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--clusters", type=int, default=0,
                     help="use a clustered machine with N clusters")
     pm.add_argument("--scheduler", default=DEFAULT_SCHEDULER,
-                    choices=available_schedulers())
+                    choices=SCHEDULERS)
     pm.add_argument("--partitioner", default=DEFAULT_PARTITIONER,
-                    choices=available_partitioners())
+                    choices=PARTITIONERS)
     pm.add_argument("--timeout", type=float, default=120.0,
                     help="HTTP timeout in seconds (default 120)")
     pm.add_argument("--expect-cached", action="store_true",

@@ -22,8 +22,9 @@ from typing import Optional
 from repro.analysis.metrics import LoopOutcome
 from repro.ir.ddg import Ddg
 from repro.machine.cluster import ClusteredMachine
-from repro.sched.partitioners import DEFAULT_PARTITIONER, check_partitioner
-from repro.sched.strategies import DEFAULT_SCHEDULER, check_scheduler
+from repro.sched.partitioners import DEFAULT_PARTITIONER, PARTITIONERS
+from repro.sched.schedule import check_engine
+from repro.sched.strategies import DEFAULT_SCHEDULER, SCHEDULERS
 
 from .fingerprint import job_key
 
@@ -32,16 +33,17 @@ from .fingerprint import job_key
 class PipelineOptions:
     """Pipeline configuration of one job (mirrors ``compile_loop``).
 
-    ``scheduler`` names the single-cluster scheduling engine (see
-    :mod:`repro.sched.strategies`) and ``partitioner`` the clustered
-    engine (see :mod:`repro.sched.partitioners`).  The job signature
+    ``scheduler`` names the single-cluster scheduling engine (a key of
+    :data:`~repro.sched.strategies.SCHEDULERS`) and ``partitioner`` the
+    clustered engine (a key of
+    :data:`~repro.sched.partitioners.PARTITIONERS`).  The job signature
     names only the engine that runs on the job's machine, so cached
     results never alias across engines, and an engine field the machine
     ignores never splits one compile into two keys.
 
     ``extras`` names derived metrics to compute in the worker after the
     pipeline runs; see ``EXTRA_EXTRACTORS`` in
-    :mod:`repro.runner.pipeline` for the registry (an entry may carry an
+    :mod:`repro.runner.pipeline` for the table (an entry may carry an
     argument after a colon, e.g. ``"spills:8x16"``).
     """
 
@@ -63,8 +65,8 @@ class PipelineOptions:
         # an unknown engine name never becomes a job: the key leaves out
         # the engine a machine ignores, so a job that carried one would
         # fail when compiled but replay a success from the cache
-        check_scheduler(self.scheduler)
-        check_partitioner(self.partitioner)
+        check_engine(SCHEDULERS, "scheduler", self.scheduler)
+        check_engine(PARTITIONERS, "partitioner", self.partitioner)
 
     def compile_kwargs(self) -> dict:
         """Keyword arguments for ``compile_loop`` (extras excluded)."""

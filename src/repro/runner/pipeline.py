@@ -1,4 +1,4 @@
-"""The compile pipeline executed by every job, plus the extras registry.
+"""The compile pipeline executed by every job, plus the extras table.
 
 ``compile_loop`` is the one implementation of the paper's chain: front
 end ((unroll ->) copy-insert) -> schedule -> (allocate queues) ->
@@ -37,11 +37,10 @@ from repro.regalloc.queues import ScheduleQueueUsage, allocate_for_schedule
 from repro.sched.mii import MiiReport, mii_report
 from repro.sched.partition import (PartitionConfig, partitioned_schedule,
                                    schedule_with_moves)
-from repro.sched.partitioners import (DEFAULT_PARTITIONER,
-                                      check_partitioner)
-from repro.sched.schedule import ModuloSchedule, SchedulingError
-from repro.sched.strategies import (DEFAULT_SCHEDULER, check_scheduler,
-                                    get_scheduler)
+from repro.sched.partitioners import DEFAULT_PARTITIONER, PARTITIONERS
+from repro.sched.schedule import (ModuloSchedule, SchedulingError,
+                                  check_engine)
+from repro.sched.strategies import DEFAULT_SCHEDULER, SCHEDULERS
 from repro.verify import VerificationError, verify_schedule
 
 from .job import CompileJob, JobResult
@@ -125,10 +124,10 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
                  verify: bool = False) -> CompiledLoop:
     """Run (unroll ->) (copy-insert ->) schedule (-> allocate queues).
 
-    ``scheduler`` selects the single-cluster scheduling engine from the
-    :mod:`repro.sched.strategies` registry; clustered machines always go
-    through a partitioning engine, selected by name from the
-    :mod:`repro.sched.partitioners` registry via ``partitioner`` (the
+    ``scheduler`` names the single-cluster scheduling engine (a key of
+    :data:`~repro.sched.strategies.SCHEDULERS`); clustered machines
+    always go through the partitioning engine named by ``partitioner``
+    (a key of :data:`~repro.sched.partitioners.PARTITIONERS`; the
     space/time search embeds IMS's eviction machinery -- see DESIGN.md
     §6).  Scheduling failures produce a ``failed`` outcome instead of
     raising, so corpus sweeps always complete; the outcome's MII bounds
@@ -141,11 +140,11 @@ def compile_loop(ddg: Ddg, machine: "Machine | ClusteredMachine", *,
     unlike a scheduling failure, a broken *successful* schedule is a
     compiler bug, never a workload property.
     """
-    # fail fast on engine-name typos: the same registry-listing error
+    # fail fast on engine-name typos: the same table-listing error
     # whether the name arrives from the CLI, the service, or a library
     # caller, and before any scheduling work is spent
-    check_scheduler(scheduler)
-    check_partitioner(partitioner)
+    check_engine(SCHEDULERS, "scheduler", scheduler)
+    check_engine(PARTITIONERS, "partitioner", partitioner)
 
     def schedule_at(factor: int) -> CompiledLoop:
         return _schedule(ddg, machine, factor, copies=copies,
@@ -193,7 +192,8 @@ def schedule_loop(work: Ddg, machine: "Machine | ClusteredMachine", *,
 
     Clustered machines go through the ``partitioner`` engine (with ring
     MOVEs when ``use_moves``), single-cluster machines through the
-    ``scheduler`` strategy.  Raises :class:`SchedulingError` with the
+    ``scheduler`` engine's ``schedule``, read off its ``SCHEDULERS``
+    class on every call.  Raises :class:`SchedulingError` with the
     engine's message when no II up to the engine's limit admits a
     schedule.
     """
@@ -203,7 +203,7 @@ def schedule_loop(work: Ddg, machine: "Machine | ClusteredMachine", *,
             return schedule_with_moves(work, machine,
                                        config=config).schedule
         return partitioned_schedule(work, machine, config=config)
-    return get_scheduler(scheduler).schedule(work, machine).schedule
+    return SCHEDULERS[scheduler].schedule(work, machine)
 
 
 def _bounds(work: Ddg, machine: "Machine | ClusteredMachine") -> MiiReport:

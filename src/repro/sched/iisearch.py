@@ -7,8 +7,8 @@ attempt is the expensive kind (IMS and the partitioners burn their whole
 placement budget before giving up), a loop whose first feasible II sits
 far above MII pays for every infeasible probe in between.
 
-:func:`search_ii` centralises the walk for all registered schedulers and
-partitioners.  Two walks:
+:func:`search_ii` centralises the walk for every scheduler and
+partitioner.  Two walks:
 
 * linear (``linear=True``) -- the historical walk, kept as the
   stochastic engines' walk.

@@ -9,11 +9,11 @@ machinery as plain IMS ("a backtracking process to unschedule conflicting
 operations") and, when the budget runs out, an II increase -- the quantity
 Fig. 6 reports.
 
-*How* the space/time search picks clusters is a pluggable seam: the
-engines live in :mod:`repro.sched.partitioners` (``affinity``,
-``balance``, ``first``, ``random``, ``agglomerative``) and are selected
+*How* the space/time search picks clusters is up to the engine: the
+five live in :mod:`repro.sched.partitioners` (``affinity``,
+``agglomerative``, ``balance``, ``first``, ``random``) and are selected
 by name through ``PartitionConfig.partitioner``.  This module owns the
-engine-agnostic II search (:func:`partitioned_schedule`) and the MOVE
+II search all of them share (:func:`partitioned_schedule`) and the MOVE
 extension.
 
 :func:`schedule_with_moves` implements the paper's proposed future-work fix
@@ -39,16 +39,17 @@ from .arena import global_arena
 from .iisearch import search_ii
 from .ims import DEFAULT_BUDGET_RATIO
 from .mii import mii_report
-from .partitioners import (DEFAULT_PARTITIONER, PartitionState,
-                           get_partitioner)
-from .schedule import ModuloSchedule, ScheduleStats, SchedulingError
+from .partitioners import (DEFAULT_PARTITIONER, PARTITIONERS,
+                           PartitionState)
+from .schedule import (ModuloSchedule, ScheduleStats, SchedulingError,
+                       check_engine)
 
 @dataclass
 class PartitionConfig:
     """Tunables of the partitioned search.
 
-    ``partitioner`` names the cluster-partitioning engine from the
-    :mod:`repro.sched.partitioners` registry.
+    ``partitioner`` names the cluster-partitioning engine, a key of
+    :data:`~repro.sched.partitioners.PARTITIONERS`.
     """
 
     max_ii: Optional[int] = None
@@ -65,24 +66,23 @@ class PartitionConfig:
 
 def partitioned_schedule(ddg: Ddg, cm: ClusteredMachine, *,
                          config: Optional[PartitionConfig] = None,
-                         start_ii: Optional[int] = None,
                          pinned: Optional[dict[int, int]] = None,
                          relax_adjacency: bool = False) -> ModuloSchedule:
     """Schedule *ddg* on a clustered machine.
 
     Raises :class:`SchedulingError` when no II up to the limit works and
-    ``KeyError`` (naming the registered engines) on an unknown
+    ``KeyError`` (listing the engines) on an unknown
     ``config.partitioner``.  ``pinned`` fixes some ops' clusters (used by
     the MOVE pipeline); ``relax_adjacency`` disables the ring constraint
     (internal use and upper-bound studies).
     """
     cfg = config or PartitionConfig()
-    engine = get_partitioner(cfg.partitioner)
+    engine = check_engine(PARTITIONERS, "partitioner", cfg.partitioner)()
     ddg = cm.cluster.retime(ddg)
     validate_ddg(ddg)
 
     report = mii_report(ddg, cm)
-    first_ii = max(report.mii, start_ii or 1)
+    first_ii = max(report.mii, 1)
     stats = ScheduleStats(mii=report.mii, res_mii=report.res,
                           rec_mii=report.rec)
     limit = cfg.ii_limit(ddg, first_ii)
@@ -182,8 +182,7 @@ def insert_moves(ddg: Ddg, cm: ClusteredMachine,
 
 
 def schedule_with_moves(ddg: Ddg, cm: ClusteredMachine, *,
-                        config: Optional[PartitionConfig] = None,
-                        start_ii: Optional[int] = None
+                        config: Optional[PartitionConfig] = None
                         ) -> MoveScheduleResult:
     """Two-pass scheduling with explicit inter-cluster MOVE ops.
 
@@ -199,13 +198,12 @@ def schedule_with_moves(ddg: Ddg, cm: ClusteredMachine, *,
 
     strict: Optional[ModuloSchedule] = None
     try:
-        strict = partitioned_schedule(ddg, cm, config=cfg,
-                                      start_ii=start_ii)
+        strict = partitioned_schedule(ddg, cm, config=cfg)
     except SchedulingError:
         pass
 
     relaxed = partitioned_schedule(
-        ddg, cm, config=cfg, start_ii=start_ii, relax_adjacency=True)
+        ddg, cm, config=cfg, relax_adjacency=True)
     moved, pins = insert_moves(relaxed.ddg, cm, relaxed.cluster_of)
     n_moves = moved.n_ops - relaxed.ddg.n_ops
     if n_moves == 0:
@@ -215,7 +213,7 @@ def schedule_with_moves(ddg: Ddg, cm: ClusteredMachine, *,
     else:
         try:
             final = partitioned_schedule(
-                moved, cm, config=cfg, start_ii=start_ii, pinned=pins)
+                moved, cm, config=cfg, pinned=pins)
             via_moves = MoveScheduleResult(final, n_moves, moved)
         except SchedulingError:
             if strict is None:

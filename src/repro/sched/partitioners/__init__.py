@@ -1,53 +1,49 @@
-"""Pluggable cluster-partitioning engines.
+"""Cluster-partitioning engines.
 
-The partitioner is a seam exactly like the single-cluster scheduler
-registry (:mod:`repro.sched.strategies`): every engine attempts to place
-a loop's ops in time *and* space at one fixed II, the II search in
-:func:`repro.sched.partition.partitioned_schedule` is engine-agnostic,
-and engines are looked up by name
-(``PartitionConfig(partitioner="agglomerative")``, ``--partitioner`` on
-the CLI, ``repro-vliw partitioners`` to list them).
-
-Engines shipped here:
+Every engine attempts to place a loop's ops in time *and* space at one
+fixed II (``try_at_ii``); the II search in
+:func:`repro.sched.partition.partitioned_schedule` is the same for all
+of them.  All five share the slot-search loop of
+:class:`~repro.sched.partitioners.slotsearch.SlotSearchPartitioner`:
 
 * ``"affinity"`` (default) -- the paper's heuristic: most scheduled DATA
   neighbours, then earliest slot, then lightest load.
-* ``"balance"`` -- least-loaded cluster first.
-* ``"first"``   -- earliest slot, lowest cluster index (naive baseline).
-* ``"random"``  -- uniformly random feasible candidate (seeded).
 * ``"agglomerative"`` -- two-phase: merge affinity-weighted subgraphs
   under per-cluster ResMII balance, lay the groups around the ring, then
   slot-search with every op pinned to its cluster.
+* ``"balance"`` -- least-loaded cluster first.
+* ``"first"``   -- earliest slot, lowest cluster index (naive baseline).
+* ``"random"``  -- uniformly random feasible candidate (seeded).
 
-Adding an engine is a self-registering subclass::
-
-    from repro.sched.partitioners import Partitioner, register_partitioner
-
-    @register_partitioner
-    class MyPartitioner(Partitioner):
-        name = "mine"
-        description = "my engine"
-        def try_at_ii(self, ddg, cm, ii, *, budget, **kw):
-            ...
+:data:`PARTITIONERS` is the closed table of them:
+``PartitionConfig(partitioner=...)``, ``PipelineOptions``, the service's
+job specs and the CLI's ``--partitioner``/``partitioners`` read it, and
+:func:`repro.sched.schedule.check_engine` checks a name against it.
 """
 
-from .base import Partitioner, PartitionState
-from .registry import (available_partitioners, check_partitioner,
-                       get_partitioner, partitioner_descriptions,
-                       register_partitioner)
+from __future__ import annotations
+
+from .base import PartitionState
 from .slotsearch import (AffinityPartitioner, BalancePartitioner,
                          FirstFitPartitioner, RandomPartitioner,
                          SlotSearchPartitioner)
 from .agglomerative import (AgglomerativePartitioner,
                             agglomerative_assignment)
 
+#: name -> engine class, the default first.
+PARTITIONERS: dict[str, type[SlotSearchPartitioner]] = {
+    "affinity": AffinityPartitioner,
+    "agglomerative": AgglomerativePartitioner,
+    "balance": BalancePartitioner,
+    "first": FirstFitPartitioner,
+    "random": RandomPartitioner,
+}
+
 #: The engine used when nothing else is asked for.
 DEFAULT_PARTITIONER = "affinity"
 
 __all__ = [
-    "Partitioner", "PartitionState",
-    "available_partitioners", "check_partitioner", "get_partitioner",
-    "partitioner_descriptions", "register_partitioner",
+    "PartitionState", "PARTITIONERS",
     "SlotSearchPartitioner", "AffinityPartitioner", "BalancePartitioner",
     "FirstFitPartitioner", "RandomPartitioner",
     "AgglomerativePartitioner", "agglomerative_assignment",

@@ -32,7 +32,6 @@ from repro.machine.resources import pool_for
 from ..arena import SchedArena
 from ..schedule import ScheduleStats
 from .base import PartitionState
-from .registry import register_partitioner
 from .slotsearch import SlotSearchPartitioner
 
 #: Repair passes over adjacency-violating ops before giving up on the
@@ -182,9 +181,7 @@ def agglomerative_assignment(ddg: Ddg, cm: ClusteredMachine,
     return cluster_of
 
 
-@register_partitioner
 class AgglomerativePartitioner(SlotSearchPartitioner):
-    name = "agglomerative"
     description = ("two-phase: affinity-weighted agglomerative "
                    "pre-assignment under ResMII balance, slot search "
                    "with clusters pinned")

@@ -1,42 +1,25 @@
-"""The cluster-partitioner contract.
+"""The search state every cluster-partitioning engine works on.
 
-A *partitioner* is one engine that attempts to place every op of a loop
-DDG both *in time* (a modulo row) and *in space* (a ring cluster) at one
-fixed II.  The surrounding II search, normalisation and validation live
-in :func:`repro.sched.partition.partitioned_schedule`, which is
-engine-agnostic: it asks the registry for an engine by name and calls
-:meth:`Partitioner.try_at_ii` per candidate II.
-
-Engines register themselves with
-:func:`~repro.sched.partitioners.registry.register_partitioner` and are
-looked up by name (``PartitionConfig(partitioner="agglomerative")``,
-``PipelineOptions(partitioner=...)``, ``--partitioner`` on the CLI).
-
-The mutable search state (:class:`PartitionState`) is shared by all
-engines: it owns the per-cluster modulo reservation tables, the packed
-``sig``/``cl`` mirrors and the flat caches the inner loop depends on.
-During a probe the search loop owns that packed state alone; the
-id-keyed ``sigma``/``cluster_of`` maps and each table's derived fields
-are built once, when the probe ends (:meth:`PartitionState.close` and
+:class:`PartitionState` is one II attempt's mutable state: the
+per-cluster modulo reservation tables, the packed ``sig``/``cl``
+mirrors and the flat caches the inner loop depends on.  During a probe
+the search loop (:class:`~repro.sched.partitioners.slotsearch.
+SlotSearchPartitioner`) owns that packed state alone; the id-keyed
+``sigma``/``cluster_of`` maps and each table's derived fields are built
+once, when the probe ends (:meth:`PartitionState.close` and
 :meth:`PartitionState.publish`), so they cannot drift from the packed
 state mid-search.
 """
 
 from __future__ import annotations
 
-import abc
-import random as _random
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import Optional
 
 from repro.ir.ddg import Ddg
 from repro.machine.cluster import ClusteredMachine
 
 from ..arena import SchedArena
 from ..mrt import PackedMRT
-from ..schedule import ScheduleStats
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class PartitionState:
@@ -51,8 +34,6 @@ class PartitionState:
     them when the probe ends, and :meth:`publish` builds the public
     ``sigma``/``cluster_of`` dicts, keyed by op id in order of last
     placement (drivers, tests and the MOVE pipeline consume those).
-    :meth:`place_idx` is the one-op form that keeps everything current
-    at once.
 
     With an *arena* the reservation tables and ring topology come from
     the arena's pools (reset in O(touched) between attempts) instead of
@@ -91,16 +72,6 @@ class PartitionState:
         self.cl = [-1] * arr.n
 
     # ------------------------------------------------------- mutation
-
-    def place_idx(self, i: int, cluster: int, t: int) -> None:
-        """Place op index *i* on *cluster* at time *t* (all bookkeeping:
-        MRT slot, packed mirrors, public dicts)."""
-        op_id = self.arr.ids[i]
-        self.mrts[cluster].place(op_id, self.arr.pool[i], t)
-        self.sig[i] = t
-        self.cl[i] = cluster
-        self.sigma[op_id] = t
-        self.cluster_of[op_id] = cluster
 
     def close(self, load: list[int]) -> None:
         """End a search loop's probe: rebuild every table's counts,
@@ -145,39 +116,14 @@ class PartitionState:
 
     # -------------------------------------------------------- queries
 
-    def pred_arrivals_idx(self, i: int) -> list[tuple[int, int]]:
-        """Scheduled-predecessor arrival terms for one placement round.
-
-        Returns ``(base, src_cluster)`` per scheduled in-edge, where
-        ``base = sigma(src) + latency - distance * II`` and
-        ``src_cluster`` is -1 when no inter-cluster penalty can apply
-        (zero ring latency or a non-DATA edge).  Computing this once per
-        round turns the per-cluster estart into a max over a short list
-        instead of a fresh edge walk per candidate cluster.
-        """
-        arr = self.arr
-        sig = self.sig
-        cl = self.cl
-        ii = self.ii
-        xlat = self.xlat
-        in_src, in_lat = arr.in_src, arr.in_lat
-        in_dist, in_data = arr.in_dist, arr.in_data
-        out: list[tuple[int, int]] = []
-        ptr = arr.in_ptr
-        for j in range(ptr[i], ptr[i + 1]):
-            s = in_src[j]
-            t = sig[s]
-            if t < 0:
-                continue
-            base = t + in_lat[j] - in_dist[j] * ii
-            sc = cl[s] if xlat and in_data[j] else -1
-            out.append((base, sc))
-        return out
-
     @staticmethod
     def estart_from(arrivals: list[tuple[int, int]], cluster: int,
                     xlat: int) -> int:
-        """Earliest start on *cluster* given cached arrival terms."""
+        """Earliest start on *cluster* given one round's arrival terms:
+        ``(base, src_cluster)`` per scheduled in-edge, where ``base =
+        sigma(src) + latency - distance * II`` and ``src_cluster`` is -1
+        when no ring latency can apply (a term the slot search builds
+        inline, once per placement round)."""
         est = 0
         for base, sc in arrivals:
             if sc >= 0 and sc != cluster:
@@ -185,12 +131,6 @@ class PartitionState:
             if base > est:
                 est = base
         return est
-
-    def estart(self, op_id: int, cluster: int) -> int:
-        """Earliest start of *op_id* on *cluster* (uncached form)."""
-        return self.estart_from(
-            self.pred_arrivals_idx(self.arr.index[op_id]), cluster,
-            self.xlat)
 
     def scheduled_nbr_clusters_idx(self, i: int) -> dict[int, int]:
         """Scheduled DATA-neighbour op *index* -> its cluster."""
@@ -206,13 +146,6 @@ class PartitionState:
                 out[x] = c
         return out
 
-    def allowed_from_nbrs(self, nbr_clusters: dict[int, int]) -> list[int]:
-        """Clusters adjacent to every scheduled DATA neighbour."""
-        need = 0
-        for nc in nbr_clusters.values():
-            need |= 1 << nc
-        return self.allowed_in(need)
-
     def allowed_in(self, need: int) -> list[int]:
         """Clusters adjacent to every cluster in the bitmask *need*
         (bitmask intersection over the cached ring topology), memoised
@@ -224,44 +157,3 @@ class PartitionState:
                 c for c in self.all_clusters if masks[c] & need == need]
         return allowed
 
-
-class Partitioner(abc.ABC):
-    """Base class of all cluster-partitioning engines.
-
-    Subclasses set ``name`` (the registry key) and ``description`` (one
-    line for ``repro-vliw partitioners``) and implement :meth:`try_at_ii`.
-    """
-
-    #: Registry key; also the value of ``PartitionConfig.partitioner``.
-    name: ClassVar[str] = ""
-    #: One-line summary shown by ``repro-vliw partitioners``.
-    description: ClassVar[str] = ""
-    #: True when attempts consume shared randomness (the ``random``
-    #: engine): probe outcomes then depend on the *sequence* of IIs
-    #: probed, so the II driver must keep the sequential linear walk --
-    #: adaptive bracketing would visit different IIs and desynchronise
-    #: the stream, breaking linear/adaptive schedule parity.
-    stochastic: ClassVar[bool] = False
-
-    @abc.abstractmethod
-    def try_at_ii(self, ddg: Ddg, cm: ClusteredMachine, ii: int, *,
-                  budget: int,
-                  pinned: Optional[dict[int, int]] = None,
-                  relax_adjacency: bool = False,
-                  stats: Optional[ScheduleStats] = None,
-                  rng: Optional[_random.Random] = None,
-                  arena: Optional[SchedArena] = None,
-                  ) -> Optional[PartitionState]:
-        """One partitioned-scheduling attempt at a fixed II.
-
-        Returns the final :class:`PartitionState` (``sigma`` +
-        ``cluster_of``) or ``None`` when the placement budget runs out.
-        ``pinned`` fixes some ops' clusters; ``relax_adjacency`` disables
-        the ring constraint (the MOVE pipeline's first pass).  With an
-        *arena* the attempt state borrows the arena's pooled buffers;
-        the returned state is then only valid until the arena's next
-        attempt begins (II drivers consume it immediately).
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<partitioner {self.name!r}>"

@@ -25,7 +25,7 @@ when the probe ends.
 from __future__ import annotations
 
 import random as _random
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.ir.ddg import Ddg
 from repro.machine.cluster import ClusteredMachine
@@ -34,12 +34,21 @@ from repro.machine.resources import HARDWARE_POOLS
 from ..arena import SchedArena
 from ..priority import priority_order_idx
 from ..schedule import ScheduleStats
-from .base import Partitioner, PartitionState
-from .registry import register_partitioner
+from .base import PartitionState
 
 
-class SlotSearchPartitioner(Partitioner):
-    """Shared search loop; subclasses supply the candidate ranking."""
+class SlotSearchPartitioner:
+    """Base of every cluster-partitioning engine: the shared search
+    loop (:meth:`try_at_ii`); subclasses supply the candidate ranking."""
+
+    #: One-line summary shown by ``repro-vliw partitioners``.
+    description: ClassVar[str] = ""
+    #: True when attempts consume shared randomness (the ``random``
+    #: engine): probe outcomes then depend on the *sequence* of IIs
+    #: probed, so the II driver must keep the sequential linear walk --
+    #: adaptive bracketing would visit different IIs and desynchronise
+    #: the stream, breaking linear/adaptive schedule parity.
+    stochastic: ClassVar[bool] = False
 
     def candidate_key(self, aff: int, t: int, load: int, c: int,
                       rng: _random.Random) -> tuple:
@@ -57,6 +66,16 @@ class SlotSearchPartitioner(Partitioner):
                   rng: Optional[_random.Random] = None,
                   arena: Optional[SchedArena] = None,
                   ) -> Optional[PartitionState]:
+        """One partitioned-scheduling attempt at a fixed II.
+
+        Returns the final :class:`PartitionState` (``sigma`` +
+        ``cluster_of``) or ``None`` when the placement budget runs out.
+        ``pinned`` fixes some ops' clusters; ``relax_adjacency`` disables
+        the ring constraint (the MOVE pipeline's first pass).  With an
+        *arena* the attempt state borrows the arena's pooled buffers;
+        the returned state is then only valid until the arena's next
+        attempt begins (II drivers consume it immediately).
+        """
         rng = rng or _random.Random(0)
         state = PartitionState(ddg, cm, ii, arena=arena)
         arr = state.arr
@@ -291,9 +310,7 @@ class SlotSearchPartitioner(Partitioner):
         return state
 
 
-@register_partitioner
 class AffinityPartitioner(SlotSearchPartitioner):
-    name = "affinity"
     description = ("most scheduled DATA neighbours first, then earliest "
                    "slot, then lightest load (paper default)")
 
@@ -302,9 +319,7 @@ class AffinityPartitioner(SlotSearchPartitioner):
         return (-aff, t, load, c)
 
 
-@register_partitioner
 class BalancePartitioner(SlotSearchPartitioner):
-    name = "balance"
     description = "least-loaded cluster first, then earliest slot"
 
     def candidate_key(self, aff: int, t: int, load: int, c: int,
@@ -312,9 +327,7 @@ class BalancePartitioner(SlotSearchPartitioner):
         return (load, t, -aff, c)
 
 
-@register_partitioner
 class FirstFitPartitioner(SlotSearchPartitioner):
-    name = "first"
     description = "earliest slot, lowest cluster index (naive baseline)"
 
     def candidate_key(self, aff: int, t: int, load: int, c: int,
@@ -322,13 +335,11 @@ class FirstFitPartitioner(SlotSearchPartitioner):
         return (t, c)
 
 
-@register_partitioner
 class RandomPartitioner(SlotSearchPartitioner):
-    name = "random"
     description = "uniformly random feasible candidate (seeded)"
     # draws from the shared seeded stream on every candidate: probe
     # results depend on probe order, so the II driver pins this engine
-    # to the linear walk (see Partitioner.stochastic)
+    # to the linear walk (see SlotSearchPartitioner.stochastic)
     stochastic = True
 
     def candidate_key(self, aff: int, t: int, load: int, c: int,

@@ -5,13 +5,15 @@ for clustered machines -- cluster assignments.  It knows how to re-derive
 everything downstream analyses need: stage count, kernel occupancy, static
 IPC, per-edge lifetimes, and it can *audit itself* against the dependence
 and resource constraints (:meth:`validate`), which every scheduler test
-exercises.
+exercises.  :func:`check_engine` is the one name check of the two engine
+tables (``SCHEDULERS``, ``PARTITIONERS``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Mapping, Optional, Sequence, TypeVar,
+                    Union)
 
 from repro.ir.ddg import Ddg, DepEdge, DepKind
 from repro.ir.operations import FuType
@@ -22,9 +24,25 @@ from repro.machine.resources import HARDWARE_POOLS, POOL_IDS, pool_for
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cluster import ClusteredMachine
 
+_E = TypeVar("_E")
+
 
 class SchedulingError(RuntimeError):
     """Raised when no schedule is found within the II / budget limits."""
+
+
+def check_engine(table: Mapping[str, _E], kind: str, name: str) -> _E:
+    """The engine *table* holds under *name* (a ``SCHEDULERS`` or
+    ``PARTITIONERS`` entry).
+
+    Raises ``KeyError`` naming the *kind* and listing the table's names,
+    so a typo'd engine reads the same from the CLI, the service and a
+    library call, before any scheduling work is spent.
+    """
+    if name not in table:
+        raise KeyError(f"unknown {kind} {name!r}; available: "
+                       f"{', '.join(table)}")
+    return table[name]
 
 
 class ScheduleValidationError(AssertionError):

@@ -1,50 +1,38 @@
-"""Pluggable scheduler strategies.
+"""Single-cluster scheduling engines.
 
-The scheduling engine is a seam: every engine consumes a (loop DDG,
-single-cluster machine) pair and produces the same
-:class:`~repro.sched.schedule.ModuloSchedule` object, so partitioning
-baselines, queue allocation, codegen, the simulator and every experiment
-driver run unchanged on top of any registered engine.  The registry is the
-lookup surface used by ``PipelineOptions(scheduler=...)``, the CLI's
-``--scheduler`` / ``schedulers`` commands and the registry-parameterised
-invariant tests.
-
-Engines shipped here:
+Every engine consumes a (loop DDG, single-cluster machine) pair and
+returns a :class:`~repro.sched.schedule.ModuloSchedule` from its
+``schedule(ddg, machine)``, so queue allocation, codegen, the simulator
+and every experiment driver run unchanged on top of either one:
 
 * ``"ims"`` -- Rau's Iterative Modulo Scheduling (the default; the
   engine the paper's experiments used), via :mod:`repro.sched.ims`.
 * ``"sms"`` -- Swing Modulo Scheduling (Llosa et al., PACT'96): the
   co-author's near-backtrack-free, lifetime-minimising engine.
 
-Adding an engine is a self-registering subclass::
-
-    from repro.sched.strategies import SchedulerStrategy, register_scheduler
-
-    @register_scheduler
-    class MyStrategy(SchedulerStrategy):
-        name = "mine"
-        description = "my engine"
-        def schedule(self, ddg, machine, *, start_ii=None):
-            ...
+:data:`SCHEDULERS` is the closed table of them: ``PipelineOptions``,
+the service's job specs and the CLI's ``--scheduler``/``schedulers``
+read it, and :func:`repro.sched.schedule.check_engine` checks a name
+against it.
 """
 
-from .base import SchedulerResult, SchedulerStrategy
+from __future__ import annotations
+
+from typing import Union
+
 from .ims import ImsStrategy
-from .registry import (available_schedulers, check_scheduler,
-                       get_scheduler, register_scheduler,
-                       scheduler_descriptions)
 from .sms import (SmsConfig, SmsStrategy, sms_order, sms_schedule,
                   time_bounds, try_sms_at_ii)
+
+#: name -> engine class, the default first.
+SCHEDULERS: dict[str, type[Union[ImsStrategy, SmsStrategy]]] = {
+    "ims": ImsStrategy, "sms": SmsStrategy}
 
 #: The engine used when nothing else is asked for.
 DEFAULT_SCHEDULER = "ims"
 
 __all__ = [
-    "SchedulerResult", "SchedulerStrategy",
-    "ImsStrategy", "SmsStrategy", "SmsConfig",
-    "available_schedulers", "check_scheduler", "get_scheduler",
-    "register_scheduler",
-    "scheduler_descriptions",
+    "ImsStrategy", "SmsStrategy", "SmsConfig", "SCHEDULERS",
     "sms_order", "sms_schedule", "time_bounds", "try_sms_at_ii",
     "DEFAULT_SCHEDULER",
 ]

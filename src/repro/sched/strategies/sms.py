@@ -59,8 +59,6 @@ from ..mii import mii_report
 from ..mrt import PackedMRT
 from ..priority import heights_list
 from ..schedule import ModuloSchedule, ScheduleStats, SchedulingError
-from .base import SchedulerResult, SchedulerStrategy
-from .registry import register_scheduler
 
 
 @dataclass
@@ -328,8 +326,7 @@ def try_sms_at_ii(ddg: Ddg, machine: Machine, ii: int, *,
 
 
 def sms_schedule(ddg: Ddg, machine: Machine, *,
-                 config: Optional[SmsConfig] = None,
-                 start_ii: Optional[int] = None) -> ModuloSchedule:
+                 config: Optional[SmsConfig] = None) -> ModuloSchedule:
     """Schedule *ddg* on a single-cluster *machine* with SMS.
 
     Mirrors :func:`repro.sched.ims.modulo_schedule`: the machine's latency
@@ -347,7 +344,7 @@ def sms_schedule(ddg: Ddg, machine: Machine, *,
             f"machine {machine.name} lacks FU classes for {ddg.name!r}")
 
     report = mii_report(ddg, machine)
-    first_ii = max(report.mii, start_ii or 1)
+    first_ii = max(report.mii, 1)
     stats = ScheduleStats(mii=report.mii, res_mii=report.res,
                           rec_mii=report.rec)
     limit = cfg.ii_limit(ddg, first_ii)
@@ -373,20 +370,13 @@ def sms_schedule(ddg: Ddg, machine: Machine, *,
     return sched
 
 
-@register_scheduler
-class SmsStrategy(SchedulerStrategy):
+class SmsStrategy:
     """Swing modulo scheduling (Llosa et al. 1996)."""
 
-    name = "sms"
     description = ("swing modulo scheduling (Llosa et al. 1996): "
                    "criticality ordering, bidirectional lifetime-"
                    "minimising placement, no backtracking")
 
-    def __init__(self, config: Optional[SmsConfig] = None) -> None:
-        self.config = config or SmsConfig()
-
-    def schedule(self, ddg: Ddg, machine: Machine, *,
-                 start_ii: Optional[int] = None) -> SchedulerResult:
-        sched = sms_schedule(ddg, machine, config=self.config,
-                             start_ii=start_ii)
-        return SchedulerResult(schedule=sched, scheduler=self.name)
+    @staticmethod
+    def schedule(ddg: Ddg, machine: Machine) -> ModuloSchedule:
+        return sms_schedule(ddg, machine)

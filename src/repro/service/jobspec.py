@@ -376,8 +376,8 @@ def parse_options(spec: object) -> PipelineOptions:
 
     Engine names (``scheduler``/``partitioner``) are validated here, at
     the request boundary, so a typo comes back as a 400 listing the
-    registered engines -- the same message the registry raises for
-    library callers -- instead of a worker-side 500.  So are the copy
+    engines -- the same ``check_engine`` message library callers get --
+    instead of a worker-side 500.  So are the copy
     strategy and the name of each extras spec: an unknown one would
     compile into a failed job.
     """

@@ -74,10 +74,10 @@ def run_pipeline(ddg: Ddg, machine: AnyMachine, *,
                  partitioner: str = DEFAULT_PARTITIONER) -> PipelineResult:
     """Full paper pipeline with end-to-end verification.
 
-    ``scheduler`` picks the single-cluster engine from the strategy
-    registry and ``partitioner`` the clustered engine from the
-    partitioner registry (engines needing a custom config are reachable
-    directly through ``get_scheduler(name, config=...)`` and
+    ``scheduler`` names the single-cluster engine (a ``SCHEDULERS``
+    key) and ``partitioner`` the clustered engine (a ``PARTITIONERS``
+    key); a custom engine config goes straight to the engine's function
+    (``modulo_schedule(config=...)``, ``sms_schedule(config=...)``,
     ``partitioned_schedule(config=...)``).  Raises
     :class:`repro.sim.vliwsim.SimulationError`,
     :class:`repro.sched.schedule.SchedulingError`,

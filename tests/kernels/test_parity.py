@@ -280,6 +280,22 @@ def _random_state(rng, name, factor, n_clusters, xlat, ii, horizon):
     return ddg, state
 
 
+def _arrivals(state, i):
+    """One placement round's arrival terms for op index *i*, built off
+    the packed in-edges as the slot search builds them: ``(base,
+    src_cluster)`` per scheduled predecessor, ``src_cluster`` -1 where no
+    ring latency can apply."""
+    arr, sig, cl = state.arr, state.sig, state.cl
+    out = []
+    for j in range(arr.in_ptr[i], arr.in_ptr[i + 1]):
+        s = arr.in_src[j]
+        if sig[s] < 0:
+            continue
+        base = sig[s] + arr.in_lat[j] - arr.in_dist[j] * state.ii
+        out.append((base, cl[s] if state.xlat and arr.in_data[j] else -1))
+    return out
+
+
 def _ref_estart(ddg, state, op_id, cluster):
     """Earliest start from the ``Ddg`` edges directly: scheduled
     predecessors only, plus the ring latency on a DATA edge that crosses
@@ -307,7 +323,7 @@ def test_pred_arrivals_round_decision_parity(seed):
     xlat = rng.choice((0, 1, 2))
     ddg, state = _random_state(rng, "dot", 4, n_clusters, xlat, 2, 30)
     for i, op_id in enumerate(state.arr.ids):
-        arrivals = state.pred_arrivals_idx(i)
+        arrivals = _arrivals(state, i)
         ests = [PartitionState.estart_from(arrivals, c, xlat)
                 for c in range(n_clusters)]
         assert ests == [_ref_estart(ddg, state, op_id, c)
@@ -323,6 +339,6 @@ def test_estart_parity(seed):
     rng = random.Random(500 + seed)
     ii = rng.randint(1, 5)
     ddg, state = _random_state(rng, "fir4", 2, 1, 0, ii, 40)
-    for op_id in state.arr.ids:
-        assert (state.estart(op_id, 0)
-                == _ref_estart(ddg, state, op_id, 0)), (seed, op_id, ii)
+    for i, op_id in enumerate(state.arr.ids):
+        est = PartitionState.estart_from(_arrivals(state, i), 0, state.xlat)
+        assert est == _ref_estart(ddg, state, op_id, 0), (seed, op_id, ii)

@@ -165,10 +165,10 @@ def a1_shape(result, loops, runner):
 
 
 def a2_shape(result, loops, runner):
-    from repro.sched.partitioners import available_partitioners
+    from repro.sched.partitioners import PARTITIONERS
 
     same = result.column("same_ii")
-    assert set(same) == set(available_partitioners())
+    assert set(same) == set(PARTITIONERS)
     # finding: once forced placement + deadlock aging are in place, the
     # cluster-choice policy matters surprisingly little (all strategies
     # land within a few points) -- the backtracking machinery, not the
@@ -268,10 +268,10 @@ def sc_shape(result, loops, runner):
 
 
 def pc_shape(result, loops, runner):
-    from repro.sched.partitioners import available_partitioners
+    from repro.sched.partitioners import PARTITIONERS
 
     cluster_counts, partitioners = _axes(result)
-    assert set(partitioners) == set(available_partitioners())
+    assert set(partitioners) == set(PARTITIONERS)
     assert partitioners[0] == "affinity"  # the baseline stays first
 
     for n in cluster_counts:

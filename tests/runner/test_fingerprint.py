@@ -81,20 +81,20 @@ def test_key_never_aliases_across_partitioners():
     a different job, so cached affinity results never answer for the
     agglomerative engine.  A single-cluster machine ignores both fields,
     so there they split no key."""
-    from repro.sched.partitioners import available_partitioners
+    from repro.sched.partitioners import PARTITIONERS
 
     ddg = kernel("daxpy")
     cm = clustered_machine(4)
     keys = {CompileJob(ddg, cm, PipelineOptions(partitioner=p)).key
-            for p in available_partitioners()}
+            for p in PARTITIONERS}
     keys.add(CompileJob(ddg, cm, PipelineOptions(use_moves=True)).key)
-    assert len(keys) == len(available_partitioners()) + 1
+    assert len(keys) == len(PARTITIONERS) + 1
     assert (CompileJob(ddg, cm, PipelineOptions()).key
             == CompileJob(ddg, cm,
                           PipelineOptions(partitioner="affinity")).key)
     m = qrf_machine(12)
     flat_keys = {CompileJob(ddg, m, PipelineOptions(partitioner=p)).key
-                 for p in available_partitioners()}
+                 for p in PARTITIONERS}
     flat_keys.add(CompileJob(ddg, m, PipelineOptions(use_moves=True)).key)
     assert flat_keys == {CompileJob(ddg, m, PipelineOptions()).key}
 

@@ -17,9 +17,9 @@ from repro.machine.presets import clustered_machine, qrf_machine
 from repro.sched.iisearch import NEAR_WINDOW, search_ii
 from repro.sched.ims import ImsConfig, modulo_schedule
 from repro.sched.partition import PartitionConfig, partitioned_schedule
-from repro.sched.partitioners import available_partitioners
+from repro.sched.partitioners import PARTITIONERS
 from repro.sched.schedule import SchedulingError
-from repro.sched.strategies import available_schedulers, get_scheduler
+from repro.sched.strategies import SCHEDULERS
 from repro.workloads.kernels import KERNELS, kernel
 
 
@@ -177,22 +177,20 @@ class TestCorpusParity:
     """Acceptance: the linear walk and the adaptive default produce
     identical schedules over the full kernel corpus, every engine."""
 
-    @pytest.mark.parametrize("scheduler", available_schedulers())
+    @pytest.mark.parametrize("scheduler", tuple(SCHEDULERS))
     def test_schedulers_identical_across_modes(self, scheduler,
                                                monkeypatch):
         m = qrf_machine(12)
         works = [insert_copies(kernel(name)).ddg for name in sorted(KERNELS)]
-        adaptive = [get_scheduler(scheduler).schedule(w, m).schedule
-                    for w in works]
+        adaptive = [SCHEDULERS[scheduler].schedule(w, m) for w in works]
         calls = force_linear_walk(monkeypatch)
-        linear = [get_scheduler(scheduler).schedule(w, m).schedule
-                  for w in works]
+        linear = [SCHEDULERS[scheduler].schedule(w, m) for w in works]
         assert len(calls) == len(works) == 30
         for work, a, b in zip(works, adaptive, linear):
             assert (a.ii, a.sigma) == (b.ii, b.sigma), \
                 f"{scheduler}/{work.name} diverges between II walks"
 
-    @pytest.mark.parametrize("partitioner", available_partitioners())
+    @pytest.mark.parametrize("partitioner", tuple(PARTITIONERS))
     def test_partitioners_identical_across_modes(self, partitioner,
                                                  monkeypatch):
         cm = clustered_machine(4)
@@ -212,9 +210,8 @@ def test_stochastic_engines_pin_the_linear_walk():
     """The `random` engine consumes one seeded stream across probes, so
     probe outcomes depend on probe order; the II driver keeps it on the
     sequential walk (every deterministic engine stays adaptive)."""
-    from repro.sched.partitioners import get_partitioner
+    from repro.sched.partitioners import PARTITIONERS
 
-    for name in available_partitioners():
-        engine = get_partitioner(name)
+    for name, engine in PARTITIONERS.items():
         assert engine.stochastic == (name == "random"), name
 

@@ -26,8 +26,8 @@ from repro.ir.copyins import insert_copies
 from repro.ir.unroll import unroll
 from repro.machine.presets import clustered_machine, qrf_machine
 from repro.sched.partition import PartitionConfig, partitioned_schedule
-from repro.sched.partitioners import available_partitioners
-from repro.sched.strategies import available_schedulers, get_scheduler
+from repro.sched.partitioners import PARTITIONERS
+from repro.sched.strategies import SCHEDULERS
 from repro.verify import verify_schedule
 from repro.workloads.kernels import KERNELS, kernel
 
@@ -41,14 +41,14 @@ def _sigma(sched) -> dict[str, int]:
 
 
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
-@pytest.mark.parametrize("scheduler", available_schedulers())
+@pytest.mark.parametrize("scheduler", tuple(SCHEDULERS))
 def test_scheduler_matches_golden(scheduler, kernel_name,
                                   legacy_kernels_env):
     entry = GOLDEN["schedulers"].get(f"{scheduler}/{kernel_name}")
     if entry is None:
         pytest.skip(f"no golden entry for {scheduler}/{kernel_name}")
     work = insert_copies(kernel(kernel_name)).ddg
-    s = get_scheduler(scheduler).schedule(work, qrf_machine(12)).schedule
+    s = SCHEDULERS[scheduler].schedule(work, qrf_machine(12))
     assert s.ii == entry["ii"]
     assert _sigma(s) == entry["sigma"]
     # golden schedules are not just replayed but *proved* (DESIGN §5.9)
@@ -56,7 +56,7 @@ def test_scheduler_matches_golden(scheduler, kernel_name,
 
 
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
-@pytest.mark.parametrize("partitioner", available_partitioners())
+@pytest.mark.parametrize("partitioner", tuple(PARTITIONERS))
 def test_partitioner_matches_golden(partitioner, kernel_name,
                                     legacy_kernels_env):
     entry = GOLDEN["partitioners"].get(f"{partitioner}/{kernel_name}")
@@ -73,7 +73,7 @@ def test_partitioner_matches_golden(partitioner, kernel_name,
     assert verify_schedule(s, clustered_machine(4)).ok
 
 
-@pytest.mark.parametrize("partitioner", available_partitioners())
+@pytest.mark.parametrize("partitioner", tuple(PARTITIONERS))
 def test_partitioner_matches_golden_unrolled(partitioner,
                                              legacy_kernels_env):
     """The unrolled stress case drives the eviction/deadlock machinery."""

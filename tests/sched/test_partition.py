@@ -68,10 +68,10 @@ class TestBasicPartitioning:
         assert s.n_clusters == 4
 
     def test_all_registered_engines_produce_valid_schedules(self):
-        from repro.sched.partitioners import available_partitioners
+        from repro.sched.partitioners import PARTITIONERS
         cm = make_clustered(5)
         work = prepared(dot_product(), 4)
-        for engine in available_partitioners():
+        for engine in PARTITIONERS:
             s = partitioned_schedule(
                 work, cm, config=PartitionConfig(partitioner=engine))
             s.validate(cm.cluster.fus.as_dict(), adjacency=cm)

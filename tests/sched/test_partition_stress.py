@@ -62,10 +62,10 @@ def test_budget_stays_bounded():
 
 
 def test_all_registered_engines_survive_stress():
-    from repro.sched.partitioners import available_partitioners
+    from repro.sched.partitioners import PARTITIONERS
     cm = make_clustered(6)
     work = insert_copies(unroll(dot_product(), 6)).ddg
-    for engine in available_partitioners():
+    for engine in PARTITIONERS:
         s = partitioned_schedule(
             work, cm, config=PartitionConfig(partitioner=engine))
         s.validate(cm.cluster.fus.as_dict(), adjacency=cm)

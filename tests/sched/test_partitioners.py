@@ -1,8 +1,8 @@
-"""Partitioner-registry subsystem tests.
+"""Cluster-partitioning engine tests.
 
-The invariant tests are *registry-parameterized*: they run against every
-registered cluster-partitioning engine, so a future engine is held to the
-same contract as the shipped five the moment it registers -- II >= MII,
+The invariant tests are parameterized over ``PARTITIONERS``: they run
+against every engine in the table, so a new engine is held to the same
+contract as the shipped five the moment it is added -- II >= MII,
 every DATA edge lands on ring-adjacent clusters, inter-cluster ring
 latency is honoured on the copy edges that cross clusters, and the full
 pipeline (queue allocation + token simulation against the scalar
@@ -18,16 +18,13 @@ from repro.machine.cluster import make_clustered
 from repro.machine.presets import clustered_machine
 from repro.sched.mii import mii
 from repro.sched.partition import PartitionConfig, partitioned_schedule
-from repro.sched.partitioners import (DEFAULT_PARTITIONER, Partitioner,
-                                      agglomerative_assignment,
-                                      available_partitioners,
-                                      get_partitioner,
-                                      partitioner_descriptions,
-                                      register_partitioner)
+from repro.sched.partitioners import (DEFAULT_PARTITIONER, PARTITIONERS,
+                                      agglomerative_assignment)
+from repro.sched.schedule import check_engine
 from repro.sim.checker import run_pipeline
 from repro.workloads.kernels import KERNELS, kernel
 
-ALL_PARTITIONERS = available_partitioners()
+ALL_PARTITIONERS = tuple(PARTITIONERS)
 
 
 def prepared(ddg, factor=1):
@@ -35,7 +32,7 @@ def prepared(ddg, factor=1):
     return insert_copies(work).ddg
 
 
-# ---------------------------------------------------------------- registry
+# ------------------------------------------------------------------ table
 
 def test_registry_lists_all_five_engines():
     assert set(ALL_PARTITIONERS) == {
@@ -43,32 +40,18 @@ def test_registry_lists_all_five_engines():
     assert DEFAULT_PARTITIONER in ALL_PARTITIONERS
 
 
+def test_table_lists_the_default_first():
+    assert next(iter(PARTITIONERS)) == DEFAULT_PARTITIONER
+
+
 def test_registry_unknown_name_names_the_alternatives():
     with pytest.raises(KeyError, match="affinity"):
-        get_partitioner("nope")
-
-
-def test_registry_rejects_duplicate_names():
-    with pytest.raises(ValueError, match="already registered"):
-        @register_partitioner
-        class Duplicate(Partitioner):
-            name = "affinity"
-
-            def try_at_ii(self, ddg, cm, ii, *, budget, **kw):
-                raise NotImplementedError
-
-
-def test_registry_rejects_anonymous_engines():
-    with pytest.raises(ValueError, match="non-empty"):
-        @register_partitioner
-        class NoName(Partitioner):
-            def try_at_ii(self, ddg, cm, ii, *, budget, **kw):
-                raise NotImplementedError
+        check_engine(PARTITIONERS, "partitioner", "nope")
 
 
 def test_every_engine_has_a_description():
-    for name, descr in partitioner_descriptions().items():
-        assert descr, name
+    for name, engine in PARTITIONERS.items():
+        assert engine.description, name
 
 
 # ----------------------------------------------- engine-generic invariants
@@ -203,7 +186,7 @@ def test_forced_eviction_keeps_state_consistent(name):
 
     cm = make_clustered(6)
     work = insert_copies(unroll(kernel("dot"), 6)).ddg
-    engine = get_partitioner(name)
+    engine = PARTITIONERS[name]()
     stats = ScheduleStats()
     # a tight II forces the eviction machinery; walk upward until the
     # engine lands so every engine gets audited
@@ -228,11 +211,9 @@ def test_forced_eviction_branch_actually_fires():
 
 
 class TestStateQueryEquivalence:
-    """The query methods pred_arrivals_idx / scheduled_nbr_clusters_idx
-    / allowed_from_nbrs restate, one query at a time, what the
-    slot-search inner loop computes inline.  Pin them against a
-    brute-force recomputation on mid-search states, so the reference
-    forms stay correct."""
+    """The state queries the slot search calls -- scheduled_nbr_clusters_idx,
+    allowed_in and estart_from -- match a brute-force recomputation off
+    the ``Ddg`` on mid-search states."""
 
     def test_methods_match_bruteforce_on_partial_states(self):
         import random
@@ -249,12 +230,15 @@ class TestStateQueryEquivalence:
                 cm = clustered_machine(n_clusters)
                 state = PartitionState(work, cm, ii=4)
                 arr = state.arr
-                # place a random half of the ops
+                # place a random half of the ops (table slot + packed
+                # mirrors, as the slot search does)
                 for i in rng.sample(range(arr.n), arr.n // 2):
                     for c in rng.sample(range(n_clusters), n_clusters):
                         t = rng.randint(0, 7)
                         if state.mrts[c].can_place(arr.pool[i], t):
-                            state.place_idx(i, c, t)
+                            state.mrts[c].place(arr.ids[i], arr.pool[i], t)
+                            state.sig[i] = t
+                            state.cl[i] = c
                             break
                 for i in range(arr.n):
                     op_id = arr.ids[i]
@@ -270,13 +254,23 @@ class TestStateQueryEquivalence:
                     assert state.scheduled_nbr_clusters_idx(i) \
                         == expect_nbrs
                     # allowed clusters: adjacent to every neighbour
-                    got = state.allowed_from_nbrs(expect_nbrs)
+                    need = 0
+                    for nc in expect_nbrs.values():
+                        need |= 1 << nc
                     expect_allowed = [
                         c for c in range(n_clusters)
                         if all(cm.are_adjacent(c, nc)
                                for nc in expect_nbrs.values())]
-                    assert got == expect_allowed
-                    # estart via the cached-arrival helpers
+                    assert state.allowed_in(need) == expect_allowed
+                    # estart over one round's arrival terms, built off
+                    # the packed in-edges as the slot search builds them
+                    arrivals = [
+                        (state.sig[arr.in_src[j]] + arr.in_lat[j]
+                         - arr.in_dist[j] * state.ii,
+                         state.cl[arr.in_src[j]]
+                         if state.xlat and arr.in_data[j] else -1)
+                        for j in range(arr.in_ptr[i], arr.in_ptr[i + 1])
+                        if state.sig[arr.in_src[j]] >= 0]
                     for c in range(n_clusters):
                         est = 0
                         for e in work.in_edges(op_id):
@@ -287,4 +281,5 @@ class TestStateQueryEquivalence:
                                 - e.distance * state.ii
                             if cand > est:
                                 est = cand
-                        assert state.estart(op_id, c) == est  # xlat == 0
+                        assert PartitionState.estart_from(
+                            arrivals, c, state.xlat) == est  # xlat == 0

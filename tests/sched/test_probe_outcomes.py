@@ -31,7 +31,7 @@ from repro.machine.presets import clustered_machine
 from repro.sched.arena import SchedArena
 from repro.sched.ims import DEFAULT_BUDGET_RATIO
 from repro.sched.mii import mii_report
-from repro.sched.partitioners import get_partitioner
+from repro.sched.partitioners import PARTITIONERS
 from repro.sched.schedule import ScheduleStats
 from repro.workloads.corpus import paper_corpus
 
@@ -71,7 +71,7 @@ def _walk(engine: str, ddg: Ddg, n_clusters: int
     work = cm.cluster.retime(ddg)
     first = mii_report(work, cm).mii
     budget = DEFAULT_BUDGET_RATIO * work.n_ops
-    eng = get_partitioner(engine)
+    eng = PARTITIONERS[engine]()
     rng = random.Random(0)
     arena = SchedArena()
     probes: list[list[object]] = []

@@ -31,9 +31,7 @@ from repro.machine.cluster import make_clustered
 from repro.machine.resources import N_POOLS, POOL_IDS
 from repro.sched.arena import SchedArena
 from repro.sched.mii import mii_report
-from repro.sched.partitioners import (PartitionState,
-                                      available_partitioners,
-                                      get_partitioner)
+from repro.sched.partitioners import PARTITIONERS, PartitionState
 from repro.sched.partitioners import slotsearch
 from repro.sched.schedule import ScheduleStats
 from repro.workloads.synth import SynthConfig, generate_loop
@@ -112,7 +110,7 @@ def probe_plans(draw):
     n_clusters = draw(st.integers(min_value=2, max_value=6))
     xlat = draw(st.sampled_from([0, 0, 1]))
     probes = draw(st.lists(st.tuples(
-        st.sampled_from(available_partitioners()),
+        st.sampled_from(tuple(PARTITIONERS)),
         st.sampled_from(["plain", "starved", "pinned", "relaxed"]),
         st.integers(min_value=0, max_value=3)), min_size=1, max_size=4))
     return insert_copies(ddg).ddg, n_clusters, xlat, probes, seed
@@ -142,7 +140,7 @@ def test_state_after_every_probe(plan):
                           for o in work.op_ids if rng.random() < 0.5}
             _assert_next_attempt_is_clean(arena, n_clusters, ii, caps)
             closed = _CheckedState.closed
-            state = get_partitioner(engine).try_at_ii(
+            state = PARTITIONERS[engine]().try_at_ii(
                 work, cm, ii, budget=budget, pinned=pinned,
                 relax_adjacency=mode == "relaxed", stats=ScheduleStats(),
                 rng=rng, arena=arena)

@@ -1,10 +1,10 @@
-"""Scheduler-strategy subsystem tests.
+"""Single-cluster scheduling engine tests.
 
-The invariant tests are *registry-parameterized*: they run against every
-registered engine, so a future strategy is held to the same contract as
-IMS and SMS the moment it registers -- II >= MII, modulo resource limits
-respected (no MRT overflow), every dependence distance honoured, and the
-full pipeline (allocation + token simulation against the scalar reference
+The invariant tests are parameterized over ``SCHEDULERS``: they run
+against every engine in the table, so a new engine is held to the same
+contract as IMS and SMS the moment it is added -- II >= MII, modulo
+resource limits respected (no MRT overflow), every dependence distance
+honoured, and the full pipeline (allocation + token simulation against the scalar reference
 semantics) green on all 30 classic kernels.
 """
 
@@ -18,52 +18,36 @@ from repro.ir.copyins import insert_copies
 from repro.machine.presets import qrf_machine
 from repro.machine.resources import pool_for
 from repro.sched.mii import mii, mii_report
-from repro.sched.schedule import SchedulingError
-from repro.sched.strategies import (SchedulerResult, SchedulerStrategy,
-                                    available_schedulers, get_scheduler,
-                                    register_scheduler,
-                                    scheduler_descriptions, sms_order,
-                                    sms_schedule, time_bounds)
+from repro.sched.schedule import (ModuloSchedule, SchedulingError,
+                                  check_engine)
+from repro.sched.strategies import (DEFAULT_SCHEDULER, SCHEDULERS,
+                                    sms_order, sms_schedule, time_bounds)
 from repro.sim.checker import run_pipeline
 from repro.workloads.kernels import KERNELS, kernel
 from repro.workloads.synth import SynthConfig, generate_loop
 
-ALL_SCHEDULERS = available_schedulers()
+ALL_SCHEDULERS = tuple(SCHEDULERS)
 
 
-# ---------------------------------------------------------------- registry
+# ------------------------------------------------------------------ table
 
 def test_registry_lists_both_engines():
     assert "ims" in ALL_SCHEDULERS
     assert "sms" in ALL_SCHEDULERS
 
 
+def test_table_lists_the_default_first():
+    assert next(iter(SCHEDULERS)) == DEFAULT_SCHEDULER
+
+
 def test_registry_unknown_name_names_the_alternatives():
     with pytest.raises(KeyError, match="ims"):
-        get_scheduler("nope")
-
-
-def test_registry_rejects_duplicate_names():
-    with pytest.raises(ValueError, match="already registered"):
-        @register_scheduler
-        class Duplicate(SchedulerStrategy):
-            name = "ims"
-
-            def schedule(self, ddg, machine, *, start_ii=None):
-                raise NotImplementedError
-
-
-def test_registry_rejects_anonymous_strategies():
-    with pytest.raises(ValueError, match="non-empty"):
-        @register_scheduler
-        class NoName(SchedulerStrategy):
-            def schedule(self, ddg, machine, *, start_ii=None):
-                raise NotImplementedError
+        check_engine(SCHEDULERS, "scheduler", "nope")
 
 
 def test_every_engine_has_a_description():
-    for name, descr in scheduler_descriptions().items():
-        assert descr, name
+    for name, engine in SCHEDULERS.items():
+        assert engine.description, name
 
 
 # ----------------------------------------------- engine-generic invariants
@@ -73,14 +57,12 @@ def test_every_engine_has_a_description():
 def test_engine_invariants_on_classic_kernels(name, kernel_name):
     """II >= MII, no MRT overflow, all dependences honoured -- per engine,
     on every classic kernel, on a narrow and a wide machine."""
-    engine = get_scheduler(name)
+    engine = SCHEDULERS[name]
     for n_fus in (4, 12):
         m = qrf_machine(n_fus)
         work = insert_copies(kernel(kernel_name)).ddg
-        result = engine.schedule(work, m)
-        assert isinstance(result, SchedulerResult)
-        assert result.scheduler == name
-        sched = result.schedule
+        sched = engine.schedule(work, m)
+        assert isinstance(sched, ModuloSchedule)
         assert sched.ii >= mii(sched.ddg, m)
         assert min(sched.sigma.values()) >= 0
         # resource + dependence audit (raises on violation)
@@ -119,7 +101,7 @@ def synth_loops(draw):
 def test_engine_schedules_synthetic_loops(ddg, name):
     m = qrf_machine(6)
     work = insert_copies(ddg).ddg
-    sched = get_scheduler(name).schedule(work, m).schedule
+    sched = SCHEDULERS[name].schedule(work, m)
     sched.validate(m.fus.as_dict())
     assert sched.ii >= mii(work, m)
 
@@ -181,8 +163,8 @@ def test_sms_matches_ims_mii_achievement_on_kernels():
     for kernel_name in sorted(KERNELS):
         work = insert_copies(kernel(kernel_name)).ddg
         lo = mii(work, m)
-        ims_ii = get_scheduler("ims").schedule(work, m).ii
-        sms_ii = get_scheduler("sms").schedule(work, m).ii
+        ims_ii = SCHEDULERS["ims"].schedule(work, m).ii
+        sms_ii = SCHEDULERS["sms"].schedule(work, m).ii
         if ims_ii == lo:
             ims_hit.append(kernel_name)
             if sms_ii == lo:

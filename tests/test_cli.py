@@ -123,20 +123,35 @@ def test_experiment_scheduler_compare(capsys):
     assert "ims" in out and "sms" in out
 
 
+#: the engine listings, byte for byte: table order, default first
+SCHEDULERS_LISTING = (
+    "ims    iterative modulo scheduling (Rau 1996): height priority, "
+    "forced placement with eviction/backtracking  (default)\n"
+    "sms    swing modulo scheduling (Llosa et al. 1996): criticality "
+    "ordering, bidirectional lifetime-minimising placement, no "
+    "backtracking\n")
+PARTITIONERS_LISTING = (
+    "affinity       most scheduled DATA neighbours first, then earliest "
+    "slot, then lightest load (paper default)  (default)\n"
+    "agglomerative  two-phase: affinity-weighted agglomerative "
+    "pre-assignment under ResMII balance, slot search with clusters "
+    "pinned\n"
+    "balance        least-loaded cluster first, then earliest slot\n"
+    "first          earliest slot, lowest cluster index (naive "
+    "baseline)\n"
+    "random         uniformly random feasible candidate (seeded)\n")
+
+
 def test_schedulers_subcommand(capsys):
     code, out, _ = run_cli(capsys, "schedulers")
     assert code == 0
-    assert "ims" in out and "sms" in out
-    assert "(default)" in out
+    assert out == SCHEDULERS_LISTING
 
 
 def test_partitioners_subcommand(capsys):
     code, out, _ = run_cli(capsys, "partitioners")
     assert code == 0
-    for name in ("affinity", "agglomerative", "balance", "first",
-                 "random"):
-        assert name in out
-    assert "(default)" in out
+    assert out == PARTITIONERS_LISTING
 
 
 def test_schedule_clustered_with_partitioner(capsys):

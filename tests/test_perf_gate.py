@@ -96,6 +96,21 @@ def test_unmeasurable_base_run_fails_loudly():
     assert lines == ["w: FAIL base run(s) [0] could not be measured"]
 
 
+def test_correct_run_missing_a_field_fails_without_a_crash():
+    no_p99 = run()
+    del no_p99["result"]["metrics"]["latency_p99_ms"]
+    no_failed = run()
+    del no_failed["result"]["failed"]
+    no_attempted = run()
+    del no_attempted["result"]["attempted"]
+    lines, failed = verdict([run()] * 4 + [no_attempted],
+                            [run()] * 3 + [no_p99, no_failed])
+    assert failed
+    assert lines == ["w: FAIL head run 3 missing metrics.latency_p99_ms",
+                     "w: FAIL head run 4 missing failed",
+                     "w: FAIL base run 4 missing attempted"]
+
+
 def test_gate_takes_one_checkout_path(capsys, tmp_path):
     assert perf_gate.main([]) == 2
     assert perf_gate.main([str(tmp_path / "missing")]) == 2

@@ -11,8 +11,8 @@ import pytest
 from repro.ir.copyins import insert_copies
 from repro.machine.presets import clustered_machine, qrf_machine
 from repro.sched.partition import PartitionConfig, partitioned_schedule
-from repro.sched.partitioners import available_partitioners
-from repro.sched.strategies import available_schedulers, get_scheduler
+from repro.sched.partitioners import PARTITIONERS
+from repro.sched.strategies import SCHEDULERS
 from repro.verify import MUTATORS, mutation_corpus, verify_schedule
 from repro.workloads.kernels import kernel
 
@@ -26,11 +26,11 @@ def _corpus_for(sched, machine, seed=0):
 
 
 @pytest.mark.parametrize("kernel_name", KERNELS_UNDER_TEST)
-@pytest.mark.parametrize("scheduler", available_schedulers())
+@pytest.mark.parametrize("scheduler", tuple(SCHEDULERS))
 def test_single_cluster_corruptions_rejected(scheduler, kernel_name):
     work = insert_copies(kernel(kernel_name)).ddg
     machine = qrf_machine(12)
-    sched = get_scheduler(scheduler).schedule(work, machine).schedule
+    sched = SCHEDULERS[scheduler].schedule(work, machine)
     assert verify_schedule(sched, machine).ok
     for mut in _corpus_for(sched, machine):
         verdict = verify_schedule(mut.schedule, mut.machine,
@@ -40,7 +40,7 @@ def test_single_cluster_corruptions_rejected(scheduler, kernel_name):
 
 
 @pytest.mark.parametrize("kernel_name", KERNELS_UNDER_TEST)
-@pytest.mark.parametrize("partitioner", available_partitioners())
+@pytest.mark.parametrize("partitioner", tuple(PARTITIONERS))
 def test_clustered_corruptions_rejected(partitioner, kernel_name):
     work = insert_copies(kernel(kernel_name)).ddg
     machine = clustered_machine(4)
@@ -72,7 +72,7 @@ def test_corpus_is_deterministic_in_seed():
 def test_corpus_rounds_scale_linearly():
     work = insert_copies(kernel("daxpy")).ddg
     machine = qrf_machine(12)
-    sched = get_scheduler("ims").schedule(work, machine).schedule
+    sched = SCHEDULERS["ims"].schedule(work, machine)
     one = mutation_corpus(sched, machine, seed=0, rounds=1)
     three = mutation_corpus(sched, machine, seed=0, rounds=3)
     assert len(three) == 3 * len(one)
@@ -99,5 +99,5 @@ def test_every_registered_mutator_fires_somewhere():
         partitioned_schedule(work, ring), ring)}
     single = qrf_machine(12)
     fired |= {m.name for m in mutation_corpus(
-        get_scheduler("ims").schedule(work, single).schedule, single)}
+        SCHEDULERS["ims"].schedule(work, single), single)}
     assert fired == {name for name, _ in MUTATORS}

@@ -94,19 +94,19 @@ def mutation_cases() -> dict:
     corruption (default machines and seed of the CLI)."""
     from repro.ir.copyins import insert_copies
     from repro.sched.partition import PartitionConfig, partitioned_schedule
-    from repro.sched.partitioners import available_partitioners
-    from repro.sched.strategies import available_schedulers, get_scheduler
+    from repro.sched.partitioners import PARTITIONERS
+    from repro.sched.strategies import SCHEDULERS
     from repro.workloads.kernels import KERNELS, kernel
 
     single, ring = qrf_machine(12), clustered_machine(4)
     out = {}
     for name in sorted(KERNELS):
         work = insert_copies(kernel(name)).ddg
-        builds = [(s, single, get_scheduler(s).schedule(work, single)
-                   .schedule) for s in available_schedulers()]
+        builds = [(s, single, engine.schedule(work, single))
+                  for s, engine in SCHEDULERS.items()]
         builds += [(p, ring, partitioned_schedule(
             work, ring, config=PartitionConfig(partitioner=p)))
-            for p in available_partitioners()]
+            for p in PARTITIONERS]
         for engine, machine, sched in builds:
             out[f"{engine}/{name}"] = {
                 "verdict": _verdict(sched, machine),

@@ -9,7 +9,7 @@ from repro.ir.copyins import insert_copies
 from repro.machine.presets import (clustered_machine, crf_machine,
                                    qrf_machine)
 from repro.sched.partition import PartitionConfig, partitioned_schedule
-from repro.sched.strategies import get_scheduler
+from repro.sched.strategies import SCHEDULERS
 from repro.verify import (INVARIANT_FAMILIES, VerificationError, Verdict,
                           ViolationKind, verify_schedule)
 from repro.workloads.kernels import kernel
@@ -18,7 +18,7 @@ from repro.workloads.kernels import kernel
 def _qrf_schedule(name="daxpy", scheduler="ims"):
     work = insert_copies(kernel(name)).ddg
     m = qrf_machine(12)
-    return get_scheduler(scheduler).schedule(work, m).schedule, m
+    return SCHEDULERS[scheduler].schedule(work, m), m
 
 
 def _ring_schedule(name="cmul", partitioner="affinity", n=4):
@@ -51,7 +51,7 @@ def test_proves_clustered_schedule_including_topology():
 def test_conventional_rf_schedule_skips_queue_family():
     work = kernel("daxpy")
     m = crf_machine(8)
-    sched = get_scheduler("ims").schedule(work, m).schedule
+    sched = SCHEDULERS["ims"].schedule(work, m)
     verdict = verify_schedule(sched, m)
     assert verdict.ok
     assert "queues" not in verdict.checked

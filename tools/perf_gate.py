@@ -83,6 +83,18 @@ def _bad_runs(runs: list[dict]) -> list[int]:
             or r["result"].get("correct") is not True]
 
 
+def _missing_field(run: dict, metrics: list[str]) -> Optional[str]:
+    """The first field the verdict reads that a correct *run* lacks."""
+    r = run["result"]
+    for field in ("attempted", "failed"):
+        if field not in r:
+            return field
+    for name in metrics:
+        if "value" not in r.get("metrics", {}).get(name, {}):
+            return f"metrics.{name}"
+    return None
+
+
 def _failed_share(run: dict) -> float:
     r = run["result"]
     return r["failed"] / r["attempted"] if r["attempted"] else 0.0
@@ -109,6 +121,15 @@ def workload_verdict(workload: str, end_to_end: list[dict],
     if bad_base:
         lines.append(f"{workload}: FAIL base run(s) {bad_base} could not "
                      f"be measured")
+    if lines:
+        return lines, True
+    names = [metric["name"] for metric in end_to_end]
+    for side, runs in (("head", head), ("base", base)):
+        for i, run in enumerate(runs):
+            field = _missing_field(run, names)
+            if field is not None:
+                lines.append(f"{workload}: FAIL {side} run {i} missing "
+                             f"{field}")
     if lines:
         return lines, True
 
