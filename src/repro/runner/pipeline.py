@@ -58,32 +58,63 @@ UNROLL_MAX_OPS = 128
 #: strictly read-only downstream (schedulers retime *copies*), which also
 #: lets its packed ``arrays()`` lowering be shared across machines.
 #:
-#: The memo holds the ``MAX_FRONTEND_LOOPS`` most recently used source
-#: loops, more than the 190-loop bench corpus: a hit moves its loop to
-#: the back of the (insertion-ordered) dict, and a miss at the bound drops
-#: the loop at the front, whose work DDGs -- with their ``DdgArrays``,
-#: SCCs and per-II caches -- are freed at once.  A sweep loses no reuse
-#: to the bound as long as it compiles each loop's jobs together, which
-#: is why ``Grid.run`` submits its jobs loop-major: a corpus larger than
-#: the bound is still unrolled and copy-inserted once per (loop, factor).
-#: The keys stay weak, so a loop its owner drops (the daemon's bounded
-#: spec memo) frees its entries before it is evicted.
+#: The memo keeps a loop's entries only while they are in use.  The loop
+#: in flight -- the one the last call compiled, held through a weak
+#: reference -- keeps its entries until a different loop arrives.  On its
+#: first visit the loop is then dropped from the memo, and its work DDGs
+#: -- with their ``DdgArrays``, SCCs and per-II caches -- are freed by
+#: reference count, before any cyclic collection.  Loop-major streams
+#: (``Grid.run``, perfbench's sweeps) never come back to a loop, so they
+#: hold one loop's state at a time.  A loop that does come back after
+#: others (the daemon's interleaved specs, fig6's ring pass after its
+#: flat pass) is kept from that second visit on, in a least-recently-used
+#: order: re-entering moves it to the back of the (insertion-ordered)
+#: dict, and admitting a loop at the bound drops the one at the front.
+#: ``MAX_FRONTEND_LOOPS`` bounds the whole memo, the loop in flight
+#: included, so within the bound every loop is unrolled and
+#: copy-inserted at most twice per (factor, strategy).  The keys stay
+#: weak, so a loop its owner drops (the daemon's bounded spec memo)
+#: frees its entries at once.
 MAX_FRONTEND_LOOPS = 256
 
 _FRONTEND_MEMO: "weakref.WeakKeyDictionary[Ddg, dict]" = \
     weakref.WeakKeyDictionary()
+#: the loop in flight, and whether it is on its first visit
+_in_flight: "Optional[tuple[weakref.ref[Ddg], bool]]" = None
+
+
+def _enter_frontend(ddg: Ddg) -> None:
+    """Make *ddg* the loop in flight, dropping the last one's entries
+    if that was its first visit."""
+    global _in_flight
+    memo = _FRONTEND_MEMO
+    if _in_flight is not None:
+        last = _in_flight[0]()
+        if _in_flight[1] and last is not None:
+            memo.pop(last, None)
+            # stamped on the structural cache: a mutation clears it, and
+            # a new loop (copies included) starts without it
+            last._edge_cache["frontend_left"] = True
+    per_ddg = memo.pop(ddg, None)
+    first_visit = per_ddg is None and \
+        "frontend_left" not in ddg._edge_cache
+    if per_ddg is None:
+        per_ddg = {}
+        while len(memo) >= MAX_FRONTEND_LOOPS:
+            del memo[next(iter(memo))]
+    memo[ddg] = per_ddg
+    _in_flight = (weakref.ref(ddg), first_visit)
 
 
 def _frontend(ddg: Ddg, factor: int, copies: bool,
               copy_strategy: str) -> tuple[Ddg, int]:
     """Memoised (unroll ->) copy-insert prefix: ``(work, n_copies)``."""
-    memo = _FRONTEND_MEMO
-    per_ddg = memo.pop(ddg, None)
-    if per_ddg is None or per_ddg.get("version") != ddg._version:
-        per_ddg = {"version": ddg._version}
-        while len(memo) >= MAX_FRONTEND_LOOPS:
-            del memo[next(iter(memo))]
-    memo[ddg] = per_ddg
+    if _in_flight is None or _in_flight[0]() is not ddg:
+        _enter_frontend(ddg)
+    per_ddg = _FRONTEND_MEMO[ddg]
+    if per_ddg.get("version") != ddg._version:
+        per_ddg.clear()
+        per_ddg["version"] = ddg._version
     key = (factor, copies, copy_strategy)
     hit = per_ddg.get(key)
     if hit is not None:

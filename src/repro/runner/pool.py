@@ -37,6 +37,7 @@ from __future__ import annotations
 import atexit
 import logging
 import multiprocessing
+import signal
 import time
 from typing import Callable, Optional, Sequence
 
@@ -78,6 +79,13 @@ _WORKER_MACHINES: Sequence = ()
 
 def _init_worker(ddgs: Sequence, machines: Sequence) -> None:
     global _WORKER_DDGS, _WORKER_MACHINES
+    # a worker forked from an asyncio daemon inherits the loop's signal
+    # wakeup fd and its SIGTERM/SIGINT handlers: the SIGTERM that
+    # ``Pool.terminate`` sends would land on the daemon's self-pipe and
+    # stop the daemon.  Workers take the default dispositions instead
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     _WORKER_DDGS = ddgs
     _WORKER_MACHINES = machines
 

@@ -79,9 +79,11 @@ class Grid:
 
         The jobs are submitted loop-major: every job of a loop, in cell
         order, before the next loop (loops in order of first appearance).
-        The pipeline's front-end memo keeps only the most recently used
-        loops, so a loop's unrolled and copy-inserted bodies are built
-        once for all its cells however many loops the grid holds.
+        The pipeline's front-end memo drops a loop on its first visit
+        once the next loop arrives, so a loop's unrolled and
+        copy-inserted bodies are built once for all its cells, and only
+        one loop's bodies are alive at a time, however many loops the
+        grid holds.
         """
         by_loop: dict[int, list[tuple[Hashable, int]]] = {}
         for label, cell in self.cells.items():

@@ -1,14 +1,16 @@
-"""The bounded front-end memo and the loop-major grid that keeps it whole.
+"""The front-end memo's lifetimes and the loop-major grid that keeps it whole.
 
 ``pipeline._FRONTEND_MEMO`` holds the (unroll ->) copy-insert bodies of
-the ``MAX_FRONTEND_LOOPS`` most recently used source loops.  Evicting a
-loop must cost nothing but a recompile of the same result, and a
-``Grid`` must submit its jobs loop-major so a grid over more loops than
-the bound still builds each body once.
+the loop in flight, dropped when the next loop arrives on the loop's
+first visit, and of the loops that came back after others, the
+``MAX_FRONTEND_LOOPS`` most recently used of them.  Dropping a loop
+must cost nothing but a recompile of the same result, and a ``Grid``
+must submit its jobs loop-major so it builds each body once.
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -27,28 +29,101 @@ def _fresh_loops(n):
     return generate_corpus(SynthConfig(n_loops=n))
 
 
+def _memo_keeps(loops):
+    """Which of *loops* the memo holds, in order."""
+    return [ddg for ddg in loops if ddg in pipeline._FRONTEND_MEMO]
+
+
 def test_memo_holds_at_most_the_bound():
     loops = [kernel(name) for name in ("daxpy", "dot", "fir4")] * 90
     loops = [ddg.copy() for ddg in loops]
     assert len(loops) > pipeline.MAX_FRONTEND_LOOPS
-    m = qrf_machine(4)
     for ddg in loops:
-        compile_loop(ddg, m, allocate=False)
-    assert len(pipeline._FRONTEND_MEMO) <= pipeline.MAX_FRONTEND_LOOPS
-    # the most recent loops are the ones kept
-    assert loops[-1] in pipeline._FRONTEND_MEMO
-    assert loops[0] not in pipeline._FRONTEND_MEMO
+        pipeline._frontend(ddg, 1, True, "slack")
+    # a first visit keeps only the loop in flight
+    assert _memo_keeps(loops) == [loops[-1]]
+    for ddg in loops:
+        pipeline._frontend(ddg, 1, True, "slack")
+        assert len(pipeline._FRONTEND_MEMO) <= pipeline.MAX_FRONTEND_LOOPS
+    # every loop came back; the most recent ones are the ones kept
+    assert _memo_keeps(loops) == loops[-pipeline.MAX_FRONTEND_LOOPS:]
 
 
 def test_a_hit_refreshes_its_loop(monkeypatch):
     monkeypatch.setattr(pipeline, "MAX_FRONTEND_LOOPS", 3)
     a, b, c, d = _fresh_loops(4)
     m = qrf_machine(4)
+    for ddg in (a, b, c):
+        compile_loop(ddg, m, allocate=False)
+    assert _memo_keeps((a, b, c, d)) == [c]      # first visits
     for ddg in (a, b, c, a, d):
         compile_loop(ddg, m, allocate=False)
+    # a, b and c were kept on their second visit, a was hit again, and
     # b was the least recently used when d arrived
     assert b not in pipeline._FRONTEND_MEMO
     assert all(ddg in pipeline._FRONTEND_MEMO for ddg in (a, c, d))
+
+
+def _work_refs(ddg):
+    """Weak references to the work graphs the memo holds for *ddg*."""
+    return [weakref.ref(entry[0])
+            for key, entry in pipeline._FRONTEND_MEMO[ddg].items()
+            if key != "version"]
+
+
+def test_a_loop_major_stream_frees_each_loop_by_reference_count():
+    """Loop k's work graphs die when loop k+1's first compile starts,
+    with the cyclic collector off: nothing but reference counting."""
+    loops = [kernel(name).copy() for name in ("fir4", "dot", "cmul")]
+    machines = [qrf_machine(n) for n in (4, 10, 16)]
+    gc.collect()
+    gc.disable()
+    try:
+        previous, n_bodies = [], 0
+        for ddg in loops:
+            for m in machines:
+                compile_loop(ddg, m, do_unroll=True, verify=True)
+                assert not any(work() for work in previous)
+            previous = _work_refs(ddg)
+            n_bodies += len(previous)
+    finally:
+        gc.enable()
+    assert n_bodies > len(loops)                 # some loops unroll
+
+
+def test_an_interleaved_stream_builds_each_body_at_most_twice(monkeypatch):
+    a, b = kernel("fir4").copy(), kernel("cmul").copy()
+    machines = [qrf_machine(n) for n in (4, 10)]
+    built = Counter()
+    insert_copies = pipeline.insert_copies
+
+    def counting_insert_copies(work, **kwargs):
+        built[work.name] += 1
+        return insert_copies(work, **kwargs)
+
+    monkeypatch.setattr(pipeline, "insert_copies", counting_insert_copies)
+    for n, ddg in enumerate((a, b, a, b, a)):
+        for m in machines:
+            compile_loop(ddg, m, do_unroll=True, allocate=False)
+        if n >= 2:
+            # the second visit admitted the loop: it stays past others
+            assert a in pipeline._FRONTEND_MEMO
+        if n >= 3:
+            assert b in pipeline._FRONTEND_MEMO
+    names = {name.split(".")[0] for name in built}
+    assert names == {a.name, b.name}
+    assert any("." in name for name in built)   # some bodies unroll
+    assert max(built.values()) <= 2
+
+
+def test_the_bound_holds_for_revisited_loops(monkeypatch):
+    monkeypatch.setattr(pipeline, "MAX_FRONTEND_LOOPS", 3)
+    loops = _fresh_loops(6)
+    for _ in range(3):
+        for ddg in loops:
+            pipeline._frontend(ddg, 1, True, "slack")
+            assert len(pipeline._FRONTEND_MEMO) <= 3
+    assert _memo_keeps(loops) == loops[-3:]
 
 
 def test_an_evicted_loop_recompiles_to_an_equal_result(monkeypatch):

@@ -115,3 +115,26 @@ def test_gate_takes_one_checkout_path(capsys, tmp_path):
     assert perf_gate.main([]) == 2
     assert perf_gate.main([str(tmp_path / "missing")]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_each_side_leads_half_the_pairs(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def fake_run_once(command, cwd, workload, seconds, pycache):
+        calls.append((workload, "base" if cwd == tmp_path else "head"))
+        return run()
+
+    monkeypatch.setattr(perf_gate, "run_once", fake_run_once)
+    assert perf_gate.main([str(tmp_path)]) == 0
+    assert "perf gate: pass" in capsys.readouterr().out
+    workloads = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert perf_gate.PAIRS % 2 == 0
+    for name in workloads:
+        sides = [side for workload, side in calls if workload == name]
+        assert len(sides) == 2 * perf_gate.PAIRS
+        pairs = [sides[i:i + 2] for i in range(0, len(sides), 2)]
+        assert all(sorted(pair) == ["base", "head"] for pair in pairs)
+        leads = [pair[0] for pair in pairs]
+        assert leads.count("base") == leads.count("head") \
+            == perf_gate.PAIRS // 2
