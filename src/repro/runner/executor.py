@@ -40,7 +40,7 @@ class RunnerConfig:
     ``progress`` is called as ``progress(done, total)`` after every job
     settles (cache hit or fresh compile).  ``chunk_size`` overrides how
     many tasks each worker pulls at once; by default the persistent pool
-    derives it from the job count and stripes cost-ranked tasks across
+    derives it from the job count and cuts loop-major, cost-ranked
     chunks.  ``job_deadline_s`` is the fan-out watchdog (None disables
     it); ``max_retries`` bounds how many dispatch rounds a job may ride
     before it is quarantined to the serial path (the serial run counts

@@ -64,8 +64,9 @@ UNROLL_MAX_OPS = 128
 #: first visit the loop is then dropped from the memo, and its work DDGs
 #: -- with their ``DdgArrays``, SCCs and per-II caches -- are freed by
 #: reference count, before any cyclic collection.  Loop-major streams
-#: (``Grid.run``, perfbench's sweeps) never come back to a loop, so they
-#: hold one loop's state at a time.  A loop that does come back after
+#: (``Grid.run``, perfbench's sweeps, and each pool worker's share of
+#: them, cut in loop-major chunks) come back to a loop rarely or never,
+#: so they hold one loop's state at a time.  A loop that does come back after
 #: others (the daemon's interleaved specs, fig6's ring pass after its
 #: flat pass) is kept from that second visit on, in a least-recently-used
 #: order: re-entering moves it to the back of the (insertion-ordered)

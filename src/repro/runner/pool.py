@@ -16,12 +16,14 @@ out of the per-task path:
   just ``(seq, ddg_index, machine_index, options, key)``.  New table
   entries restart the pool (counted, and rare: drivers reuse the same
   loop and machine objects across their calls).
-* **Cost-balanced chunked dispatch** -- tasks are dispatched
-  largest-first over ``imap_unordered`` with a chunk size derived from
-  the job count, so one expensive loop cannot serialise the tail of the
-  sweep.  Cost estimates come from prior cache records (``wall_s`` by
-  ``(loop, machine)``), falling back to an op-count heuristic for jobs
-  never seen before.  Results are re-ordered by sequence number, so the
+* **Cost-ranked, loop-major chunked dispatch** -- tasks are grouped
+  by loop, loops ranked largest-first, and cut into small contiguous
+  chunks over ``imap_unordered`` (chunk size derived from the job
+  count): each worker compiles a loop's jobs together, so the
+  front-end memo builds the loop's bodies once, and the cheap loops
+  fill the tail of the sweep.  Cost estimates come from prior cache
+  records (``wall_s`` by ``(loop, machine)``), falling back to an
+  op-count heuristic for jobs never seen before.  Results are re-ordered by sequence number, so the
   output stays byte-identical to the serial walk.
 * **Arena reuse inside each worker** -- workers are ordinary processes
   running :func:`~repro.runner.pipeline.execute_job`, so each one's
@@ -80,12 +82,14 @@ _WORKER_MACHINES: Sequence = ()
 def _init_worker(ddgs: Sequence, machines: Sequence) -> None:
     global _WORKER_DDGS, _WORKER_MACHINES
     # a worker forked from an asyncio daemon inherits the loop's signal
-    # wakeup fd and its SIGTERM/SIGINT handlers: the SIGTERM that
+    # wakeup fd and its SIGTERM handler: the SIGTERM that
     # ``Pool.terminate`` sends would land on the daemon's self-pipe and
-    # stop the daemon.  Workers take the default dispositions instead
+    # stop the daemon.  Workers die of SIGTERM instead, and ignore the
+    # Ctrl-C their process group gets: the parent handles it, draining
+    # the pool or terminating it
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _WORKER_DDGS = ddgs
     _WORKER_MACHINES = machines
 
@@ -120,6 +124,25 @@ def _run_chunk(tasks: list) -> list:
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
+
+def _loop_major_chunks(tasks: list, cost: dict[int, float],
+                       chunk: int) -> list[list]:
+    """Cut *tasks* into contiguous chunks of *chunk*, loop-major.
+
+    A loop's tasks stay together, costliest first, and loops are ranked
+    by their summed cost, costliest first.  Each worker then sees a
+    loop-major stream, which the front-end memo needs to build a loop's
+    bodies once and free them when the next loop starts.  The chunks are
+    small and pulled as workers free up, so the costly loops go out
+    first and the cheap ones fill the tail.
+    """
+    loop_cost: dict[int, float] = {}
+    for seq, ddg_i, *_ in tasks:
+        loop_cost[ddg_i] = loop_cost.get(ddg_i, 0.0) + cost[seq]
+    tasks = sorted(tasks, key=lambda t: (-loop_cost[t[1]], t[1],
+                                         -cost[t[0]]))
+    return [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
+
 
 class PoolSession:
     """One persistent worker pool plus its payload tables."""
@@ -219,16 +242,11 @@ class PoolSession:
         while pending:
             pool = self._ensure_pool(grew)
             grew = False
-            # cost-balanced chunked dispatch: rank tasks costliest-first,
-            # then *stripe* them across the chunks -- contiguous chunking
-            # after the sort would hand all the expensive jobs to one
-            # worker and grow the tail instead of shrinking it
-            tasks = sorted(pending.values(),
-                           key=lambda t: -cost_of(jobs[t[0]]))
-            chunk = chunk_size or max(
-                1, min(32, len(tasks) // (self.n_workers * 4)))
-            n_chunks = -(-len(tasks) // chunk)
-            chunks = [tasks[i::n_chunks] for i in range(n_chunks)]
+            chunks = _loop_major_chunks(
+                list(pending.values()),
+                {seq: cost_of(jobs[seq]) for seq in pending},
+                chunk_size or max(
+                    1, min(32, len(pending) // (self.n_workers * 4))))
             it = pool.imap_unordered(_run_chunk, chunks)
             failure: Optional[BaseException] = None
             while True:

@@ -80,10 +80,13 @@ class Grid:
         The jobs are submitted loop-major: every job of a loop, in cell
         order, before the next loop (loops in order of first appearance).
         The pipeline's front-end memo drops a loop on its first visit
-        once the next loop arrives, so a loop's unrolled and
-        copy-inserted bodies are built once for all its cells, and only
-        one loop's bodies are alive at a time, however many loops the
-        grid holds.
+        once the next loop arrives, so run serially a loop's unrolled
+        and copy-inserted bodies are built once for all its cells, and
+        only one loop's bodies are alive at a time, however many loops
+        the grid holds.  A worker pool hands its workers contiguous
+        loop-major chunks of the stream, so only the workers that take
+        one of a loop's chunks build its bodies, and only while it is
+        in flight.
         """
         by_loop: dict[int, list[tuple[Hashable, int]]] = {}
         for label, cell in self.cells.items():

@@ -161,6 +161,24 @@ def test_raising_progress_callback_never_reruns_settled_jobs(tmp_path):
     assert max(attempts.values()) <= 2
 
 
+def test_chunks_keep_each_loop_together_costliest_first():
+    """Workers get loop-major streams: a loop's tasks are contiguous
+    across the chunk sequence, loops go costliest-first by summed cost,
+    and a loop's own tasks costliest-first."""
+    from repro.runner.pool import _loop_major_chunks
+
+    # (seq, ddg_index, machine_index, options, key), loops interleaved
+    tasks = [(seq, seq % 3, seq // 3, None, f"k{seq}") for seq in range(12)]
+    cost = {seq: float(seq) for seq in range(12)}
+    chunks = _loop_major_chunks(tasks, cost, 5)
+    assert [len(c) for c in chunks] == [5, 5, 2]
+    flat = [task for c in chunks for task in c]
+    assert sorted(flat) == tasks
+    # loop 2 sums 2+5+8+11, loop 1 sums 1+4+7+10, loop 0 sums 0+3+6+9
+    assert [t[1] for t in flat] == [2] * 4 + [1] * 4 + [0] * 4
+    assert [t[0] for t in flat[:4]] == [11, 8, 5, 2]
+
+
 class TestPersistentPool:
     def test_pool_survives_across_run_jobs_calls(self, corpus_sample):
         from repro.runner import pool as pool_mod

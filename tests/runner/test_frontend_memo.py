@@ -34,19 +34,21 @@ def _memo_keeps(loops):
     return [ddg for ddg in loops if ddg in pipeline._FRONTEND_MEMO]
 
 
-def test_memo_holds_at_most_the_bound():
-    loops = [kernel(name) for name in ("daxpy", "dot", "fir4")] * 90
-    loops = [ddg.copy() for ddg in loops]
-    assert len(loops) > pipeline.MAX_FRONTEND_LOOPS
-    for ddg in loops:
-        pipeline._frontend(ddg, 1, True, "slack")
-    # a first visit keeps only the loop in flight
-    assert _memo_keeps(loops) == [loops[-1]]
-    for ddg in loops:
-        pipeline._frontend(ddg, 1, True, "slack")
-        assert len(pipeline._FRONTEND_MEMO) <= pipeline.MAX_FRONTEND_LOOPS
-    # every loop came back; the most recent ones are the ones kept
-    assert _memo_keeps(loops) == loops[-pipeline.MAX_FRONTEND_LOOPS:]
+def test_memo_holds_at_most_the_bound(monkeypatch):
+    for bound in (pipeline.MAX_FRONTEND_LOOPS, 3):
+        monkeypatch.setattr(pipeline, "MAX_FRONTEND_LOOPS", bound)
+        loops = [kernel(name) for name in ("daxpy", "dot", "fir4")] * 90
+        loops = [ddg.copy() for ddg in loops]
+        assert len(loops) > bound
+        for ddg in loops:
+            pipeline._frontend(ddg, 1, True, "slack")
+        # a first visit keeps only the loop in flight
+        assert _memo_keeps(loops) == [loops[-1]]
+        for ddg in loops:
+            pipeline._frontend(ddg, 1, True, "slack")
+            assert len(pipeline._FRONTEND_MEMO) <= bound
+        # every loop came back; the most recent ones are the ones kept
+        assert _memo_keeps(loops) == loops[-bound:]
 
 
 def test_a_hit_refreshes_its_loop(monkeypatch):
@@ -114,16 +116,6 @@ def test_an_interleaved_stream_builds_each_body_at_most_twice(monkeypatch):
     assert names == {a.name, b.name}
     assert any("." in name for name in built)   # some bodies unroll
     assert max(built.values()) <= 2
-
-
-def test_the_bound_holds_for_revisited_loops(monkeypatch):
-    monkeypatch.setattr(pipeline, "MAX_FRONTEND_LOOPS", 3)
-    loops = _fresh_loops(6)
-    for _ in range(3):
-        for ddg in loops:
-            pipeline._frontend(ddg, 1, True, "slack")
-            assert len(pipeline._FRONTEND_MEMO) <= 3
-    assert _memo_keeps(loops) == loops[-3:]
 
 
 def test_an_evicted_loop_recompiles_to_an_equal_result(monkeypatch):

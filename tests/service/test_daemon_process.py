@@ -5,10 +5,11 @@ only a daemon started from the CLI shows what its forked workers do
 with the signal set-up they inherit.  A batch that brings a new loop
 re-forks the pool, and ``Pool.terminate`` sends SIGTERM to each old
 worker that has not yet exited; the daemon must keep serving through
-that, and still drain on a SIGTERM of its own.  Whether a worker is
-still alive when ``terminate`` reaches it is a race, so the test also
-reads each worker's caught-signal mask: a worker that runs a SIGTERM
-handler is one the daemon's wakeup fd can hear.
+that, and still drain on a SIGTERM of its own, or on the Ctrl-C a
+terminal sends to its whole process group, workers included.  Whether
+a worker is still alive when ``terminate`` reaches it is a race, so
+the test also reads each worker's caught-signal mask: a worker that
+runs a SIGTERM handler is one the daemon's wakeup fd can hear.
 """
 
 import http.client
@@ -90,7 +91,7 @@ def test_a_worker_drops_the_signal_set_up_it_inherits(monkeypatch):
         pool._init_worker((), ())
         assert signal.set_wakeup_fd(-1) == -1
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
-        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     finally:
         signal.set_wakeup_fd(saved_fd)
         for sig, handler in saved.items():
@@ -99,16 +100,28 @@ def test_a_worker_drops_the_signal_set_up_it_inherits(monkeypatch):
         writer.close()
 
 
+def _sigterm_the_daemon(proc: subprocess.Popen) -> None:
+    proc.send_signal(signal.SIGTERM)
+
+
+def _ctrl_c_the_group(proc: subprocess.Popen) -> None:
+    # a terminal's Ctrl-C reaches the daemon and its workers alike
+    os.killpg(proc.pid, signal.SIGINT)
+
+
 @needs_proc
-def test_a_two_worker_daemon_survives_a_pool_refork(tmp_path):
+@pytest.mark.parametrize("stop", [_sigterm_the_daemon, _ctrl_c_the_group])
+def test_a_two_worker_daemon_survives_a_pool_refork(tmp_path, stop):
     log = tmp_path / "serve.log"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("REPRO_FAULTS", None)
     with open(log, "w") as err:
+        # a session of its own, so the group's Ctrl-C reaches no one else
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "--cache-dir",
              str(tmp_path / "cache"), "--jobs", "2", "serve", "--port", "0"],
-            stdout=subprocess.DEVNULL, stderr=err, env=env)
+            stdout=subprocess.DEVNULL, stderr=err, env=env,
+            start_new_session=True)
     workers: set = set()
     try:
         port = _port(log, proc)
@@ -124,7 +137,7 @@ def test_a_two_worker_daemon_survives_a_pool_refork(tmp_path):
         assert "drained and stopped" not in log.read_text()
         assert _request(port, "GET", "/healthz") == 200
         assert _request(port, "POST", "/jobs", _batch("dot")) == 200
-        proc.send_signal(signal.SIGTERM)
+        stop(proc)
         assert proc.wait(timeout=60) == 0
     finally:
         # a failed run must leave no daemon or worker behind
@@ -136,4 +149,7 @@ def test_a_two_worker_daemon_survives_a_pool_refork(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    assert "drained and stopped" in log.read_text()
+    text = log.read_text()
+    assert "drained and stopped" in text
+    # the workers finished the drain: none was interrupted mid-wait
+    assert "Traceback" not in text, text
